@@ -2,8 +2,8 @@
 # Local CI: exactly what .github/workflows/ci.yml runs.
 #
 #   ./ci.sh          # fmt check, clippy -D warnings, docs, full test
-#                    # suite, bench smokes + regression gate against
-#                    # bench/baselines/
+#                    # suite, repo-benchmark output smoke, bench smokes +
+#                    # regression gate against bench/baselines/
 #   ./ci.sh fast     # skip the bench smoke and gate
 #
 # Knobs: BENCH_SAMPLES (default 3), BENCH_GATE=warn to report
@@ -72,6 +72,14 @@ CHAOS_ITERS="${CHAOS_ITERS:-200}" WORKLOAD_ITERS="${WORKLOAD_ITERS:-8}" \
     cargo test -q --test chaos_differential --test cancel_proptests \
     --test shard_differential --test workload_determinism \
     --test serve_differential --test serve_fairness --test concurrent_stress
+
+# The repo benchmark (BENCHMARK.json, benchmark/) as a smoke step: its own
+# unit tests, then every workload at a twentieth of the rows for 2 s each.
+# Only the output checks count here (a mismatch exits non-zero); the
+# timings it prints gate nothing.
+echo "==> repo benchmark: unit tests + outputs-only smoke (benchmark/run.sh --quick)"
+(cd benchmark && cargo test -q --offline)
+benchmark/run.sh --quick
 
 if [[ "${1:-}" != "fast" ]]; then
     echo "==> bench smoke (engine) -> BENCH_engine.json"

@@ -4,13 +4,19 @@
 //! number — a warm session should be well over 5× faster than computing
 //! the same answers from base data. A second group times the
 //! subsumption path: fresh contained ranges answered by re-filtering a
-//! cached superset selection instead of scanning the base table.
+//! cached superset selection instead of scanning the base table. A third
+//! times the store's own bookkeeping at the sizes a long session reaches:
+//! one subsumption probe over 6 000 resident supersets, and one admission
+//! (with the eviction it forces) of a 1 %-selectivity filter result.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::cell::Cell;
 use std::hint::black_box;
+use std::sync::Arc;
 
-use explore_core::cache::{CacheConfig, CachePolicy};
+use explore_core::cache::{
+    CacheConfig, CachePolicy, Fingerprint, Region, ResultCache, ReuseArtifacts,
+};
 use explore_core::storage::gen::{sales_table, SalesConfig};
 use explore_core::storage::{AggFunc, CmpOp, Predicate, Query, SortOrder, Table};
 use explore_core::ExploreDb;
@@ -248,5 +254,72 @@ fn bench_cache_subsumption(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cache_workload, bench_cache_subsumption);
+/// Store bookkeeping under the load a long analyst session builds up:
+/// thousands of resident selections over one column, a full budget.
+fn bench_cache_store(c: &mut Criterion) {
+    const SUPERSETS: usize = 6_000;
+    // A 1 % filter of a 100 k-row table selects 1 000 rows.
+    let sel: Arc<Vec<u32>> = Arc::new((0..100_000).step_by(100).collect());
+    let result = Arc::new(sales_table(&SalesConfig {
+        rows: 8,
+        ..SalesConfig::default()
+    }));
+    let window = |i: usize| Predicate::range("price", i as f64, i as f64 + 10.0);
+    let admit = |cache: &ResultCache, i: usize| {
+        let reuse = ReuseArtifacts {
+            region: Region::exact(&window(i)).expect("a range is exact"),
+            sel: Arc::clone(&sel),
+        };
+        cache.insert(
+            Fingerprint::custom("sales", format!("w{i}")),
+            Arc::clone(&result),
+            Some(reuse),
+            1_000_000,
+            0,
+        )
+    };
+    let filled = |byte_budget: usize| {
+        let cache = ResultCache::new(CacheConfig {
+            byte_budget,
+            ..CacheConfig::default()
+        });
+        for i in 0..SUPERSETS {
+            admit(&cache, i);
+        }
+        cache
+    };
+
+    let mut group = c.benchmark_group("cache_probe");
+    group.sample_size(10);
+    group.bench_function("6k_supersets", |b| {
+        let cache = filled(1 << 30);
+        assert_eq!(cache.stats().reuse_entries, SUPERSETS);
+        // No window reaches below zero: the probe walks every superset
+        // and finds none.
+        let outside = Region::relaxed(&Predicate::range("price", -2.0, -1.0));
+        b.iter(|| black_box(cache.find_subsuming("sales", &outside)).is_none())
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("cache_admit");
+    group.sample_size(10);
+    group.bench_function("filter_1pct", |b| {
+        // A budget that is exactly full: every admission evicts.
+        let cache = filled(filled(1 << 30).stats().bytes);
+        let next = Cell::new(SUPERSETS);
+        b.iter(|| {
+            next.set(next.get() + 1);
+            black_box(admit(&cache, next.get()))
+        });
+        assert_eq!(cache.stats().entries, SUPERSETS);
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_cache_workload,
+    bench_cache_subsumption,
+    bench_cache_store
+);
 criterion_main!(benches);

@@ -47,7 +47,7 @@
 //! assert_eq!(cache.stats().hits, 1);
 //!
 //! // A narrower range is contained in the cached one: served by
-//! // re-filtering the cached subset, not by scanning the base table.
+//! // re-filtering the cached selection, not by scanning the base table.
 //! let narrow = Query::new()
 //!     .filter(Predicate::range("qty", 3.0, 6.0))
 //!     .agg(AggFunc::Sum, "price");
@@ -60,6 +60,7 @@
 //! ```
 
 pub mod fingerprint;
+mod probe;
 pub mod region;
 pub mod serve;
 pub mod store;

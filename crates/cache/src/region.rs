@@ -265,6 +265,17 @@ impl Region {
         })
     }
 
+    /// The constrained columns and their intervals, in column-name
+    /// order.
+    pub fn constraints(&self) -> impl Iterator<Item = (&str, &Interval)> {
+        self.constraints.iter().map(|(c, iv)| (c.as_str(), iv))
+    }
+
+    /// The interval constraining `column`, if any.
+    pub fn interval(&self, column: &str) -> Option<&Interval> {
+        self.constraints.get(column)
+    }
+
     /// Number of constrained columns.
     pub fn len(&self) -> usize {
         self.constraints.len()

@@ -17,11 +17,13 @@
 //!
 //! The subsumption path earns this the careful way:
 //!
-//! 1. the **full** new predicate is re-evaluated on the cached subset
-//!    (not some residual predicate — no predicate algebra to get wrong),
-//! 2. subset-local matches are mapped through the entry's stored
-//!    selection vector back to **global** base-table row ids,
-//! 3. the query replays via [`explore_exec::run_query_on_selection`],
+//! 1. the **full** new predicate is re-evaluated on the base table at
+//!    the cached entry's selected rows (not some residual predicate — no
+//!    predicate algebra to get wrong); the region proved that no
+//!    qualifying base row lives outside that selection, so the survivors
+//!    are exactly the rows a base-table scan would select, already as
+//!    ascending **global** row ids,
+//! 2. the query replays via [`explore_exec::run_query_on_selection`],
 //!    which partitions
 //!    that global selection at the *base table's* morsel boundaries —
 //!    so gathers and float accumulators see the same values in the same
@@ -104,9 +106,8 @@ pub fn cached_query_at_epoch(
 
     // Mirror `run_query`'s error precedence: scan queries validate the
     // projection before the predicate ever runs.
-    if query.aggregates.is_empty() && !query.projection.is_empty() {
-        let names: Vec<&str> = query.projection.iter().map(String::as_str).collect();
-        base.schema().project(&names)?;
+    if query.aggregates.is_empty() {
+        query.check_projection(base)?;
     }
 
     let started = Instant::now();
@@ -116,12 +117,12 @@ pub fn cached_query_at_epoch(
 
     let result = Arc::new(result);
     // Cost-aware admission: results too cheap to be worth caching skip
-    // artifact construction and insertion entirely — the cold path pays
-    // (almost) nothing for them, which is what keeps `CachePolicy::On`
-    // tracking cache-off on workloads that never re-ask a query.
+    // insertion entirely — the cold path pays (almost) nothing for them,
+    // which is what keeps `CachePolicy::On` tracking cache-off on
+    // workloads that never re-ask a query.
     let admit_start = ctx.trace.map(|t| t.now_ns());
     let accepted = if cache.should_admit(cost_ns) {
-        let reuse = build_artifacts(base, query, sel, &result, cost_ns);
+        let reuse = reuse_artifacts(base, query, sel);
         cache.insert(fingerprint, Arc::clone(&result), reuse, cost_ns, epoch)
     } else {
         cache.note_admit_rejected();
@@ -159,40 +160,42 @@ fn try_subsumption(
     ctx: &QueryCtx,
     lookup_start: Option<u64>,
 ) -> Option<Table> {
-    if !cache.subsumption_enabled() {
-        return None;
-    }
     let query_region = Region::relaxed(&query.predicate);
-    let candidate = cache.find_subsuming(table_name, &query_region)?;
-    // The probe found a superset: the lookup span closes here, before
-    // the re-filter work (which records its own exec spans).
-    record_lookup(ctx, lookup_start, CacheOutcome::Subsumption);
     let SubsumeCandidate {
         fingerprint: source,
         sel,
-        subset,
         cost_ns,
-    } = candidate;
+    } = cache.find_subsuming(table_name, &query_region)?;
+    // An entry may have been admitted from a snapshot newer (and longer)
+    // than `base` — see `cached_query_at_epoch`. Its row ids mean nothing
+    // here; compute from base data instead.
+    if sel
+        .last()
+        .is_some_and(|&row| row as usize >= base.num_rows())
+    {
+        return None;
+    }
+    // The probe found a superset: the lookup span closes here, before
+    // the re-filter work.
+    record_lookup(ctx, lookup_start, CacheOutcome::Subsumption);
 
     let started = Instant::now();
-    // Re-evaluate the full predicate on the (smaller) cached subset;
-    // region soundness guarantees no qualifying base row lives outside
-    // it. Errors fall through to the canonical miss path.
-    let local = evaluate_selection(&subset, &query.predicate, ctx).ok()?;
-    let global: Vec<u32> = local.iter().map(|&i| sel[i as usize]).collect();
+    // Re-evaluate the full predicate at the cached rows only; region
+    // soundness guarantees no qualifying base row lives outside them.
+    // Errors fall through to the canonical miss path.
+    ctx.check_cancel().ok()?;
+    let global = query.predicate.evaluate_at(base, &sel).ok()?;
     let result = run_query_on_selection(base, query, &global, ctx).ok()?;
     let refilter_ns = started.elapsed().as_nanos();
 
     cache.note_subsumption_hit(&source, cost_ns.saturating_sub(refilter_ns));
 
     // Admit the narrower result as its own entry so refinement chains
-    // keep re-filtering ever-smaller subsets. Its subset rows come from
-    // the candidate's subset — identical values to a base-table gather.
+    // keep re-filtering ever-smaller selections.
     let result = Arc::new(result);
     let reuse = Region::exact(&query.predicate).map(|region| ReuseArtifacts {
         region,
         sel: Arc::new(global),
-        subset: Arc::new(subset.gather(&local)),
     });
     let admit_start = ctx.trace.map(|t| t.now_ns());
     let accepted = cache.insert(
@@ -206,68 +209,76 @@ fn try_subsumption(
     Some((*result).clone())
 }
 
-/// Reuse artifacts for a freshly computed result: only when the
-/// predicate normalizes exactly. An identity scan's result *is* its
-/// subset, so the `Arc` is shared instead of re-gathered. For any other
-/// shape the subset must be gathered, which is the expensive part of
-/// the cold path — so it's gated on benefit *before* the gather: the
-/// selection must narrow the base table by at least a 1/8th (a subset
-/// covering nearly every base row makes a re-filter scan about as many
-/// rows as the base table would — all cost, no savings), and the
-/// estimated subset bytes must not exceed the observed compute cost in
-/// ns (≈ 1 byte/ns materialization: an artifact that costs more to
-/// build than the computation it might save is a bad trade). Entries
-/// without artifacts still serve exact hits.
-fn build_artifacts(
-    base: &Table,
-    query: &Query,
-    sel: Vec<u32>,
-    result: &Arc<Table>,
-    cost_ns: u128,
-) -> Option<ReuseArtifacts> {
+/// Reuse artifacts for a freshly computed result: its selection vector,
+/// when the predicate normalizes exactly and narrows the base table by
+/// at least an eighth. A selection covering nearly every base row makes
+/// a re-filter read about as many rows as the scan it would replace —
+/// all cost, no saving — and its empty-ish region would attract every
+/// later probe. Entries without artifacts still serve exact hits.
+fn reuse_artifacts(base: &Table, query: &Query, sel: Vec<u32>) -> Option<ReuseArtifacts> {
+    if sel.len() * 8 >= base.num_rows() * 7 {
+        return None;
+    }
     let region = Region::exact(&query.predicate)?;
-    let is_identity_scan = query.aggregates.is_empty()
-        && query.projection.is_empty()
-        && query.order_by.is_none()
-        && query.limit.is_none();
-    let subset = if is_identity_scan {
-        Arc::clone(result)
-    } else {
-        if sel.len() * 8 >= base.num_rows() * 7 {
-            return None;
-        }
-        let est_bytes = estimated_row_bytes(base).saturating_mul(sel.len());
-        if est_bytes as u128 > cost_ns {
-            return None;
-        }
-        Arc::new(base.gather(&sel))
-    };
     Some(ReuseArtifacts {
         region,
         sel: Arc::new(sel),
-        subset,
     })
 }
 
-/// Cheap per-row byte estimate for gather gating: exact for numeric
-/// columns, and string columns extrapolate from the first rows instead
-/// of walking every string — `table_bytes` is exact but O(rows), far
-/// too slow to pay on every admission decision.
-fn estimated_row_bytes(table: &Table) -> usize {
-    use explore_storage::Column;
-    let mut bytes = 0usize;
-    for field in table.schema().fields() {
-        let Ok(col) = table.column(field.name()) else {
-            continue;
-        };
-        bytes += match col {
-            Column::Int64(_) | Column::Float64(_) => 8,
-            Column::Utf8(v) => {
-                let sample = &v[..v.len().min(64)];
-                let sampled: usize = sample.iter().map(|s| s.len() + 24).sum();
-                sampled / sample.len().max(1)
-            }
-        };
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use explore_exec::run_query;
+    use explore_storage::gen::{sales_table, SalesConfig};
+    use explore_storage::{AggFunc, Predicate};
+
+    /// A mutation writes data first and bumps the epoch second. In that
+    /// window a reader of the new, longer snapshot admits a selection
+    /// under the old epoch; a reader still holding the old snapshot must
+    /// not replay those row ids against its shorter table.
+    #[test]
+    fn a_selection_past_the_readers_snapshot_is_not_replayed() {
+        let old = sales_table(&SalesConfig {
+            rows: 3_000,
+            ..SalesConfig::default()
+        });
+        let mut new = old.clone();
+        new.append(&sales_table(&SalesConfig {
+            rows: 1_000,
+            seed: 99,
+            ..SalesConfig::default()
+        }))
+        .unwrap();
+        let cache = ResultCache::default();
+        let ctx = QueryCtx::none();
+        let epoch = cache.epoch("sales");
+
+        let broad = Query::new()
+            .filter(Predicate::range("price", 100.0, 400.0))
+            .agg(AggFunc::Sum, "price");
+        cached_query_at_epoch(&cache, &new, "sales", &broad, &ctx, epoch).unwrap();
+        let narrow = Query::new()
+            .filter(Predicate::range("price", 150.0, 300.0))
+            .group("region")
+            .agg(AggFunc::Sum, "price");
+        let admitted = cache
+            .find_subsuming("sales", &Region::relaxed(&narrow.predicate))
+            .expect("the broad selection is resident");
+        assert!(*admitted.sel.last().unwrap() as usize >= old.num_rows());
+
+        let served = cached_query_at_epoch(&cache, &old, "sales", &narrow, &ctx, epoch).unwrap();
+        assert_eq!(served, run_query(&old, &narrow, &ctx).unwrap());
+        let stats = cache.stats();
+        assert_eq!((stats.subsumption_hits, stats.misses), (0, 2));
+
+        // Against the snapshot it was admitted from, the broad selection
+        // serves (only it covers this range).
+        let inner = Query::new()
+            .filter(Predicate::range("price", 120.0, 350.0))
+            .agg(AggFunc::Sum, "price");
+        let served = cached_query_at_epoch(&cache, &new, "sales", &inner, &ctx, epoch).unwrap();
+        assert_eq!(served, run_query(&new, &inner, &ctx).unwrap());
+        assert_eq!(cache.stats().subsumption_hits, 1);
     }
-    bytes
 }

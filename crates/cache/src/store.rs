@@ -4,8 +4,10 @@
 //! query path, the speculative prefetcher, the pan/zoom session, the
 //! AQP executor — behind a single mutex. Entries are tiny result tables
 //! (exploration answers are aggregates and top-k slices, not base
-//! data), so the critical sections are pointer moves; the heavy work
-//! (scans, re-filters) always happens outside the lock.
+//! data) plus, for range queries, the selection vector that produced
+//! them, so the critical sections are pointer moves and O(log n) index
+//! updates; the heavy work (scans, re-filters) always happens outside
+//! the lock.
 //!
 //! # Eviction
 //!
@@ -13,8 +15,11 @@
 //! an entry's *benefit* is `cost_ns × (hits + 1) / bytes` — measured
 //! compute cost it saves, scaled by observed popularity, per resident
 //! byte. Under byte-budget pressure the lowest-benefit entry goes
-//! first (ties: least recently touched). Oversized results are refused
-//! outright rather than allowed to flush the whole cache.
+//! first (ties: least recently touched). Entries are kept ranked by
+//! that key in an ordered map, re-ranked when a hit moves them, so an
+//! eviction pops the front instead of scanning the cache. Oversized
+//! results are refused outright rather than allowed to flush the whole
+//! cache.
 //!
 //! # Epochs
 //!
@@ -26,7 +31,8 @@
 //! (`epoch_at_compute` no longer current), and `get` re-checks the
 //! stamp so a stale row can never be served.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -36,6 +42,7 @@ use explore_obs::MetricsRegistry;
 use explore_storage::{Column, Table};
 
 use crate::fingerprint::Fingerprint;
+use crate::probe::{ProbeIndex, SlotPos};
 use crate::region::Region;
 
 /// Tuning knobs for an enabled cache.
@@ -49,9 +56,9 @@ pub struct CacheConfig {
     /// Cost-aware admission floor: a freshly computed result is only
     /// admitted when its observed compute cost is at least this many
     /// nanoseconds. Caching a result that was nearly free buys nothing
-    /// on a future hit but still pays insertion, artifact, and eviction
-    /// overhead on the cold path — the reason `CachePolicy::On` used to
-    /// lag cache-off on cold workloads. Subsumption re-admissions are
+    /// on a future hit but still pays insertion and eviction overhead
+    /// on the cold path — the reason `CachePolicy::On` used to lag
+    /// cache-off on cold workloads. Subsumption re-admissions are
     /// exempt: their cost (the re-filter) is cheap by design, but they
     /// keep refinement chains alive. `0` admits everything.
     pub admit_min_cost_ns: u64,
@@ -121,6 +128,11 @@ pub struct CacheStats {
     pub saved_cost_ns: u128,
     /// Results refused by cost-aware admission (too cheap to cache).
     pub admit_rejected: u64,
+    /// Live entries that carry a selection vector — the supersets every
+    /// subsumption probe walks.
+    pub reuse_entries: usize,
+    /// Resident bytes of those selection vectors (part of `bytes`).
+    pub reuse_bytes: usize,
 }
 
 impl CacheStats {
@@ -137,17 +149,16 @@ impl CacheStats {
 }
 
 /// What a cache entry needs to serve *subsumption* hits, beyond the
-/// result itself: the exact region its predicate covers, the selection
-/// vector into the base table, and the gathered subset rows to
-/// re-filter. Entries without artifacts still serve exact hits.
+/// result itself: the exact region its predicate covers and the
+/// selection vector into the base table. A contained query is answered
+/// by re-evaluating its predicate on the base table at those rows only.
+/// Entries without artifacts still serve exact hits.
 #[derive(Debug, Clone)]
 pub struct ReuseArtifacts {
     /// Exact region of the cached predicate ([`Region::exact`]).
     pub region: Region,
     /// Qualifying base-table row ids, ascending.
     pub sel: Arc<Vec<u32>>,
-    /// The qualifying rows, gathered (all base columns).
-    pub subset: Arc<Table>,
 }
 
 /// A cached superset eligible to answer the current query, returned by
@@ -158,10 +169,13 @@ pub struct SubsumeCandidate {
     pub fingerprint: Fingerprint,
     /// Base-table row ids of the cached superset.
     pub sel: Arc<Vec<u32>>,
-    /// The superset rows to re-filter.
-    pub subset: Arc<Table>,
     /// What the cached computation originally cost.
     pub cost_ns: u128,
+}
+
+/// Resident bytes of a selection vector.
+fn sel_bytes(sel: &[u32]) -> usize {
+    std::mem::size_of_val(sel)
 }
 
 #[derive(Debug)]
@@ -169,13 +183,13 @@ struct Entry {
     /// Table epoch this entry was computed under.
     epoch: u64,
     result: Arc<Table>,
-    region: Option<Region>,
-    sel: Option<Arc<Vec<u32>>>,
-    subset: Option<Arc<Table>>,
+    /// The selection vector and its slot in the probe index (which
+    /// holds the region).
+    reuse: Option<(Arc<Vec<u32>>, SlotPos)>,
     cost_ns: u128,
     hits: u64,
     bytes: usize,
-    /// Logical clock of the last touch (insert or hit).
+    /// Logical clock of the last touch (insert or hit); unique per entry.
     stamp: u64,
 }
 
@@ -185,23 +199,26 @@ impl Entry {
         self.cost_ns as f64 * (self.hits + 1) as f64 / self.bytes.max(1) as f64
     }
 
-    fn candidate(&self, fp: &Fingerprint) -> Option<SubsumeCandidate> {
-        Some(SubsumeCandidate {
-            fingerprint: fp.clone(),
-            sel: Arc::clone(self.sel.as_ref()?),
-            subset: Arc::clone(self.subset.as_ref()?),
-            cost_ns: self.cost_ns,
-        })
+    /// Position in the eviction order: benefit, then last touch. A
+    /// benefit is never negative, so its bit pattern orders as it does.
+    fn rank(&self) -> (u64, u64) {
+        (self.benefit().to_bits(), self.stamp)
     }
 }
 
 #[derive(Debug, Default)]
 struct Inner {
     config: CacheConfig,
-    entries: HashMap<Fingerprint, Entry>,
+    entries: HashMap<Arc<Fingerprint>, Entry>,
+    /// Every entry by [`Entry::rank`]: the front is the next victim.
+    order: BTreeMap<(u64, u64), Arc<Fingerprint>>,
+    /// Entries that carry a selection vector, by table and region.
+    index: ProbeIndex,
     /// Per-table mutation counters; absent = epoch 0.
     epochs: HashMap<String, u64>,
     bytes: usize,
+    reuse_entries: usize,
+    reuse_bytes: usize,
     clock: u64,
     hits: u64,
     subsumption_hits: u64,
@@ -226,9 +243,18 @@ impl Inner {
 
     /// Bump an attached registry counter; no-op (one `Option` check)
     /// when observability is off.
-    fn bump(&self, name: &str) {
+    fn bump(&self, name: &str, by: u64) {
         if let Some(metrics) = &self.metrics {
-            metrics.inc(name, 1);
+            metrics.inc(name, by);
+        }
+    }
+
+    /// Publish the resident-superset gauges to an attached registry.
+    fn mirror_reuse(&self) {
+        if let Some(metrics) = &self.metrics {
+            let set = |name, v: usize| metrics.counter(name).store(v as u64, Ordering::Relaxed);
+            set("cache.reuse_entries", self.reuse_entries);
+            set("cache.reuse_bytes", self.reuse_bytes);
         }
     }
 
@@ -238,10 +264,57 @@ impl Inner {
         self.faults.as_ref().is_some_and(|f| f.fire(name))
     }
 
-    fn remove_entry(&mut self, fp: &Fingerprint) -> Option<Entry> {
-        let entry = self.entries.remove(fp)?;
-        self.bytes -= entry.bytes;
+    /// Count a hit on `fp`: its popularity and recency move, so it is
+    /// re-ranked in the eviction order and its probe slot re-stamped.
+    fn touch(&mut self, fp: &Fingerprint) -> Option<&Entry> {
+        let entry = self.entries.get_mut(fp)?;
+        let key = self.order.remove(&entry.rank())?;
+        self.clock += 1;
+        entry.hits += 1;
+        entry.stamp = self.clock;
+        self.order.insert(entry.rank(), key);
+        if let Some((_, pos)) = entry.reuse {
+            self.index.touch(fp.table(), pos, entry.stamp);
+        }
         Some(entry)
+    }
+
+    /// Remove an entry from everything but the probe index (and leave
+    /// the registry gauges to the caller).
+    fn unlink(&mut self, fp: &Fingerprint) -> Option<Entry> {
+        let entry = self.entries.remove(fp)?;
+        self.order.remove(&entry.rank());
+        self.bytes -= entry.bytes;
+        if let Some((sel, _)) = &entry.reuse {
+            self.reuse_entries -= 1;
+            self.reuse_bytes -= sel_bytes(sel);
+        }
+        Some(entry)
+    }
+
+    fn remove_entry(&mut self, fp: &Fingerprint) {
+        let Some((_, pos)) = self.unlink(fp).and_then(|entry| entry.reuse) else {
+            return;
+        };
+        self.mirror_reuse();
+        let moved = self.index.remove(fp.table(), pos);
+        if let Some((_, slot)) = moved
+            .and_then(|fp| self.entries.get_mut(&*fp))
+            .and_then(|entry| entry.reuse.as_mut())
+        {
+            *slot = pos;
+        }
+    }
+
+    /// Drop every entry; epochs and counters stay.
+    fn drop_all(&mut self) {
+        self.entries.clear();
+        self.order.clear();
+        self.index.clear();
+        self.bytes = 0;
+        self.reuse_entries = 0;
+        self.reuse_bytes = 0;
+        self.mirror_reuse();
     }
 
     /// Evict lowest-benefit entries (ties: least recently touched)
@@ -252,30 +325,18 @@ impl Inner {
             // resident set, degrade by dropping every entry. The cache
             // only ever accelerates — correctness is unaffected.
             let dropped = self.entries.len() as u64;
-            self.entries.clear();
-            self.bytes = 0;
+            self.drop_all();
             self.evictions += dropped;
-            if let Some(metrics) = &self.metrics {
-                metrics.inc("cache.evictions", dropped);
-            }
+            self.bump("cache.evictions", dropped);
             return;
         }
         while self.bytes > self.config.byte_budget {
-            let Some(victim) = self
-                .entries
-                .iter()
-                .min_by(|(_, a), (_, b)| {
-                    a.benefit()
-                        .total_cmp(&b.benefit())
-                        .then(a.stamp.cmp(&b.stamp))
-                })
-                .map(|(fp, _)| fp.clone())
-            else {
+            let Some(victim) = self.order.values().next().map(Arc::clone) else {
                 break;
             };
             self.remove_entry(&victim);
             self.evictions += 1;
-            self.bump("cache.evictions");
+            self.bump("cache.evictions", 1);
         }
     }
 }
@@ -326,7 +387,9 @@ impl ResultCache {
     /// Attach (or detach, with `None`) an observability registry. While
     /// attached, every counter bump is mirrored into `cache.*` metrics
     /// (`cache.hits`, `cache.misses`, `cache.subsumption_hits`,
-    /// `cache.insertions`, `cache.evictions`, `cache.invalidations`).
+    /// `cache.insertions`, `cache.evictions`, `cache.invalidations`,
+    /// `cache.admit_rejected`), and the resident-superset gauges
+    /// `cache.reuse_entries` / `cache.reuse_bytes` follow every change.
     /// Stats themselves are unchanged — the registry is a mirror, not a
     /// replacement.
     pub fn set_metrics(&self, metrics: Option<Arc<MetricsRegistry>>) {
@@ -360,17 +423,19 @@ impl ResultCache {
         let mut inner = self.inner.lock();
         let epoch = inner.epoch_of(table) + 1;
         inner.epochs.insert(table.to_owned(), epoch);
-        let stale: Vec<Fingerprint> = inner
+        let stale: Vec<Arc<Fingerprint>> = inner
             .entries
             .keys()
             .filter(|fp| fp.table() == table)
             .cloned()
             .collect();
-        for fp in stale {
-            inner.remove_entry(&fp);
-            inner.invalidations += 1;
-            inner.bump("cache.invalidations");
+        for fp in &stale {
+            inner.unlink(fp);
         }
+        inner.index.drop_table(table);
+        inner.mirror_reuse();
+        inner.invalidations += stale.len() as u64;
+        inner.bump("cache.invalidations", stale.len() as u64);
         epoch
     }
 
@@ -390,20 +455,14 @@ impl ResultCache {
         if inner.entries.get(fp).is_some_and(|e| e.epoch != current) {
             inner.remove_entry(fp);
             inner.invalidations += 1;
-            inner.bump("cache.invalidations");
+            inner.bump("cache.invalidations", 1);
             return None;
         }
-        inner.clock += 1;
-        let stamp = inner.clock;
-        let (result, cost_ns) = {
-            let entry = inner.entries.get_mut(fp)?;
-            entry.hits += 1;
-            entry.stamp = stamp;
-            (Arc::clone(&entry.result), entry.cost_ns)
-        };
+        let entry = inner.touch(fp)?;
+        let (result, cost_ns) = (Arc::clone(&entry.result), entry.cost_ns);
         inner.hits += 1;
         inner.saved_cost_ns += cost_ns;
-        inner.bump("cache.hits");
+        inner.bump("cache.hits", 1);
         Some(result)
     }
 
@@ -418,8 +477,9 @@ impl ResultCache {
 
     /// Find a current-epoch entry over `table` whose exact region
     /// provably covers `query_region`. Among eligible supersets the
-    /// smallest (fewest subset rows, then least recently touched) wins —
-    /// it is the cheapest to re-filter.
+    /// smallest (fewest selected rows, then least recently touched)
+    /// wins — it is the cheapest to re-filter. The probe walks the
+    /// per-table index of selection-bearing entries, not the entry map.
     pub fn find_subsuming(&self, table: &str, query_region: &Region) -> Option<SubsumeCandidate> {
         let inner = self.inner.lock();
         if !inner.config.subsumption {
@@ -428,47 +488,31 @@ impl ResultCache {
         if inner.fire("cache.lookup") {
             return None;
         }
-        let current = inner.epoch_of(table);
-        inner
-            .entries
-            .iter()
-            .filter(|(fp, e)| {
-                fp.table() == table
-                    && e.epoch == current
-                    && e.subset.is_some()
-                    && e.region
-                        .as_ref()
-                        .is_some_and(|region| region.covers(query_region))
-            })
-            .min_by_key(|(_, e)| {
-                (
-                    e.subset.as_ref().map_or(usize::MAX, |s| s.num_rows()),
-                    e.stamp,
-                )
-            })
-            .and_then(|(fp, e)| e.candidate(fp))
+        let fingerprint = inner.index.probe(table, query_region)?;
+        let entry = inner.entries.get(fingerprint)?;
+        let (sel, _) = entry.reuse.as_ref()?;
+        (entry.epoch == inner.epoch_of(table)).then(|| SubsumeCandidate {
+            fingerprint: Fingerprint::clone(fingerprint),
+            sel: Arc::clone(sel),
+            cost_ns: entry.cost_ns,
+        })
     }
 
     /// Credit a subsumption serve to its source entry. `saved_ns` is the
     /// original compute cost minus what the re-filter actually took.
     pub fn note_subsumption_hit(&self, fp: &Fingerprint, saved_ns: u128) {
         let mut inner = self.inner.lock();
-        inner.clock += 1;
-        let stamp = inner.clock;
-        if let Some(entry) = inner.entries.get_mut(fp) {
-            entry.hits += 1;
-            entry.stamp = stamp;
-        }
+        inner.touch(fp);
         inner.subsumption_hits += 1;
         inner.saved_cost_ns += saved_ns;
-        inner.bump("cache.subsumption_hits");
+        inner.bump("cache.subsumption_hits", 1);
     }
 
     /// Record a lookup that fell through to base-table execution.
     pub fn note_miss(&self) {
         let mut inner = self.inner.lock();
         inner.misses += 1;
-        inner.bump("cache.misses");
+        inner.bump("cache.misses", 1);
     }
 
     /// Cost-aware admission decision: should a freshly computed result
@@ -482,15 +526,16 @@ impl ResultCache {
     pub fn note_admit_rejected(&self) {
         let mut inner = self.inner.lock();
         inner.admit_rejected += 1;
-        inner.bump("cache.admit_rejected");
+        inner.bump("cache.admit_rejected", 1);
     }
 
     /// Admit a computed result. Refused (returns `false`) when the
     /// table's epoch moved since `epoch_at_compute` (a mutation raced
     /// the computation) or when the result alone exceeds half the byte
-    /// budget. Reuse artifacts whose subset exceeds a quarter of the
-    /// budget are dropped — the entry stays, exact-hit-only. Admission
-    /// may evict lower-benefit entries to fit.
+    /// budget. A selection vector that exceeds a quarter of the budget
+    /// is dropped — the entry stays, exact-hit-only. An entry's resident
+    /// bytes are its result's [`table_bytes`] plus 4 per selected row.
+    /// Admission may evict lower-benefit entries to fit.
     pub fn insert(
         &self,
         fp: Fingerprint,
@@ -500,14 +545,6 @@ impl ResultCache {
         epoch_at_compute: u64,
     ) -> bool {
         let result_bytes = table_bytes(&result);
-        let reuse_bytes = reuse.as_ref().map(|r| {
-            r.sel.len() * std::mem::size_of::<u32>()
-                + if Arc::ptr_eq(&r.subset, &result) {
-                    0
-                } else {
-                    table_bytes(&r.subset)
-                }
-        });
 
         let mut inner = self.inner.lock();
         if inner.fire("cache.admit") {
@@ -522,27 +559,34 @@ impl ResultCache {
         if result_bytes > budget / 2 {
             return false;
         }
-        let (reuse, extra) = match (reuse, reuse_bytes) {
-            (Some(r), Some(b)) if b <= budget / 4 => (Some(r), b),
-            _ => (None, 0),
-        };
+        let reuse = reuse.filter(|r| sel_bytes(&r.sel) <= budget / 4);
         inner.remove_entry(&fp);
         inner.clock += 1;
+        let stamp = inner.clock;
+        let fp = Arc::new(fp);
+        let reuse = reuse.map(|r| {
+            let pos = inner
+                .index
+                .insert(&r.region, r.sel.len(), stamp, Arc::clone(&fp));
+            inner.reuse_entries += 1;
+            inner.reuse_bytes += sel_bytes(&r.sel);
+            inner.mirror_reuse();
+            (r.sel, pos)
+        });
         let entry = Entry {
             epoch: epoch_at_compute,
             result,
-            region: reuse.as_ref().map(|r| r.region.clone()),
-            sel: reuse.as_ref().map(|r| Arc::clone(&r.sel)),
-            subset: reuse.map(|r| r.subset),
+            bytes: result_bytes + reuse.as_ref().map_or(0, |(sel, _)| sel_bytes(sel)),
+            reuse,
             cost_ns,
             hits: 0,
-            bytes: result_bytes + extra,
-            stamp: inner.clock,
+            stamp,
         };
         inner.bytes += entry.bytes;
+        inner.order.insert(entry.rank(), Arc::clone(&fp));
         inner.entries.insert(fp, entry);
         inner.insertions += 1;
-        inner.bump("cache.insertions");
+        inner.bump("cache.insertions", 1);
         inner.evict_to_budget();
         true
     }
@@ -561,14 +605,14 @@ impl ResultCache {
             bytes: inner.bytes,
             saved_cost_ns: inner.saved_cost_ns,
             admit_rejected: inner.admit_rejected,
+            reuse_entries: inner.reuse_entries,
+            reuse_bytes: inner.reuse_bytes,
         }
     }
 
     /// Drop every entry (epochs and counters are preserved).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.entries.clear();
-        inner.bytes = 0;
+        self.inner.lock().drop_all();
     }
 
     /// Number of live entries.
@@ -698,18 +742,23 @@ mod tests {
         let result = tiny(&[1.0]);
         let reuse = ReuseArtifacts {
             region: Region::exact(&Predicate::True).unwrap(),
-            sel: Arc::new((0..many_rows() as u32).collect()),
-            subset: tiny(&vec![0.0; many_rows()]),
+            sel: Arc::new((0..1u32 << 12).collect()),
         };
         assert!(cache.insert(fp("kept"), Arc::clone(&result), Some(reuse), 10, 0));
         assert!(cache.get(&fp("kept")).is_some());
         assert!(cache
             .find_subsuming("t", &Region::relaxed(&Predicate::True))
             .is_none());
+        assert_eq!(cache.stats().reuse_entries, 0);
     }
 
-    fn many_rows() -> usize {
-        1 << 12
+    /// Admit `name` with a selection of `rows` rows over `pred`'s region.
+    fn insert_reuse(cache: &ResultCache, name: &str, pred: &Predicate, rows: u32) {
+        let reuse = ReuseArtifacts {
+            region: Region::exact(pred).unwrap(),
+            sel: Arc::new((0..rows).collect()),
+        };
+        assert!(cache.insert(fp(name), tiny(&[0.0]), Some(reuse), 10, 0));
     }
 
     #[test]
@@ -717,21 +766,12 @@ mod tests {
         let cache = ResultCache::default();
         let broad = Predicate::range("x", 0.0, 100.0);
         let mid = Predicate::range("x", 0.0, 50.0);
-        let insert_with = |name: &str, pred: &Predicate, rows: usize| {
-            let subset = tiny(&vec![1.0; rows]);
-            let reuse = ReuseArtifacts {
-                region: Region::exact(pred).unwrap(),
-                sel: Arc::new((0..rows as u32).collect()),
-                subset,
-            };
-            assert!(cache.insert(fp(name), tiny(&[0.0]), Some(reuse), 10, 0));
-        };
-        insert_with("broad", &broad, 100);
-        insert_with("mid", &mid, 50);
+        insert_reuse(&cache, "broad", &broad, 100);
+        insert_reuse(&cache, "mid", &mid, 50);
         let narrow = Region::relaxed(&Predicate::range("x", 10.0, 20.0));
         let candidate = cache.find_subsuming("t", &narrow).expect("candidate");
         assert_eq!(candidate.fingerprint, fp("mid"));
-        assert_eq!(candidate.subset.num_rows(), 50);
+        assert_eq!(candidate.sel.len(), 50);
         // Outside the mid region only broad qualifies.
         let wider = Region::relaxed(&Predicate::range("x", 10.0, 80.0));
         assert_eq!(
@@ -744,46 +784,125 @@ mod tests {
         // Nothing covers a region that sticks out of every entry.
         let outside = Region::relaxed(&Predicate::range("x", 50.0, 150.0));
         assert!(cache.find_subsuming("t", &outside).is_none());
+        // Equal selections tie-break on the least recently touched, and a
+        // hit re-stamps the probe slot.
+        insert_reuse(&cache, "mid2", &mid, 50);
+        assert_eq!(
+            cache.find_subsuming("t", &narrow).unwrap().fingerprint,
+            fp("mid")
+        );
+        cache.get(&fp("mid"));
+        assert_eq!(
+            cache.find_subsuming("t", &narrow).unwrap().fingerprint,
+            fp("mid2")
+        );
         // Epoch bump disqualifies everything.
         cache.bump_epoch("t");
         assert!(cache.find_subsuming("t", &narrow).is_none());
+        assert_eq!(cache.stats().reuse_entries, 0);
         // Subsumption can be configured off.
         let off = ResultCache::new(CacheConfig {
             subsumption: false,
             ..CacheConfig::default()
         });
-        insert_into(&off, "broad", &broad);
+        insert_reuse(&off, "broad", &broad, 1);
         assert!(off.find_subsuming("t", &narrow).is_none());
         assert!(off.get(&fp("broad")).is_some());
     }
 
-    fn insert_into(cache: &ResultCache, name: &str, pred: &Predicate) {
-        let reuse = ReuseArtifacts {
-            region: Region::exact(pred).unwrap(),
-            sel: Arc::new(vec![0]),
-            subset: tiny(&[1.0]),
+    #[test]
+    fn probe_index_follows_replacement_and_eviction() {
+        let one = table_bytes(&tiny(&[0.0])) + 4 * 10;
+        let cache = ResultCache::new(CacheConfig {
+            byte_budget: 3 * one,
+            ..CacheConfig::default()
+        });
+        let region = |lo: f64| Predicate::range("x", lo, lo + 10.0);
+        let probe = |lo: f64| {
+            cache
+                .find_subsuming("t", &Region::relaxed(&Predicate::range("x", lo, lo + 1.0)))
+                .map(|c| c.fingerprint)
         };
-        assert!(cache.insert(fp(name), tiny(&[0.0]), Some(reuse), 10, 0));
+        insert_reuse(&cache, "a", &region(0.0), 10);
+        insert_reuse(&cache, "b", &region(10.0), 10);
+        insert_reuse(&cache, "c", &region(20.0), 10);
+        // Re-admitting a fingerprint replaces its slot (the last slot
+        // moves into the hole and stays findable).
+        insert_reuse(&cache, "a", &region(30.0), 10);
+        assert_eq!(probe(5.0), None);
+        assert_eq!(probe(15.0), Some(fp("b")));
+        assert_eq!(probe(25.0), Some(fp("c")));
+        assert_eq!(probe(35.0), Some(fp("a")));
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.reuse_entries), (3, 3));
+        assert_eq!(stats.reuse_bytes, 3 * 4 * 10);
+        assert_eq!(stats.bytes, 3 * one);
+        // A fourth entry evicts the least recently touched of the equal
+        // benefits — "b" — and its slot goes with it.
+        insert_reuse(&cache, "d", &region(40.0), 10);
+        assert!(!cache.contains(&fp("b")));
+        assert_eq!(probe(15.0), None);
+        assert_eq!(probe(25.0), Some(fp("c")));
+        assert_eq!(probe(35.0), Some(fp("a")));
+        assert_eq!(probe(45.0), Some(fp("d")));
+        assert_eq!(cache.stats().reuse_entries, 3);
+        cache.clear();
+        assert_eq!(probe(45.0), None);
+        assert_eq!(cache.stats().reuse_bytes, 0);
     }
 
+    /// The ordered eviction structure pops victims in exactly the order
+    /// the rule prescribes: lowest `cost × (hits + 1) ÷ bytes` first, ties
+    /// least recently touched, including after hits re-rank an entry.
     #[test]
-    fn shared_subset_arc_is_not_double_counted() {
-        let cache = ResultCache::default();
-        let result = tiny(&[1.0, 2.0, 3.0]);
-        let reuse = ReuseArtifacts {
-            region: Region::exact(&Predicate::True).unwrap(),
-            sel: Arc::new(vec![0, 1, 2]),
-            subset: Arc::clone(&result),
-        };
-        assert!(cache.insert(fp("id"), Arc::clone(&result), Some(reuse), 10, 0));
-        let expected = table_bytes(&result) + 3 * std::mem::size_of::<u32>();
-        assert_eq!(cache.stats().bytes, expected);
+    fn eviction_order_follows_benefit_then_recency() {
+        let one = table_bytes(&tiny(&[0.0; 8]));
+        let cache = ResultCache::new(CacheConfig {
+            byte_budget: 6 * one,
+            ..CacheConfig::default()
+        });
+        for (name, cost) in [
+            ("c30", 30),
+            ("c10a", 10),
+            ("c20", 20),
+            ("c10b", 10),
+            ("c40", 40),
+            ("c10c", 10),
+        ] {
+            assert!(cache.insert(fp(name), tiny(&[0.0; 8]), None, cost, 0));
+        }
+        // Two hits lift c10a to benefit 30, tied with c30 but touched
+        // later; one hit re-stamps c10b behind c10c at benefit 20, tied
+        // with c20 but touched later.
+        cache.get(&fp("c10a"));
+        cache.get(&fp("c10a"));
+        cache.get(&fp("c10b"));
+        let mut order = Vec::new();
+        for budget in (0..6).rev() {
+            let before: Vec<&str> = ["c30", "c10a", "c20", "c10b", "c40", "c10c"]
+                .into_iter()
+                .filter(|n| cache.contains(&fp(n)))
+                .collect();
+            cache.set_config(CacheConfig {
+                byte_budget: budget * one,
+                ..CacheConfig::default()
+            });
+            let gone: Vec<&str> = before
+                .into_iter()
+                .filter(|n| !cache.contains(&fp(n)))
+                .collect();
+            assert_eq!(gone.len(), 1, "one victim per step");
+            order.push(gone[0]);
+        }
+        assert_eq!(order, ["c10c", "c20", "c10b", "c30", "c10a", "c40"]);
+        assert_eq!(cache.stats().evictions, 6);
+        assert_eq!(cache.stats().bytes, 0);
     }
 
     #[test]
     fn note_subsumption_hit_credits_source_entry() {
         let cache = ResultCache::default();
-        insert_into(&cache, "src", &Predicate::range("x", 0.0, 10.0));
+        insert_reuse(&cache, "src", &Predicate::range("x", 0.0, 10.0), 1);
         cache.note_subsumption_hit(&fp("src"), 123);
         let stats = cache.stats();
         assert_eq!(stats.subsumption_hits, 1);

@@ -1790,6 +1790,11 @@ mod tests {
         assert_eq!(snap.counter("cache.hits"), 1);
         assert_eq!(snap.counter("cache.misses"), 1);
         assert_eq!(snap.counter("cache.insertions"), 1);
+        // The resident-superset gauges mirror `CacheStats`.
+        let stats = db.cache_stats();
+        assert_eq!(stats.reuse_entries, 1);
+        assert_eq!(snap.counter("cache.reuse_entries"), 1);
+        assert_eq!(snap.counter("cache.reuse_bytes"), stats.reuse_bytes as u64);
         assert_eq!(snap.histogram("query.latency_ns").unwrap().count, 2);
 
         // Cracking records a crack span and the reorganization counter.

@@ -105,18 +105,12 @@ pub fn run_query(table: &Table, query: &Query, ctx: &QueryCtx) -> Result<Table> 
     let n_morsels = morsel_count(n);
 
     if query.aggregates.is_empty() {
-        // Scan query: project once, then gather each morsel's matches.
-        let projected;
-        let target = if query.projection.is_empty() {
-            table
-        } else {
-            let names: Vec<&str> = query.projection.iter().map(String::as_str).collect();
-            projected = table.project(&names)?;
-            &projected
-        };
+        // Scan query: validate the projection before any predicate runs,
+        // then gather each morsel's matches from the projected columns.
+        query.check_projection(table)?;
         let pieces = run_morsels(ctx, n_morsels, "scan", |m| {
             let sel = query.predicate.evaluate_range(table, morsel_range(m, n))?;
-            Ok(target.gather(&sel))
+            query.scan_rows(table, &sel)
         })?;
         let out = merge_traced(ctx, || {
             let mut iter = pieces.into_iter();
@@ -179,15 +173,10 @@ pub fn run_query_on_selection(
     let slice = |m: usize| &sel[bounds[m]..bounds[m + 1]];
 
     if query.aggregates.is_empty() {
-        let projected;
-        let target = if query.projection.is_empty() {
-            table
-        } else {
-            let names: Vec<&str> = query.projection.iter().map(String::as_str).collect();
-            projected = table.project(&names)?;
-            &projected
-        };
-        let pieces = run_morsels(ctx, n_morsels, "replay", |m| Ok(target.gather(slice(m))))?;
+        query.check_projection(table)?;
+        let pieces = run_morsels(ctx, n_morsels, "replay", |m| {
+            query.scan_rows(table, slice(m))
+        })?;
         let out = merge_traced(ctx, || {
             let mut iter = pieces.into_iter();
             let mut out = iter.next().expect("at least one morsel");

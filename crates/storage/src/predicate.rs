@@ -213,13 +213,45 @@ impl Predicate {
             });
         }
         let start = rows.start;
-        let words = rows.len().div_ceil(64);
+        self.eval_rows(table, RowSet::Window(rows), |bits| bits_to_sel(bits, start))
+    }
+
+    /// Evaluate on exactly the rows named by `ids`, returning the ids
+    /// that qualify, in input order. The semantic cache re-filters a
+    /// cached selection with this: the predicate's columns are read in
+    /// place at those rows, nothing is gathered. Same kernels, literal
+    /// resolution and error precedence as [`Predicate::evaluate_range`].
+    pub fn evaluate_at(&self, table: &Table, ids: &[u32]) -> Result<Vec<u32>> {
+        if let Some(&max) = ids.iter().max() {
+            if max as usize >= table.num_rows() {
+                return Err(StorageError::RowOutOfBounds {
+                    index: max as usize,
+                    len: table.num_rows(),
+                });
+            }
+        }
+        let mut sel = self.eval_rows(table, RowSet::Ids(ids), |bits| bits_to_sel(bits, 0))?;
+        for pos in &mut sel {
+            *pos = ids[*pos as usize];
+        }
+        Ok(sel)
+    }
+
+    /// Run [`Predicate::eval_bits`] over `rows` with bitmaps from this
+    /// thread's scratch pool, and convert the result with `finish`
+    /// before the root bitmap goes back to the pool.
+    fn eval_rows<R>(
+        &self,
+        table: &Table,
+        rows: RowSet<'_>,
+        finish: impl FnOnce(&[u64]) -> R,
+    ) -> Result<R> {
         BIT_SCRATCH.with(|scratch| {
             let pool = &mut *scratch.borrow_mut();
-            let mut bits = pool.take(words);
+            let mut bits = pool.take(rows.len().div_ceil(64));
             let result = self
-                .eval_bits(table, rows, &mut bits, pool)
-                .map(|()| bits_to_sel(&bits, start));
+                .eval_bits(table, &rows, &mut bits, pool)
+                .map(|()| finish(&bits));
             pool.give(bits);
             result
         })
@@ -233,7 +265,7 @@ impl Predicate {
     fn eval_bits(
         &self,
         table: &Table,
-        rows: Range<usize>,
+        rows: &RowSet<'_>,
         out: &mut [u64],
         pool: &mut WordPool,
     ) -> Result<()> {
@@ -254,7 +286,7 @@ impl Predicate {
                 let mut tmp = pool.take(out.len());
                 let mut result = Ok(());
                 for p in ps {
-                    result = p.eval_bits(table, rows.clone(), &mut tmp, pool);
+                    result = p.eval_bits(table, rows, &mut tmp, pool);
                     if result.is_err() {
                         break;
                     }
@@ -270,7 +302,7 @@ impl Predicate {
                 let mut tmp = pool.take(out.len());
                 let mut result = Ok(());
                 for p in ps {
-                    result = p.eval_bits(table, rows.clone(), &mut tmp, pool);
+                    result = p.eval_bits(table, rows, &mut tmp, pool);
                     if result.is_err() {
                         break;
                     }
@@ -534,20 +566,51 @@ fn mask_tail_bits(out: &mut [u64], n: usize) {
     }
 }
 
-/// Branchless bitmap fill: one word per 64 values, `f` per element.
-/// Partial tail chunks leave their high bits clear by construction.
-#[inline]
-fn fill_bits<T: Copy>(vals: &[T], out: &mut [u64], f: impl Fn(T) -> bool) {
-    for (w, chunk) in out.iter_mut().zip(vals.chunks(64)) {
-        let mut bits = 0u64;
-        for (j, &x) in chunk.iter().enumerate() {
-            bits |= u64::from(f(x)) << j;
+/// The rows one bitmap evaluation covers. Bit `i` of the output stands
+/// for row `start + i` of a window, or for row `ids[i]` of an id list
+/// (every id already checked against the table's row count).
+enum RowSet<'a> {
+    Window(Range<usize>),
+    Ids(&'a [u32]),
+}
+
+impl RowSet<'_> {
+    fn len(&self) -> usize {
+        match self {
+            RowSet::Window(rows) => rows.len(),
+            RowSet::Ids(ids) => ids.len(),
         }
-        *w = bits;
+    }
+
+    /// Branchless bitmap fill: one word per 64 rows, `f` per element.
+    /// Partial tail chunks leave their high bits clear by construction.
+    #[inline]
+    fn fill_bits<T>(&self, vals: &[T], out: &mut [u64], f: impl Fn(&T) -> bool) {
+        match self {
+            RowSet::Window(rows) => {
+                for (w, chunk) in out.iter_mut().zip(vals[rows.clone()].chunks(64)) {
+                    let mut bits = 0u64;
+                    for (j, x) in chunk.iter().enumerate() {
+                        bits |= u64::from(f(x)) << j;
+                    }
+                    *w = bits;
+                }
+            }
+            RowSet::Ids(ids) => {
+                for (w, chunk) in out.iter_mut().zip(ids.chunks(64)) {
+                    let mut bits = 0u64;
+                    for (j, &id) in chunk.iter().enumerate() {
+                        bits |= u64::from(f(&vals[id as usize])) << j;
+                    }
+                    *w = bits;
+                }
+            }
+        }
     }
 }
 
-/// Expand a window bitmap to ascending global row ids.
+/// Expand a bitmap to ascending row ids, bit `i` standing for
+/// `start + i`.
 fn bits_to_sel(bits: &[u64], start: usize) -> Vec<u32> {
     let count: usize = bits.iter().map(|w| w.count_ones() as usize).sum();
     let mut sel = Vec::with_capacity(count);
@@ -570,7 +633,7 @@ fn cmp_bits(
     name: &str,
     op: CmpOp,
     value: &Value,
-    rows: Range<usize>,
+    rows: &RowSet<'_>,
     out: &mut [u64],
 ) -> Result<()> {
     match col {
@@ -583,25 +646,19 @@ fn cmp_bits(
                 })
             });
             let lit = lit.ok_or_else(|| type_err(name, "Int64", value))?;
-            fill_bits(&v[rows], out, |x| op.holds(&x, &lit));
+            rows.fill_bits(v, out, |x| op.holds(x, &lit));
         }
         Column::Float64(v) => {
             let lit = value
                 .as_float()
                 .ok_or_else(|| type_err(name, "Float64", value))?;
-            fill_bits(&v[rows], out, |x| op.holds(&x, &lit));
+            rows.fill_bits(v, out, |x| op.holds(x, &lit));
         }
         Column::Utf8(v) => {
             let lit = value
                 .as_str()
                 .ok_or_else(|| type_err(name, "Utf8", value))?;
-            for (w, chunk) in out.iter_mut().zip(v[rows].chunks(64)) {
-                let mut bits = 0u64;
-                for (j, x) in chunk.iter().enumerate() {
-                    bits |= u64::from(op.holds(&x.as_str(), &lit)) << j;
-                }
-                *w = bits;
-            }
+            rows.fill_bits(v, out, |x| op.holds(&x.as_str(), &lit));
         }
     }
     Ok(())
@@ -614,7 +671,7 @@ fn range_bits(
     name: &str,
     low: &Value,
     high: &Value,
-    rows: Range<usize>,
+    rows: &RowSet<'_>,
     out: &mut [u64],
 ) -> Result<()> {
     match col {
@@ -623,7 +680,7 @@ fn range_bits(
             let hi = high
                 .as_float()
                 .ok_or_else(|| type_err(name, "Int64", high))?;
-            fill_bits(&v[rows], out, |x| {
+            rows.fill_bits(v, out, |&x| {
                 let x = x as f64;
                 x >= lo && x < hi
             });
@@ -635,18 +692,12 @@ fn range_bits(
             let hi = high
                 .as_float()
                 .ok_or_else(|| type_err(name, "Float64", high))?;
-            fill_bits(&v[rows], out, |x| x >= lo && x < hi);
+            rows.fill_bits(v, out, |&x| x >= lo && x < hi);
         }
         Column::Utf8(v) => {
             let lo = low.as_str().ok_or_else(|| type_err(name, "Utf8", low))?;
             let hi = high.as_str().ok_or_else(|| type_err(name, "Utf8", high))?;
-            for (w, chunk) in out.iter_mut().zip(v[rows].chunks(64)) {
-                let mut bits = 0u64;
-                for (j, x) in chunk.iter().enumerate() {
-                    bits |= u64::from(x.as_str() >= lo && x.as_str() < hi) << j;
-                }
-                *w = bits;
-            }
+            rows.fill_bits(v, out, |x| x.as_str() >= lo && x.as_str() < hi);
         }
     }
     Ok(())
@@ -794,6 +845,58 @@ mod tests {
         assert!(Predicate::eq("missing", 1i64)
             .evaluate_range(&t, 0..2)
             .is_err());
+    }
+
+    #[test]
+    fn evaluate_at_keeps_the_qualifying_ids() {
+        let n = 150usize;
+        let t = Table::new(
+            Schema::of(&[
+                ("a", DataType::Int64),
+                ("b", DataType::Float64),
+                ("c", DataType::Utf8),
+            ]),
+            vec![
+                Column::from((0..n as i64).map(|i| (i * 37) % 19 - 9).collect::<Vec<_>>()),
+                Column::from(
+                    (0..n)
+                        .map(|i| if i % 7 == 0 { f64::NAN } else { i as f64 / 3.0 })
+                        .collect::<Vec<_>>(),
+                ),
+                Column::from((0..n).map(|i| format!("s{}", i % 11)).collect::<Vec<_>>()),
+            ],
+        )
+        .unwrap();
+        let preds = [
+            Predicate::True,
+            Predicate::range("b", 5.0, 30.0),
+            Predicate::range("a", -3i64, 4i64).and(Predicate::eq("c", "s3").not()),
+            Predicate::cmp("a", CmpOp::Le, 0i64).or(Predicate::range("c", "s1", "s4")),
+        ];
+        let id_sets: [Vec<u32>; 4] = [
+            Vec::new(),
+            (0..n as u32).collect(),
+            (0..n as u32).step_by(3).collect(),
+            vec![149, 2, 2, 64, 63],
+        ];
+        for p in &preds {
+            let mask = p.evaluate_mask(&t).unwrap();
+            for ids in &id_sets {
+                let expected: Vec<u32> =
+                    ids.iter().copied().filter(|&i| mask[i as usize]).collect();
+                assert_eq!(p.evaluate_at(&t, ids).unwrap(), expected, "pred {p}");
+            }
+        }
+        // Ids are checked against the table before any row is read, and
+        // errors match the window path's.
+        assert!(matches!(
+            Predicate::True.evaluate_at(&t, &[0, n as u32]),
+            Err(StorageError::RowOutOfBounds { .. })
+        ));
+        assert!(Predicate::eq("missing", 1i64)
+            .evaluate_at(&t, &[0])
+            .is_err());
+        assert!(Predicate::eq("a", "nope").evaluate_at(&t, &[0]).is_err());
     }
 
     #[test]

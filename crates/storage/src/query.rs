@@ -188,16 +188,30 @@ impl Query {
     /// cracker-produced selections with the shared aggregation machinery.
     pub fn run_on_selection(&self, table: &Table, sel: &[u32]) -> Result<Table> {
         let result = if self.aggregates.is_empty() {
-            if self.projection.is_empty() {
-                table.gather(sel)
-            } else {
-                let names: Vec<&str> = self.projection.iter().map(String::as_str).collect();
-                table.project(&names)?.gather(sel)
-            }
+            self.scan_rows(table, sel)?
         } else {
             aggregate(table, sel, &self.group_by, &self.aggregates)?
         };
         self.apply_order_limit(result)
+    }
+
+    /// Fail unless every projected column exists in `table`. Executors
+    /// call this before the predicate runs, so a bad projection wins over
+    /// a bad predicate whichever path computes the answer.
+    pub fn check_projection(&self, table: &Table) -> Result<()> {
+        let names: Vec<&str> = self.projection.iter().map(String::as_str).collect();
+        table.schema().project(&names).map(drop)
+    }
+
+    /// The scan output for the rows of `sel`: the projected columns (all
+    /// columns when the projection is empty), gathered at those rows only.
+    pub fn scan_rows(&self, table: &Table, sel: &[u32]) -> Result<Table> {
+        if self.projection.is_empty() {
+            Ok(table.gather(sel))
+        } else {
+            let names: Vec<&str> = self.projection.iter().map(String::as_str).collect();
+            table.gather_projected(&names, sel)
+        }
     }
 
     /// Apply the query's ORDER BY and LIMIT clauses to an already

@@ -154,6 +154,21 @@ impl Table {
         }
     }
 
+    /// Materialize the named columns at the rows of a selection vector:
+    /// `project(names)?.gather(sel)` without cloning the unselected rows.
+    pub fn gather_projected(&self, names: &[&str], sel: &[u32]) -> Result<Table> {
+        let schema = self.schema.project(names)?;
+        let columns = names
+            .iter()
+            .map(|n| self.column(n).map(|c| c.gather(sel)))
+            .collect::<Result<Vec<_>>>()?;
+        Ok(Table {
+            schema,
+            columns,
+            rows: sel.len(),
+        })
+    }
+
     /// Project a subset of columns into a new table (clones column data).
     pub fn project(&self, names: &[&str]) -> Result<Table> {
         let schema = self.schema.project(names)?;
@@ -282,6 +297,9 @@ mod tests {
         assert_eq!(p.num_columns(), 1);
         assert_eq!(p.num_rows(), 3);
         assert!(t.project(&["zzz"]).is_err());
+        let gp = t.gather_projected(&["name", "id"], &[2, 0]).unwrap();
+        assert_eq!(gp, t.project(&["name", "id"]).unwrap().gather(&[2, 0]));
+        assert!(t.gather_projected(&["zzz"], &[0]).is_err());
     }
 
     #[test]

@@ -5,11 +5,16 @@
 //! touch, served from cache), under both execution policies — and must
 //! be **bit-identical** (floats via `to_bits`) to the cache-off engine.
 //! A separate battery drives contained range predicates through the
-//! subsumption path and pins those to the uncached answers too.
+//! subsumption path and pins those to the uncached answers too: single
+//! serves, refinement chains many steps deep, multi-column and
+//! string-bounded regions, and chains whose entries are evicted under
+//! them. A last test replays one op stream twice and requires identical
+//! cache counters.
 
-use exploration::cache::{CacheConfig, CachePolicy};
+use exploration::cache::{CacheConfig, CachePolicy, CacheStats};
 use exploration::exec::ExecPolicy;
-use exploration::storage::gen::{sales_table, SalesConfig};
+use exploration::prefetch::{GridIndex, PanSession, Viewport};
+use exploration::storage::gen::{sales_table, sky_table, SalesConfig};
 use exploration::storage::{
     AggFunc, CmpOp, Predicate, Query, SortOrder, Table, Value, MORSEL_ROWS,
 };
@@ -412,4 +417,193 @@ fn admission_threshold_zero_admits_everything() {
         shapes.len() as u64,
         "every warm query is an exact hit: {stats:?}"
     );
+}
+
+/// The output shape of step `depth` of a refinement chain: the four
+/// kinds of post-filter work, in rotation.
+fn chain_shape(depth: usize, pred: Predicate) -> Query {
+    let q = Query::new().filter(pred);
+    match depth % 4 {
+        0 => q,
+        1 => q
+            .group("region")
+            .agg(AggFunc::Sum, "price")
+            .agg(AggFunc::Avg, "discount"),
+        2 => q.select(&["product", "price", "qty"]),
+        _ => q
+            .select(&["region", "price"])
+            .order("price", SortOrder::Desc)
+            .take(40),
+    }
+}
+
+/// Run a chain of nested predicates on a cache-on and a cache-off engine
+/// under both policies; every answer must match bit for bit. Returns the
+/// cache-on engine's stats per policy.
+fn run_chain(t: &Table, cache: CachePolicy, chain: &[Predicate], context: &str) -> Vec<CacheStats> {
+    [ExecPolicy::Serial, ExecPolicy::Parallel { workers: 4 }]
+        .into_iter()
+        .map(|policy| {
+            let off = ExploreDb::with_exec_policy(policy);
+            off.register("sales", t.clone());
+            let on = ExploreDb::with_exec_policy(policy);
+            on.set_cache_policy(cache.clone());
+            on.register("sales", t.clone());
+            for (depth, pred) in chain.iter().enumerate() {
+                let q = chain_shape(depth, pred.clone());
+                assert_bitwise_eq(
+                    &off.query("sales", &q).unwrap(),
+                    &on.query("sales", &q).unwrap(),
+                    &format!("{context} step {depth} ({policy:?})"),
+                );
+            }
+            on.cache_stats()
+        })
+        .collect()
+}
+
+/// Eight nested price ranges: every step after the first is answered
+/// from the selection the step before it admitted.
+#[test]
+fn deep_refinement_chains_are_bit_identical() {
+    let t = sales(2 * MORSEL_ROWS + 4321);
+    let chain: Vec<Predicate> = [
+        (100.0, 600.0),
+        (110.0, 560.0),
+        (125.0, 520.0),
+        (140.0, 480.0),
+        (160.0, 440.0),
+        (180.0, 400.0),
+        (200.0, 360.0),
+        (220.0, 330.0),
+    ]
+    .into_iter()
+    .map(|(lo, hi)| Predicate::range("price", lo, hi))
+    .collect();
+    for stats in run_chain(&t, roomy_policy(), &chain, "price chain") {
+        assert_eq!(
+            (stats.misses, stats.subsumption_hits),
+            (1, chain.len() as u64 - 1),
+            "one scan, then seven re-filters: {stats:?}"
+        );
+        assert_eq!(stats.reuse_entries, chain.len(), "{stats:?}");
+    }
+}
+
+/// Regions over several columns, some bounded by strings: each step adds
+/// or tightens a constraint, so each is contained in the one before.
+#[test]
+fn multi_column_and_string_bounded_chains_are_bit_identical() {
+    let t = sales(2 * MORSEL_ROWS + 4321);
+    let price = |lo: f64, hi: f64| Predicate::range("price", lo, hi);
+    let chain = vec![
+        Predicate::range("region", "region0", "region6").and(price(100.0, 600.0)),
+        Predicate::range("region", "region0", "region5").and(price(110.0, 580.0)),
+        Predicate::range("region", "region1", "region5").and(price(120.0, 560.0)),
+        Predicate::range("region", "region1", "region5")
+            .and(price(120.0, 500.0))
+            .and(Predicate::cmp("qty", CmpOp::Ge, 2i64)),
+        Predicate::range("region", "region1", "region4")
+            .and(price(130.0, 450.0))
+            .and(Predicate::range("qty", 2i64, 9i64)),
+        Predicate::eq("region", "region2")
+            .and(price(130.0, 450.0))
+            .and(Predicate::range("qty", 3i64, 9i64)),
+        Predicate::eq("region", "region2")
+            .and(price(150.0, 400.0))
+            .and(Predicate::range("qty", 3i64, 8i64))
+            .and(Predicate::cmp("channel", CmpOp::Lt, "channel2")),
+    ];
+    for stats in run_chain(&t, roomy_policy(), &chain, "mixed chain") {
+        assert_eq!(
+            (stats.misses, stats.subsumption_hits),
+            (1, chain.len() as u64 - 1),
+            "{stats:?}"
+        );
+    }
+    // Dropping a constraint leaves the cached region: a miss, and still
+    // the uncached answer.
+    let escape = vec![
+        price(100.0, 400.0).and(Predicate::eq("channel", "channel1")),
+        price(150.0, 350.0),
+    ];
+    for stats in run_chain(&t, roomy_policy(), &escape, "escaping chain") {
+        assert_eq!((stats.misses, stats.subsumption_hits), (2, 0), "{stats:?}");
+    }
+}
+
+/// Two interleaved chains under a budget that holds only a few of their
+/// selections: entries (chain sources included) are evicted while the
+/// chains go on, and every answer still equals the uncached one.
+#[test]
+fn chains_survive_evictions() {
+    let t = sales(2 * MORSEL_ROWS + 4321);
+    let mut chain = Vec::new();
+    for step in 0..8 {
+        let d = step as f64;
+        chain.push(Predicate::range("price", 150.0 + 4.0 * d, 330.0 - 4.0 * d));
+        chain.push(Predicate::range("qty", 3i64, 7i64).and(Predicate::range(
+            "price",
+            50.0 + 8.0 * d,
+            560.0 - 8.0 * d,
+        )));
+    }
+    let tight = CachePolicy::On(CacheConfig {
+        byte_budget: 1 << 20,
+        admit_min_cost_ns: 0,
+        ..CacheConfig::default()
+    });
+    for stats in run_chain(&t, tight.clone(), &chain, "evicting chains") {
+        assert!(stats.evictions > 0, "the budget must bind: {stats:?}");
+        assert!(stats.subsumption_hits > 0, "{stats:?}");
+        assert!(stats.bytes <= 1 << 20, "{stats:?}");
+    }
+}
+
+/// The same op stream — filters, refines nested in them, repeats, and pan
+/// viewports parking grid cells in the same cache — replayed on two
+/// fresh engines leaves identical cache counters. With the admission
+/// floor at zero and no byte pressure, nothing the cache decides depends
+/// on a timer (`saved_cost_ns` is a measurement, not a decision).
+#[test]
+fn cache_counters_are_a_function_of_the_op_stream() {
+    let t = sales(2 * MORSEL_ROWS + 4321);
+    let sky = sky_table(20_000, 5, 100.0, 11);
+    let grid = GridIndex::build(&sky, "x", "y", "mag", 16, 16).unwrap();
+    let replay = || {
+        let db = ExploreDb::with_cache_policy(CachePolicy::On(CacheConfig {
+            byte_budget: 1 << 30,
+            admit_min_cost_ns: 0,
+            ..CacheConfig::default()
+        }));
+        db.register("sales", t.clone());
+        db.register("sky", sky.clone());
+        let mut pan = PanSession::new(&grid, true).with_shared_cache(db.cache(), "sky");
+        for i in 0..60usize {
+            let lo = 60.0 + 35.0 * (i % 7) as f64;
+            let filter = Predicate::range("price", lo, lo + 120.0);
+            let refine = Predicate::range("price", lo + 10.0 + i as f64 / 8.0, lo + 90.0);
+            db.query("sales", &chain_shape(1, filter)).unwrap();
+            db.query("sales", &chain_shape(i, refine)).unwrap();
+            pan.view(Viewport {
+                cx: (i % 11) as i64,
+                cy: (i % 5) as i64,
+                w: 3,
+                h: 2,
+            })
+            .unwrap();
+        }
+        CacheStats {
+            saved_cost_ns: 0,
+            ..db.cache_stats()
+        }
+    };
+    let first = replay();
+    assert_eq!(first, replay());
+    assert!(first.hits > 0 && first.subsumption_hits > 0 && first.misses > 0);
+    assert!(
+        first.reuse_entries > 0 && first.reuse_bytes > 0,
+        "{first:?}"
+    );
+    assert_eq!(first.evictions + first.admit_rejected, 0, "{first:?}");
 }

@@ -1,6 +1,6 @@
 //! Property-based testing of the semantic result cache.
 //!
-//! Three properties:
+//! Four properties:
 //!
 //! 1. **Session equivalence** — a random sequence of queries (range
 //!    scans and aggregates over shared, overlapping intervals, so
@@ -14,12 +14,19 @@
 //!    generated constantly.
 //! 3. **Subsumption cross-check** — random contained ranges served warm
 //!    equal full cold scans.
+//! 4. **Probe equivalence** — after any sequence of admissions,
+//!    replacements and hits, the indexed subsumption probe picks exactly
+//!    the entry a brute-force `Region::covers` scan of the resident
+//!    entries picks (fewest rows, then least recently touched), and none
+//!    when none covers.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use exploration::cache::{CachePolicy, Region};
+use std::sync::Arc;
+
+use exploration::cache::{CachePolicy, Fingerprint, Region, ResultCache, ReuseArtifacts};
 use exploration::storage::gen::{sales_table, SalesConfig};
 use exploration::storage::{AggFunc, CmpOp, Predicate, Query, Table, Value};
 use exploration::ExploreDb;
@@ -58,6 +65,7 @@ fn tables_bitwise_equal(a: &Table, b: &Table) -> bool {
 /// producing the open/closed containment near-misses that matter.
 const PRICE_BOUNDS: [f64; 6] = [0.0, 100.0, 250.0, 250.5, 600.0, 1000.0];
 const QTY_BOUNDS: [i64; 5] = [0, 2, 3, 5, 8];
+const REGION_BOUNDS: [&str; 4] = ["region0", "region2", "region3", "region7"];
 
 /// A range-ish predicate leaf over one column, with every comparison
 /// operator represented (Ne/Eq included: exact regions refuse Ne, and
@@ -90,7 +98,26 @@ fn pred_leaf() -> BoxedStrategy<Predicate> {
         prop::sample::select(QTY_BOUNDS.to_vec()),
     )
         .prop_map(|(a, b)| Predicate::range("qty", a.min(b), a.max(b)));
-    prop_oneof![price_ops, price_range, qty_ops, qty_range].boxed()
+    // String-bounded leaves: lexicographic intervals and equalities.
+    let region_range = (
+        prop::sample::select(REGION_BOUNDS.to_vec()),
+        prop::sample::select(REGION_BOUNDS.to_vec()),
+    )
+        .prop_map(|(a, b)| Predicate::range("region", a.min(b), a.max(b)));
+    let region_ops = (
+        prop::sample::select(vec![CmpOp::Lt, CmpOp::Ge, CmpOp::Eq]),
+        prop::sample::select(REGION_BOUNDS.to_vec()),
+    )
+        .prop_map(|(op, v)| Predicate::cmp("region", op, v));
+    prop_oneof![
+        price_ops,
+        price_range,
+        qty_ops,
+        qty_range,
+        region_range,
+        region_ops
+    ]
+    .boxed()
 }
 
 /// Conjunctions of up to three leaves — multi-column regions.
@@ -118,6 +145,24 @@ fn query_of(pred: Predicate, shape: i64) -> Query {
             .agg(AggFunc::Count, "qty")
             .agg(AggFunc::Avg, "price"),
     }
+}
+
+/// One step against a bare [`ResultCache`]: admit (or replace) one of a
+/// few fingerprints with a selection of `rows` rows, hit one, or probe.
+#[derive(Debug, Clone)]
+enum CacheOp {
+    Admit(usize, Predicate, u32),
+    Touch(usize),
+    Probe(Predicate),
+}
+
+fn cache_op() -> BoxedStrategy<CacheOp> {
+    prop_oneof![
+        4 => (0usize..10, pred_conj(), 1u32..6).prop_map(|(k, p, r)| CacheOp::Admit(k, p, r)),
+        1 => (0usize..10).prop_map(CacheOp::Touch),
+        3 => pred_conj().prop_map(CacheOp::Probe),
+    ]
+    .boxed()
 }
 
 /// One session step: a query, or a mutation.
@@ -226,6 +271,65 @@ proptest! {
         }
     }
 
+    /// The probe index against a brute-force scan of a model of the
+    /// resident entries, through replacements (which swap slots around)
+    /// and hits (which re-stamp them).
+    #[test]
+    fn indexed_probe_agrees_with_brute_force(
+        ops in prop::collection::vec(cache_op(), 1..48),
+    ) {
+        let cache = ResultCache::default();
+        let fp = |k: usize| Fingerprint::custom("t", format!("k{k}"));
+        let result = Arc::new(base_table().gather(&[0]));
+        // Slot `k` → (region, rows, last-touch tick) while resident with
+        // artifacts; `None` when absent or exact-hit-only.
+        let mut model: Vec<Option<(Region, u32, u64)>> = vec![None; 10];
+        let mut tick = 0u64;
+        for op in ops {
+            match op {
+                CacheOp::Admit(k, pred, rows) => {
+                    let region = Region::exact(&pred);
+                    let reuse = region.clone().map(|region| ReuseArtifacts {
+                        region,
+                        sel: Arc::new((0..rows).collect()),
+                    });
+                    prop_assert!(cache.insert(fp(k), Arc::clone(&result), reuse, 1_000, 0));
+                    tick += 1;
+                    model[k] = region.map(|r| (r, rows, tick));
+                }
+                CacheOp::Touch(k) => {
+                    if cache.get(&fp(k)).is_some() {
+                        tick += 1;
+                        if let Some(entry) = &mut model[k] {
+                            entry.2 = tick;
+                        }
+                    }
+                }
+                CacheOp::Probe(pred) => {
+                    let query = Region::relaxed(&pred);
+                    let expected = model
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(k, e)| e.as_ref().map(|e| (k, e)))
+                        .filter(|(_, (region, _, _))| region.covers(&query))
+                        .min_by_key(|(_, (_, rows, touched))| (*rows, *touched))
+                        .map(|(k, _)| fp(k));
+                    let found = cache.find_subsuming("t", &query);
+                    prop_assert_eq!(
+                        found.as_ref().map(|c| &c.fingerprint),
+                        expected.as_ref(),
+                        "probe for {:?}",
+                        pred
+                    );
+                    if let Some(c) = found {
+                        let k: usize = c.fingerprint.key()[1..].parse().expect("k<slot>");
+                        prop_assert_eq!(c.sel.len() as u32, model[k].as_ref().expect("resident").1);
+                    }
+                }
+            }
+        }
+    }
+
     /// Warm contained ranges equal cold full scans.
     #[test]
     fn contained_ranges_served_warm_equal_cold_scans(
@@ -237,10 +341,12 @@ proptest! {
         let t = base_table().clone();
         let db = ExploreDb::with_cache_policy(CachePolicy::on());
         db.register("sales", t.clone());
-        // Seed the widest range, then query the contained one warm.
+        // Seed a range wide enough to contain most of the pool yet under
+        // seven eighths of the rows (wider selections carry no reuse
+        // artifacts), then query the other range warm.
         db.query(
             "sales",
-            &Query::new().filter(Predicate::range("price", 0.0, 1000.0)),
+            &Query::new().filter(Predicate::range("price", 100.0, 1000.0)),
         )
         .expect("seed scan");
         let q = query_of(Predicate::range("price", lo, hi), shape);
