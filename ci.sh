@@ -8,7 +8,8 @@
 #
 # Knobs: BENCH_SAMPLES (default 3), BENCH_GATE=warn to report
 # regressions without failing, BENCH_GATE_THRESHOLD (default 1.5),
-# CHAOS_ITERS (default 200 seeded fault schedules; raise for soak runs),
+# CHAOS_ITERS (the chaos-smoke step's seeded fault schedules, default 200
+# — the depth gate; the suite's own default under `cargo test` is 40),
 # WORKLOAD_ITERS (default 8 seeded workload replays per test in
 # tests/workload_determinism.rs; raise for soak runs),
 # STRESS_ITERS (default 4 seeded reader/mutator/chaos rounds per test in
@@ -45,6 +46,20 @@ if grep -nE '&mut self' crates/core/src/engine.rs crates/serve/src/*.rs \
 fi
 if grep -rnE 'Mutex<ExploreDb>' --include='*.rs' crates/ src/ examples/; then
     echo "error: Mutex<ExploreDb> outside tests; the engine is internally synchronized" >&2
+    exit 1
+fi
+
+echo "==> explicit-context lint (no thread-local or address-keyed session state; one config lock)"
+# Session overlays travel with the `&ExploreDb` handle and the engine's
+# policies live in one `EngineConfig` behind one lock (DESIGN.md §10/§14).
+# A `thread_local!`, an engine-address key, or a per-policy `RwLock`
+# field is the hidden per-call state that design removed.
+if grep -rnE 'thread_local!|SESSION_OVERLAYS|as \*const ExploreDb' --include='*.rs' crates/ src/; then
+    echo "error: ambient session state; carry the overlay on the ExploreDb handle" >&2
+    exit 1
+fi
+if grep -nE 'RwLock<(Exec|Cache|Shard|Obs|Error)Policy>' crates/core/src/engine.rs; then
+    echo "error: per-policy lock in engine.rs; add the policy to EngineConfig" >&2
     exit 1
 fi
 

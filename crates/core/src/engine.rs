@@ -28,12 +28,19 @@
 //! → shards (ascending) → cracker map, which makes deadlock impossible
 //! by construction (DESIGN.md §14). Epochs are read **before** data
 //! snapshots, so a racing mutation can only make a cache admission die
-//! young, never go stale. Per-session knobs (cancel token, deadline,
-//! policy overlays) live in a thread-local overlay stack installed by
-//! [`ExploreDb::with_session`] — there are no engine-global session
-//! fields left to race on.
+//! young, never go stale.
+//!
+//! # Call context
+//!
+//! An `ExploreDb` is a handle: an `Arc` of the shared engine state plus
+//! one owned [`SessionCtx`] overlay, empty unless the handle is the one
+//! [`ExploreDb::with_session`] passes its closure. Per-session knobs
+//! (cancel token, deadline, policy overlays) therefore travel with `db`,
+//! onto whatever thread the closure takes it. Each engine call lays the
+//! overlay over the engine's one config record exactly once (`resolve`),
+//! and each traced facade method is a closure run by one helper (`call`)
+//! that owns the trace, the stage span and the `cancel.*` accounting.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -45,7 +52,7 @@ use explore_cache::{CachePolicy, CacheStats, ResultCache};
 use explore_cracking::ConcurrentCracker;
 use explore_cube::{CubeSession, DataCube, DiscoveryView};
 use explore_exec::{ExecPolicy, QueryCtx};
-use explore_fault::{CancelToken, FailPoints, Observer, QueryDeadline};
+use explore_fault::{CancelToken, FailPoints, Observer};
 use explore_loading::{AdaptiveLoader, ErrorPolicy, RawCsv};
 use explore_obs::{
     render_trace, ActiveTrace, MetricsSnapshot, ObsPolicy, QueryTrace, SpanKind, Tracer, ROOT_SPAN,
@@ -58,16 +65,6 @@ use explore_viz::seedb::{candidate_views, recommend_shared, ScoredView, SeedbSta
 use parking_lot::{Mutex, RwLock};
 
 use crate::session::SessionCtx;
-
-thread_local! {
-    /// The per-thread stack of installed session overlays, keyed by
-    /// engine address. [`ExploreDb::with_session`] pushes on entry and
-    /// pops (panic-safely) on exit; `current_session` searches top-down
-    /// for this engine's most recent overlay. Thread-local rather than
-    /// engine-global so concurrent sessions on different worker threads
-    /// never see each other's knobs.
-    static SESSION_OVERLAYS: RefCell<Vec<(usize, SessionCtx)>> = const { RefCell::new(Vec::new()) };
-}
 
 /// Everything the engine knows about one registered in-memory table,
 /// shared via `Arc` so queries can keep using a state the catalog has
@@ -112,14 +109,23 @@ impl TableState {
     }
 }
 
-/// The unified exploration engine.
-///
-/// All query entry points take `&self` and the engine is `Sync`: share
-/// one instance across threads (the serving layer does) and run reads
-/// concurrently. Mutation entry points also take `&self` — they lock
-/// only the table they touch.
-#[derive(Debug)]
-pub struct ExploreDb {
+/// The engine-wide policy defaults, one record behind one lock. Each
+/// `set_*_policy` setter documents its policy and replaces its field
+/// under the write lock; an engine call reads the record once, in
+/// `resolve`. All default to their crate's default: morsel-parallel
+/// exec, cache / shards / observability off, abort on a malformed row.
+#[derive(Debug, Default)]
+struct EngineConfig {
+    exec: ExecPolicy,
+    cache: CachePolicy,
+    shard: ShardPolicy,
+    obs: ObsPolicy,
+    load_errors: ErrorPolicy,
+}
+
+/// The engine state every handle shares.
+#[derive(Debug, Default)]
+struct Shared {
     /// Registered in-memory tables. The lock guards the *map*; each
     /// table's state is `Arc`-shared and internally locked, so catalog
     /// critical sections are a clone or an insert, never a query.
@@ -133,60 +139,69 @@ pub struct ExploreDb {
     samples: RwLock<HashMap<String, Arc<SampleCatalog>>>,
     /// AQUA-style synopsis stores for zero-touch estimation.
     synopses: RwLock<HashMap<String, Arc<SynopsisStore>>>,
-    /// How exact scans and aggregates execute; defaults to
-    /// morsel-parallel over all available cores. Both settings produce
-    /// bit-identical results (see `explore_exec`).
-    exec_policy: RwLock<ExecPolicy>,
+    /// The policy defaults — the engine's only configuration lock.
+    config: RwLock<EngineConfig>,
     /// The shared semantic result cache. Always allocated — it carries
     /// the per-table epoch counters even while the policy is `Off`, so
     /// flipping caching on later never resurrects pre-mutation entries.
     result_cache: Arc<ResultCache>,
-    /// Whether [`ExploreDb::query`] routes through the cache. `Off` (the
-    /// default) is bit-identical to a cache-less engine.
-    cache_policy: RwLock<CachePolicy>,
-    /// Whether registered tables are mirrored into row-range shards with
-    /// per-shard cracking, caching, and epochs. `Off` (the default) is
-    /// the unchanged single-table engine. The mirrors themselves live in
-    /// each table's state; the canonical table stays authoritative, and
-    /// mutations dual-write under the canonical write lock.
-    shard_policy: RwLock<ShardPolicy>,
     /// The engine's tracer + metrics owner. Always allocated; recording
-    /// is gated by `obs_policy` and costs one relaxed load while off.
+    /// is gated by the obs policy and costs nothing while off.
     obs: Arc<Tracer>,
-    /// Whether queries record traces and metrics. `Off` (the default)
-    /// leaves every execution path byte-identical to an uninstrumented
-    /// engine.
-    obs_policy: RwLock<ObsPolicy>,
     /// Engine-wide deterministic fail-point registry. Disarmed (the
     /// default and only production state) every injection site costs one
     /// relaxed atomic load; tests arm named points to force the engine
     /// down its degradation paths. Shared with the result cache, every
     /// raw-table loader, and each exec call.
     faults: Arc<FailPoints>,
-    /// How raw-table loaders treat malformed CSV rows; applied to
-    /// current and future attachments.
-    load_error_policy: RwLock<ErrorPolicy>,
+}
+
+/// The unified exploration engine.
+///
+/// All query entry points take `&self` and the engine is `Sync`: share
+/// one instance across threads (the serving layer does) and run reads
+/// concurrently. Mutation entry points also take `&self` — they lock
+/// only the table they touch.
+#[derive(Debug)]
+pub struct ExploreDb {
+    shared: Arc<Shared>,
+    /// The overlay every call on this handle resolves over the engine
+    /// defaults: empty on a handle the caller built, the session's on
+    /// the one [`ExploreDb::with_session`] hands its closure.
+    session: SessionCtx,
+}
+
+/// One engine call's context: the handle's overlay laid over the config
+/// record, resolved once so the call cannot see a policy change midway
+/// (DESIGN.md §10).
+struct Call<'t> {
+    /// Exec policy, fail points, cancel token, deadline token (minted at
+    /// resolution, so the budget's clock starts with the call), yield
+    /// hook and, under [`ExploreDb::call`], the active trace.
+    ctx: QueryCtx<'t>,
+    cache_on: bool,
+    obs_on: bool,
+}
+
+impl Call<'_> {
+    /// One token for long-lived middleware sessions that outlive the
+    /// engine call: the session cancel token when set, else the
+    /// deadline token.
+    fn session_token(&self) -> Option<CancelToken> {
+        let QueryCtx {
+            cancel, deadline, ..
+        } = &self.ctx;
+        cancel.clone().or_else(|| deadline.clone())
+    }
 }
 
 impl Default for ExploreDb {
     fn default() -> Self {
-        let faults = Arc::new(FailPoints::default());
-        let result_cache = Arc::<ResultCache>::default();
-        result_cache.set_faults(Some(Arc::clone(&faults)));
-        ExploreDb {
-            catalog: RwLock::new(HashMap::new()),
-            raw: RwLock::new(HashMap::new()),
-            samples: RwLock::new(HashMap::new()),
-            synopses: RwLock::new(HashMap::new()),
-            exec_policy: RwLock::new(ExecPolicy::default()),
-            result_cache,
-            cache_policy: RwLock::new(CachePolicy::default()),
-            shard_policy: RwLock::new(ShardPolicy::default()),
-            obs: Arc::default(),
-            obs_policy: RwLock::new(ObsPolicy::default()),
-            faults,
-            load_error_policy: RwLock::new(ErrorPolicy::default()),
-        }
+        let shared = Arc::<Shared>::default();
+        let faults = Arc::clone(&shared.faults);
+        shared.result_cache.set_faults(Some(faults));
+        let session = SessionCtx::default();
+        ExploreDb { shared, session }
     }
 }
 
@@ -203,14 +218,15 @@ impl ExploreDb {
         db
     }
 
-    /// Change the execution policy for subsequent queries.
+    /// Change the execution policy for subsequent queries. Serial and
+    /// parallel produce bit-identical results (see `explore_exec`).
     pub fn set_exec_policy(&self, policy: ExecPolicy) {
-        *self.exec_policy.write() = policy;
+        self.shared.config.write().exec = policy;
     }
 
     /// The current execution policy.
     pub fn exec_policy(&self) -> ExecPolicy {
-        *self.exec_policy.read()
+        self.shared.config.read().exec
     }
 
     /// A fresh engine with result caching enabled.
@@ -226,14 +242,14 @@ impl ExploreDb {
     /// invalidated meanwhile.
     pub fn set_cache_policy(&self, policy: CachePolicy) {
         if let Some(config) = policy.config() {
-            self.result_cache.set_config(config.clone());
+            self.shared.result_cache.set_config(config.clone());
         }
-        *self.cache_policy.write() = policy;
+        self.shared.config.write().cache = policy;
     }
 
     /// The current cache policy.
     pub fn cache_policy(&self) -> CachePolicy {
-        self.cache_policy.read().clone()
+        self.shared.config.read().cache.clone()
     }
 
     /// A fresh engine with table sharding enabled.
@@ -250,13 +266,8 @@ impl ExploreDb {
     /// `explore_shard`). `Off` drops the mirrors — the canonical tables
     /// in the catalog were authoritative all along.
     pub fn set_shard_policy(&self, policy: ShardPolicy) {
-        *self.shard_policy.write() = policy;
-        let states: Vec<(String, Arc<TableState>)> = self
-            .catalog
-            .read()
-            .iter()
-            .map(|(n, s)| (n.clone(), Arc::clone(s)))
-            .collect();
+        self.shared.config.write().shard = policy;
+        let states = self.shared.catalog.read().clone();
         for (name, st) in states {
             self.rebuild_shards(&st, &name);
         }
@@ -264,16 +275,16 @@ impl ExploreDb {
 
     /// The current shard policy.
     pub fn shard_policy(&self) -> ShardPolicy {
-        self.shard_policy.read().clone()
+        self.shared.config.read().shard.clone()
     }
 
     /// Per-shard layout, epoch, and index statistics for a table, or
     /// `None` when the table has no sharded mirror (policy off, raw
     /// table, or unknown name).
     pub fn shard_stats(&self, table: &str) -> Option<Vec<ShardStats>> {
-        let st = self.catalog.read().get(table).cloned()?;
+        let st = self.shared.catalog.read().get(table).cloned()?;
         let mirror = st.mirror()?;
-        Some(mirror.stats(|i| self.result_cache.epoch(&scoped_name(table, i))))
+        Some(mirror.stats(|i| self.shared.result_cache.epoch(&scoped_name(table, i))))
     }
 
     /// (Re)build `table`'s sharded mirror from the canonical snapshot,
@@ -295,7 +306,7 @@ impl ExploreDb {
         let new_count = mirror.as_ref().map_or(0, |m| m.shard_count());
         *st.sharded.write() = mirror;
         for s in 0..old_count.max(new_count) {
-            self.result_cache.bump_epoch(&scoped_name(name, s));
+            self.shared.result_cache.bump_epoch(&scoped_name(name, s));
         }
     }
 
@@ -313,39 +324,40 @@ impl ExploreDb {
     /// Either way results are bit-identical — observability never
     /// changes what executes.
     pub fn set_obs_policy(&self, policy: ObsPolicy) {
-        self.obs.set_policy(&policy);
-        self.result_cache
-            .set_metrics(policy.is_on().then(|| self.obs.metrics()));
+        let Shared { obs, faults, .. } = &*self.shared;
+        obs.set_policy(&policy);
+        let metrics = policy.is_on().then(|| obs.metrics());
+        self.shared.result_cache.set_metrics(metrics);
         // Mirror fault trips and degradation/cancellation events into
         // the metrics registry as `fault.*` / `cancel.*` counters.
-        self.faults.set_observer(policy.is_on().then(|| {
-            let metrics = self.obs.metrics();
+        faults.set_observer(policy.is_on().then(|| {
+            let metrics = obs.metrics();
             Arc::new(move |name: &str| metrics.inc(name, 1)) as Observer
         }));
-        *self.obs_policy.write() = policy;
+        self.shared.config.write().obs = policy;
     }
 
     /// The current observability policy.
     pub fn obs_policy(&self) -> ObsPolicy {
-        self.obs_policy.read().clone()
+        self.shared.config.read().obs.clone()
     }
 
     /// Handle to the engine's tracer, for wiring into external
     /// consumers or dumping traces out-of-band.
     pub fn tracer(&self) -> Arc<Tracer> {
-        Arc::clone(&self.obs)
+        Arc::clone(&self.shared.obs)
     }
 
     /// Point-in-time snapshot of every engine counter and latency
     /// histogram collected while observability was on.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.obs.metrics().snapshot()
+        self.shared.obs.metrics().snapshot()
     }
 
     /// The most recent finished query traces, oldest first (bounded by
     /// the policy's ring capacity).
     pub fn recent_traces(&self) -> Vec<QueryTrace> {
-        self.obs.recent_traces()
+        self.shared.obs.recent_traces()
     }
 
     /// Profile one query regardless of the observability policy and
@@ -354,12 +366,9 @@ impl ExploreDb {
     /// [`ExploreDb::query`]), so the profile reflects live state —
     /// explaining a cached query shows the hit, not the original scan.
     pub fn explain(&self, table: &str, query: &Query) -> Result<String> {
-        let trace = self.obs.force_start(table, query.describe());
-        let ctx = self.query_ctx().with_trace(Some(&trace));
-        let result = self.run_routed(table, query, &ctx);
-        let finished = trace.finish();
-        self.note_cancel(&result);
-        result.map(|_| render_trace(&finished))
+        let run = |c: &Call| self.run_routed(table, query, c);
+        let (result, trace) = self.call_traced(true, table, || query.describe(), None, run);
+        result.map(|_| render_trace(&trace.expect("a forced call is traced")))
     }
 
     /// Handle to the engine's fail-point registry. Tests arm named
@@ -371,7 +380,7 @@ impl ExploreDb {
     /// its degradation paths; the registry also counts `fault.*` /
     /// `cancel.*` events.
     pub fn fail_points(&self) -> Arc<FailPoints> {
-        Arc::clone(&self.faults)
+        Arc::clone(&self.shared.faults)
     }
 
     /// How raw-table loaders treat malformed CSV rows: `Abort` (the
@@ -379,9 +388,9 @@ impl ExploreDb {
     /// offending row and keeps serving. Applies to already-attached and
     /// future raw tables.
     pub fn set_load_error_policy(&self, policy: ErrorPolicy) {
-        *self.load_error_policy.write() = policy;
+        self.shared.config.write().load_errors = policy;
         let loaders: Vec<Arc<Mutex<AdaptiveLoader>>> =
-            self.raw.read().values().map(Arc::clone).collect();
+            self.shared.raw.read().values().map(Arc::clone).collect();
         for loader in loaders {
             loader.lock().set_error_policy(policy);
         }
@@ -390,24 +399,25 @@ impl ExploreDb {
     /// Rows skipped so far by a raw table's loader under
     /// [`ErrorPolicy::SkipRow`] (`None` for in-memory tables).
     pub fn rows_skipped(&self, table: &str) -> Option<u64> {
-        self.raw.read().get(table).map(|l| l.lock().rows_skipped())
+        let raw = self.shared.raw.read();
+        raw.get(table).map(|l| l.lock().rows_skipped())
     }
 
     /// Snapshot of the shared cache's counters.
     pub fn cache_stats(&self) -> CacheStats {
-        self.result_cache.stats()
+        self.shared.result_cache.stats()
     }
 
     /// Handle to the shared result cache, for wiring into middleware
     /// sessions ([`SpeculativeExecutor::with_shared_cache`],
     /// `PanSession::with_shared_cache`, `BoundedExecutor::with_cache`).
     pub fn cache(&self) -> Arc<ResultCache> {
-        Arc::clone(&self.result_cache)
+        Arc::clone(&self.shared.result_cache)
     }
 
     /// Current mutation epoch of a table (0 until first mutated).
     pub fn table_epoch(&self, table: &str) -> u64 {
-        self.result_cache.epoch(table)
+        self.shared.result_cache.epoch(table)
     }
 
     /// Record that `table`'s data changed through a channel the engine
@@ -419,8 +429,8 @@ impl ExploreDb {
     /// shard's epoch); callers that mutate through other channels get
     /// this conservative whole-table invalidation.
     pub fn note_mutation(&self, table: &str) {
-        self.result_cache.bump_epoch(table);
-        let st = self.catalog.read().get(table).cloned();
+        self.shared.result_cache.bump_epoch(table);
+        let st = self.shared.catalog.read().get(table).cloned();
         if let Some(st) = st {
             {
                 // Hold the data lock across the generation bump so a
@@ -437,24 +447,24 @@ impl ExploreDb {
     /// Whole-table invalidation: base epoch, every current shard-scope
     /// epoch, and the table's adaptive indexes.
     fn invalidate_table(&self, table: &str) {
-        self.result_cache.bump_epoch(table);
-        if let Some(st) = self.catalog.read().get(table).cloned() {
+        self.shared.result_cache.bump_epoch(table);
+        if let Some(st) = self.shared.catalog.read().get(table).cloned() {
             let count = st.mirror().map_or(0, |m| m.shard_count());
             for s in 0..count {
-                self.result_cache.bump_epoch(&scoped_name(table, s));
+                self.shared.result_cache.bump_epoch(&scoped_name(table, s));
             }
             st.crackers.lock().clear();
         }
     }
 
-    /// Record a mutation the sharded mirror already absorbed in place:
-    /// bump the base epoch (whole-table results die) and only the
-    /// mutated shards' scope epochs — the other shards' cached results
+    /// Record a mutation the sharded mirror (if any) already absorbed in
+    /// place: bump the base epoch (whole-table results die) and only the
+    /// `mutated` shards' scope epochs — the other shards' cached results
     /// are still exact, and keeping them live is the payoff of sharding.
     fn note_shard_epochs(&self, table: &str, mutated: &[usize]) {
-        self.result_cache.bump_epoch(table);
+        self.shared.result_cache.bump_epoch(table);
         for &s in mutated {
-            self.result_cache.bump_epoch(&scoped_name(table, s));
+            self.shared.result_cache.bump_epoch(&scoped_name(table, s));
         }
     }
 
@@ -463,23 +473,20 @@ impl ExploreDb {
     /// and the `engine.catalog_read` fail point fires here — before the
     /// `Arc` clone, so an injected failure never hands out state.
     fn table_state(&self, table: &str) -> Result<Arc<TableState>> {
-        if self.faults.fire("engine.catalog_read") {
+        if self.shared.faults.fire("engine.catalog_read") {
             return Err(StorageError::Internal(
                 "injected catalog-read failure (engine.catalog_read)".into(),
             ));
         }
-        self.catalog
-            .read()
-            .get(table)
-            .cloned()
-            .ok_or_else(|| StorageError::UnknownTable(table.to_owned()))
+        let state = self.shared.catalog.read().get(table).cloned();
+        state.ok_or_else(|| StorageError::UnknownTable(table.to_owned()))
     }
 
     /// The `engine.table_write` fail point, fired at the top of every
     /// mutation entry point — before any state changes, so an injected
     /// failure is always a clean no-op.
     fn fire_table_write(&self) -> Result<()> {
-        if self.faults.fire("engine.table_write") {
+        if self.shared.faults.fire("engine.table_write") {
             return Err(StorageError::Internal(
                 "injected table-write failure (engine.table_write)".into(),
             ));
@@ -493,7 +500,7 @@ impl ExploreDb {
     pub fn register(&self, name: impl Into<String>, table: impl Into<Arc<Table>>) {
         let name = name.into();
         let table = table.into();
-        let existing = self.catalog.read().get(&name).cloned();
+        let existing = self.shared.catalog.read().get(&name).cloned();
         match existing {
             Some(st) => {
                 {
@@ -507,12 +514,12 @@ impl ExploreDb {
                 }
                 st.crackers.lock().clear();
                 self.rebuild_shards(&st, &name);
-                self.result_cache.bump_epoch(&name);
+                self.shared.result_cache.bump_epoch(&name);
             }
             None => {
                 let st = Arc::new(TableState::new(table));
                 self.rebuild_shards(&st, &name);
-                self.catalog.write().insert(name, st);
+                self.shared.catalog.write().insert(name, st);
             }
         }
     }
@@ -534,12 +541,7 @@ impl ExploreDb {
             }
         };
         st.crackers.lock().clear();
-        match mutated {
-            Some(shard) => self.note_shard_epochs(table, &[shard]),
-            None => {
-                self.result_cache.bump_epoch(table);
-            }
-        }
+        self.note_shard_epochs(table, mutated.as_slice());
         Ok(())
     }
 
@@ -558,12 +560,7 @@ impl ExploreDb {
             }
         };
         st.crackers.lock().clear();
-        match mutated {
-            Some(shard) => self.note_shard_epochs(table, &[shard]),
-            None => {
-                self.result_cache.bump_epoch(table);
-            }
-        }
+        self.note_shard_epochs(table, mutated.as_slice());
         Ok(())
     }
 
@@ -611,12 +608,7 @@ impl ExploreDb {
             (sel.len(), mutated)
         };
         st.crackers.lock().clear();
-        match mutated {
-            Some(shards) => self.note_shard_epochs(table, &shards),
-            None => {
-                self.result_cache.bump_epoch(table);
-            }
-        }
+        self.note_shard_epochs(table, mutated.as_deref().unwrap_or_default());
         Ok(changed)
     }
 
@@ -624,17 +616,16 @@ impl ExploreDb {
     /// adaptive loader until the workload has loaded it.
     pub fn attach_raw(&self, name: impl Into<String>, raw: RawCsv) {
         let mut loader = AdaptiveLoader::new(raw);
-        loader.set_faults(Some(Arc::clone(&self.faults)));
-        loader.set_error_policy(*self.load_error_policy.read());
-        self.raw
-            .write()
-            .insert(name.into(), Arc::new(Mutex::new(loader)));
+        loader.set_faults(Some(Arc::clone(&self.shared.faults)));
+        loader.set_error_policy(self.shared.config.read().load_errors);
+        let loader = Arc::new(Mutex::new(loader));
+        self.shared.raw.write().insert(name.into(), loader);
     }
 
     /// Registered table names (in-memory, then raw).
     pub fn tables(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.catalog.read().keys().cloned().collect();
-        names.extend(self.raw.read().keys().cloned());
+        let mut names: Vec<String> = self.shared.catalog.read().keys().cloned().collect();
+        names.extend(self.shared.raw.read().keys().cloned());
         names.sort();
         names
     }
@@ -653,130 +644,88 @@ impl ExploreDb {
     /// itself the cache. Takes `&self`: concurrent callers on different
     /// threads run genuinely in parallel.
     pub fn query(&self, table: &str, query: &Query) -> Result<Table> {
-        let trace = self.start_trace(table, || query.describe());
-        let ctx = self.query_ctx().with_trace(trace.as_ref());
-        let result = self.run_routed(table, query, &ctx);
-        if let Some(trace) = trace {
-            trace.finish();
-        }
-        self.note_cancel(&result);
-        result
+        let describe = || query.describe();
+        self.call(table, describe, None, |c| self.run_routed(table, query, c))
     }
 
-    /// A fresh per-session policy overlay: owns its cancel token,
-    /// inherits every engine default. Customize with the `SessionCtx`
-    /// builders, then scope engine calls to it via
-    /// [`ExploreDb::with_session`].
-    pub fn session(&self) -> SessionCtx {
-        SessionCtx::new()
-    }
-
-    /// Run `f` with `session`'s overlay installed: every `query_ctx()`
-    /// minted inside (on this thread) resolves the session's exec/cache/
-    /// obs policies, deadline budget, cancel token, and yield hook
-    /// *over* the engine defaults (DESIGN.md §10/§13). The overlay is
-    /// thread-local and keyed to this engine, so sessions on other
-    /// worker threads — and other engines on this thread — are
-    /// unaffected, and nesting is safe. The overlay pops on exit, panic
-    /// included.
+    /// Run `f` against a handle carrying `session`'s overlay: every
+    /// engine call made through the `&ExploreDb` that `f` receives
+    /// resolves the session's exec/cache/obs policies, deadline budget,
+    /// cancel token, and yield hook *over* the engine defaults
+    /// (DESIGN.md §10/§13). The overlay belongs to that handle, so it
+    /// follows `db` onto any thread `f` takes it to, replaces an outer
+    /// `with_session`'s overlay wholesale, and is gone when `f` returns
+    /// or unwinds; calls on `self`, on other handles, and on other
+    /// engines are unaffected.
     pub fn with_session<R>(&self, session: &SessionCtx, f: impl FnOnce(&ExploreDb) -> R) -> R {
-        struct Pop;
-        impl Drop for Pop {
-            fn drop(&mut self) {
-                SESSION_OVERLAYS.with(|s| {
-                    s.borrow_mut().pop();
-                });
-            }
-        }
-        let key = self as *const ExploreDb as usize;
-        SESSION_OVERLAYS.with(|s| s.borrow_mut().push((key, session.clone())));
-        let _pop = Pop;
-        f(self)
-    }
-
-    /// This thread's innermost overlay installed for *this* engine, if
-    /// any.
-    fn current_session(&self) -> Option<SessionCtx> {
-        let key = self as *const ExploreDb as usize;
-        SESSION_OVERLAYS.with(|s| {
-            s.borrow()
-                .iter()
-                .rev()
-                .find(|(k, _)| *k == key)
-                .map(|(_, ctx)| ctx.clone())
+        f(&ExploreDb {
+            shared: Arc::clone(&self.shared),
+            session: session.clone(),
         })
     }
 
-    /// The execution context for one engine call: the engine's exec
-    /// policy and fail points, plus — when a session overlay is
-    /// installed ([`ExploreDb::with_session`]) — the session's exec
-    /// policy, cancel token, deadline budget (minted fresh so its clock
-    /// starts at this call), and cooperative yield hook. Cancellation
-    /// and deadlines are session-scoped only: an engine with no overlay
-    /// installed runs to completion.
-    fn query_ctx(&self) -> QueryCtx<'static> {
-        let s = self.current_session();
-        let s = s.as_ref();
-        let exec = s.and_then(|s| s.exec).unwrap_or_else(|| self.exec_policy());
-        let cancel = s.and_then(|s| s.cancel.clone());
-        let deadline = s.and_then(|s| s.deadline).map(QueryDeadline);
-        QueryCtx::new(exec)
-            .with_faults(Some(Arc::clone(&self.faults)))
-            .with_cancel(cancel)
-            .with_deadline(deadline.as_ref().map(QueryDeadline::token))
-            .with_yield_hook(s.and_then(|s| s.yield_hook.clone()))
-    }
-
-    /// One token for long-lived middleware sessions that outlive a
-    /// single engine call: the session cancel token when set, else a
-    /// token minted from the session deadline (its clock starts now).
-    fn session_token(&self) -> Option<CancelToken> {
-        let s = self.current_session();
-        let s = s.as_ref();
-        s.and_then(|s| s.cancel.clone()).or_else(|| {
-            s.and_then(|s| s.deadline)
-                .map(QueryDeadline)
-                .as_ref()
-                .map(QueryDeadline::token)
-        })
-    }
-
-    /// Is the result cache in play for this call? The session overlay's
-    /// cache policy wins over the engine knob.
-    fn cache_on(&self) -> bool {
-        self.current_session()
-            .and_then(|s| s.cache)
-            .map_or_else(|| self.cache_policy.read().is_on(), |p| p.is_on())
-    }
-
-    /// Is observability in play for this call? Gates metrics attachment
-    /// on middleware executors; the session overlay wins.
-    fn obs_on(&self) -> bool {
-        self.current_session()
-            .and_then(|s| s.obs)
-            .map_or_else(|| self.obs_policy.read().is_on(), |p| p.is_on())
-    }
-
-    /// Start (or skip) a trace for one engine call, honoring the session
-    /// overlay: `Some(On)` forces a trace even while the engine policy
-    /// is off, `Some(Off)` suppresses one, `None` defers to the engine's
-    /// obs policy via the tracer's own gate.
-    fn start_trace(&self, table: &str, desc: impl FnOnce() -> String) -> Option<ActiveTrace> {
-        match self.current_session().and_then(|s| s.obs) {
-            Some(p) if p.is_on() => Some(self.obs.force_start(table, desc())),
-            Some(_) => None,
-            None => self.obs.start(table, desc),
+    /// Lay this handle's overlay over the engine defaults — the one
+    /// place the two meet. The deadline token is minted here, so each
+    /// call gets the session's full budget. Cancellation and deadlines
+    /// are session-scoped only: a call on a handle with no overlay runs
+    /// to completion.
+    fn resolve(&self) -> Call<'static> {
+        let s = &self.session;
+        let config = self.shared.config.read();
+        Call {
+            ctx: QueryCtx::new(s.exec.unwrap_or(config.exec))
+                .with_faults(Some(Arc::clone(&self.shared.faults)))
+                .with_cancel(s.cancel.clone())
+                .with_deadline(s.deadline.map(CancelToken::with_deadline))
+                .with_yield_hook(s.yield_hook.clone()),
+            cache_on: s.cache.as_ref().unwrap_or(&config.cache).is_on(),
+            obs_on: s.obs.as_ref().unwrap_or(&config.obs).is_on(),
         }
     }
 
-    /// Count cancellation outcomes as `cancel.*` events (mirrored into
-    /// obs metrics when observability is on).
-    fn note_cancel<T>(&self, result: &Result<T>) {
-        match result {
-            Err(StorageError::Cancelled) => self.faults.note("cancel.cancelled"),
-            Err(StorageError::DeadlineExceeded) => self.faults.note("cancel.deadline_exceeded"),
+    /// Run one traced facade call: [`Self::call_traced`], minus the
+    /// finished trace.
+    fn call<T>(
+        &self,
+        table: &str,
+        describe: impl FnOnce() -> String,
+        stage: Option<(&'static str, &'static str)>,
+        body: impl FnOnce(&Call) -> Result<T>,
+    ) -> Result<T> {
+        self.call_traced(false, table, describe, stage, body).0
+    }
+
+    /// The protocol every traced facade method shares. Resolve the call
+    /// context; start a trace when observability is on for this call
+    /// (or `force`d — `explain`); run `body`; record `stage`'s span over
+    /// it and bump its counter; finish the trace; count a cancelled or
+    /// expired outcome as a `cancel.*` event (mirrored into obs metrics
+    /// when observability is on).
+    fn call_traced<T>(
+        &self,
+        force: bool,
+        table: &str,
+        describe: impl FnOnce() -> String,
+        stage: Option<(&'static str, &'static str)>,
+        body: impl FnOnce(&Call) -> Result<T>,
+    ) -> (Result<T>, Option<QueryTrace>) {
+        let Shared { obs, faults, .. } = &*self.shared;
+        let call = self.resolve();
+        let trace = (force || call.obs_on).then(|| obs.force_start(table, describe()));
+        let ctx = call.ctx.with_trace(trace.as_ref());
+        let start = ctx.trace.map(ActiveTrace::now_ns);
+        let result = body(&Call { ctx, ..call });
+        if let (Some((t, start)), Some((span, counter))) = (trace.as_ref().zip(start), stage) {
+            t.record(ROOT_SPAN, SpanKind::Stage(span), start, t.now_ns());
+            t.metrics().inc(counter, 1);
+        }
+        let finished = trace.map(ActiveTrace::finish);
+        match &result {
+            Err(StorageError::Cancelled) => faults.note("cancel.cancelled"),
+            Err(StorageError::DeadlineExceeded) => faults.note("cancel.deadline_exceeded"),
             _ => {}
         }
+        (result, finished)
     }
 
     /// The routing core of [`ExploreDb::query`], shared with
@@ -787,11 +736,12 @@ impl ExploreDb {
     /// epoch is read *before* the snapshot (see
     /// `explore_cache::cached_query_at_epoch` for why that order is the
     /// sound one).
-    fn run_routed(&self, table: &str, query: &Query, ctx: &QueryCtx) -> Result<Table> {
+    fn run_routed(&self, table: &str, query: &Query, c: &Call) -> Result<Table> {
+        let ctx = &c.ctx;
         // An already-cancelled or expired token fails before routing —
         // even a warm cache hit must not mask the typed error.
         ctx.check_cancel()?;
-        let loader = self.raw.read().get(table).map(Arc::clone);
+        let loader = self.shared.raw.read().get(table).map(Arc::clone);
         if let Some(loader) = loader {
             let mut loader = loader.lock();
             return match ctx.trace {
@@ -800,31 +750,24 @@ impl ExploreDb {
             };
         }
         let st = self.table_state(table)?;
+        let cache = c.cache_on.then_some(&*self.shared.result_cache);
         if let Some(m) = st.mirror() {
-            let cache = self.cache_on().then_some(&*self.result_cache);
             return run_sharded_query(&m, cache, query, ctx);
         }
-        if self.cache_on() {
-            let epoch = self.result_cache.epoch(table);
-            let base = st.snapshot();
-            explore_cache::cached_query_at_epoch(
-                &self.result_cache,
-                &base,
-                table,
-                query,
-                ctx,
-                epoch,
-            )
-        } else {
-            let base = st.snapshot();
-            explore_exec::run_query(&base, query, ctx)
+        match cache {
+            Some(cache) => {
+                let epoch = cache.epoch(table);
+                let base = st.snapshot();
+                explore_cache::cached_query_at_epoch(cache, &base, table, query, ctx, epoch)
+            }
+            None => explore_exec::run_query(&st.snapshot(), query, ctx),
         }
     }
 
     /// Progress of invisible loading for a raw table (columns loaded,
     /// total columns), or `None` for in-memory tables.
     pub fn loading_progress(&self, table: &str) -> Option<(usize, usize)> {
-        self.raw.read().get(table).map(|l| {
+        self.shared.raw.read().get(table).map(|l| {
             let l = l.lock();
             (l.columns_loaded(), l.schema().len())
         })
@@ -840,6 +783,11 @@ impl ExploreDb {
     /// concurrent callers share the index, which reorganizes under its
     /// own lock (lookups that hit an existing piece don't block each
     /// other).
+    ///
+    /// A sharded table cracks per shard: each shard cracks its own copy
+    /// of the column independently, and matching global row ids come
+    /// back concatenated in shard order — cracked (physical) order
+    /// within each shard, like the unsharded path.
     pub fn cracked_range(
         &self,
         table: &str,
@@ -847,142 +795,73 @@ impl ExploreDb {
         low: i64,
         high: i64,
     ) -> Result<Vec<u32>> {
-        let ctx = self.query_ctx();
-        ctx.check_cancel()?;
-        let token = self.session_token();
-        let st = self.table_state(table)?;
-        let mirror = st.mirror();
-        let cracker = match &mirror {
-            // Sharded tables crack per shard; validate the column here so
-            // the error shape matches `ensure_cracker` exactly.
-            Some(_) => {
+        let describe = || format!("cracked_range({column}, {low}, {high})");
+        self.call(table, describe, None, |c| {
+            let ctx = &c.ctx;
+            ctx.check_cancel()?;
+            let token = c.session_token();
+            let st = self.table_state(table)?;
+            let mirror = st.mirror();
+            let cracker = match &mirror {
+                // Sharded tables crack per shard; validate the column
+                // here so the error shape matches `ensure_cracker`.
+                Some(_) => int64_column(&st.snapshot(), column).map(|_| None)?,
+                None => Some(self.ensure_cracker(&st, column)?),
+            };
+            if ctx.fire("crack.reorg") {
+                // Injected reorganization failure: answer by scanning
+                // the (never-reorganized) base column instead. Cracking
+                // writes are discretionary, so skipping one changes
+                // convergence rate, never answers.
+                ctx.note("fault.crack.scan_fallback");
                 let t = st.snapshot();
-                let col = t.column(column)?;
-                col.as_i64().ok_or_else(|| StorageError::TypeMismatch {
-                    column: column.to_owned(),
-                    expected: "Int64",
-                    found: col.data_type().name(),
-                })?;
-                None
+                return Ok(int64_column(&t, column)?
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &v)| v >= low && v < high)
+                    .map(|(i, _)| i as u32)
+                    .collect());
             }
-            None => Some(self.ensure_cracker(&st, column)?),
-        };
-        if self.faults.fire("crack.reorg") {
-            // Injected reorganization failure: answer by scanning the
-            // (never-reorganized) base column instead. Cracking writes
-            // are discretionary, so skipping one changes convergence
-            // rate, never answers.
-            self.faults.note("fault.crack.scan_fallback");
-            let t = st.snapshot();
-            let col = t.column(column)?;
-            let values = col.as_i64().ok_or_else(|| StorageError::TypeMismatch {
-                column: column.to_owned(),
-                expected: "Int64",
-                found: col.data_type().name(),
-            })?;
-            return Ok(values
-                .iter()
-                .enumerate()
-                .filter(|(_, &v)| v >= low && v < high)
-                .map(|(i, _)| i as u32)
-                .collect());
-        }
-        if let Some(m) = mirror {
-            return self.cracked_range_sharded(table, column, low, high, token, &m);
-        }
-        let cracker = cracker.expect("cracker ensured on the unsharded path");
-        let trace = self
-            .obs
-            .start(table, || format!("cracked_range({column}, {low}, {high})"));
-        let pieces_before = cracker.num_pieces();
-        let start = trace.as_ref().map(|t| t.now_ns());
-        let ids = cracker.query_ids(low, high, token.as_ref());
-        let pieces_after = cracker.num_pieces();
-        if let Some((t, start)) = trace.as_ref().zip(start) {
-            t.record(
-                ROOT_SPAN,
-                SpanKind::Crack {
-                    pieces_before: pieces_before as u32,
-                    pieces_after: pieces_after as u32,
-                },
-                start,
-                t.now_ns(),
-            );
-            if pieces_after != pieces_before {
-                t.metrics().inc("crack.reorganizations", 1);
-            }
-        }
-        // Cracking reorganizes the index copy, not the base table, so
-        // cached results stay byte-correct — but the ISSUE's protocol
-        // treats a reorganization as an epoch event, which keeps the
-        // cache conservative if cracking ever becomes in-place. Even an
-        // aborted (cancelled) call may have registered a boundary.
-        if pieces_after != pieces_before {
-            self.result_cache.bump_epoch(table);
-        }
-        if let Some(trace) = trace {
-            trace.finish();
-        }
-        self.note_cancel(&ids);
-        ids
-    }
-
-    /// The sharded variant of [`ExploreDb::cracked_range`]: each shard
-    /// cracks its own copy of the column independently, shards whose
-    /// piece count grew bump their scope epochs (plus the base epoch),
-    /// and matching global row ids come back concatenated in shard
-    /// order — cracked (physical) order within each shard, like the
-    /// unsharded path.
-    fn cracked_range_sharded(
-        &self,
-        table: &str,
-        column: &str,
-        low: i64,
-        high: i64,
-        token: Option<CancelToken>,
-        st: &ShardedTable,
-    ) -> Result<Vec<u32>> {
-        let trace = self
-            .obs
-            .start(table, || format!("cracked_range({column}, {low}, {high})"));
-        let pieces_before = st.index_pieces(column).unwrap_or(0);
-        let start = trace.as_ref().map(|t| t.now_ns());
-        let result = st.cracked_range(column, low, high, token.as_ref());
-        let pieces_after = st.index_pieces(column).unwrap_or(0);
-        if let Some((t, s)) = trace.as_ref().zip(start) {
-            t.record(
-                ROOT_SPAN,
-                SpanKind::Crack {
-                    pieces_before: pieces_before as u32,
-                    pieces_after: pieces_after as u32,
-                },
-                s,
-                t.now_ns(),
-            );
-            if pieces_after != pieces_before {
-                t.metrics().inc("crack.reorganizations", 1);
-            }
-        }
-        match &result {
-            // Reorganization is an epoch event (see the unsharded path),
-            // but a per-shard one: only the shards that grew pieces bump.
-            Ok((_, reorganized)) if !reorganized.is_empty() => {
-                for &s in reorganized {
-                    self.result_cache.bump_epoch(&scoped_name(table, s));
+            // Cracking reorganizes the index copy, not the base table,
+            // so cached results stay byte-correct — but a reorganization
+            // is treated as an epoch event, which keeps the cache
+            // conservative if cracking ever becomes in-place. Even an
+            // aborted (cancelled) call may have registered a boundary.
+            let cache = &self.shared.result_cache;
+            let Some(m) = mirror else {
+                let cracker = cracker.expect("cracker ensured on the unsharded path");
+                let (ids, grew) = crack_step(
+                    ctx,
+                    || cracker.num_pieces(),
+                    || cracker.query_ids(low, high, token.as_ref()),
+                );
+                if grew {
+                    cache.bump_epoch(table);
                 }
-                self.result_cache.bump_epoch(table);
+                return ids;
+            };
+            let (result, grew) = crack_step(
+                ctx,
+                || m.index_pieces(column).unwrap_or(0),
+                || m.cracked_range(column, low, high, token.as_ref()),
+            );
+            match &result {
+                // A per-shard epoch event: only the shards that grew
+                // pieces bump (plus the base epoch).
+                Ok((_, reorganized)) if !reorganized.is_empty() => {
+                    for &s in reorganized {
+                        cache.bump_epoch(&scoped_name(table, s));
+                    }
+                    cache.bump_epoch(table);
+                }
+                // An aborted (cancelled) call may have reorganized some
+                // shards before stopping and cannot say which;
+                // invalidate conservatively.
+                Err(_) if grew => self.invalidate_table(table),
+                _ => {}
             }
-            // An aborted (cancelled) call may have reorganized some
-            // shards before stopping and cannot say which; invalidate
-            // conservatively.
-            Err(_) if pieces_after != pieces_before => self.invalidate_table(table),
-            _ => {}
-        }
-        if let Some(trace) = trace {
-            trace.finish();
-        }
-        self.note_cancel(&result);
-        result.map(|(ids, _)| ids)
+            result.map(|(ids, _)| ids)
+        })
     }
 
     /// The table's cracker for `column`, building it on first use. A
@@ -995,16 +874,7 @@ impl ExploreDb {
             return Ok(Arc::clone(c));
         }
         let built_at = st.generation.load(Ordering::SeqCst);
-        let t = st.snapshot();
-        let col = t.column(column)?;
-        let values = col
-            .as_i64()
-            .ok_or_else(|| StorageError::TypeMismatch {
-                column: column.to_owned(),
-                expected: "Int64",
-                found: col.data_type().name(),
-            })?
-            .to_vec();
+        let values = int64_column(&st.snapshot(), column)?.to_vec();
         let cracker = Arc::new(ConcurrentCracker::new(values));
         let mut map = st.crackers.lock();
         if st.generation.load(Ordering::SeqCst) == built_at {
@@ -1020,7 +890,7 @@ impl ExploreDb {
     /// observability for convergence. For a sharded table, the sum of
     /// per-shard piece counts.
     pub fn index_pieces(&self, table: &str, column: &str) -> Option<usize> {
-        let st = self.catalog.read().get(table).cloned()?;
+        let st = self.shared.catalog.read().get(table).cloned()?;
         let cracker = st.crackers.lock().get(column).map(Arc::clone);
         if let Some(c) = cracker {
             return Some(c.num_pieces());
@@ -1039,30 +909,14 @@ impl ExploreDb {
         stratify_on: &[(&str, usize)],
         seed: u64,
     ) -> Result<()> {
-        let trace = self.start_trace(table, || {
-            format!(
-                "build_samples({} samples)",
-                fractions.len() + stratify_on.len()
-            )
-        });
-        let ctx = self.query_ctx().with_trace(trace.as_ref());
-        let start = ctx.trace.map(|t| t.now_ns());
-        let result = self.table_state(table).and_then(|st| {
-            let t = st.snapshot();
-            SampleCatalog::build(&t, fractions, stratify_on, seed, &ctx)
-        });
-        if let Some((t, s)) = ctx.trace.zip(start) {
-            t.record(ROOT_SPAN, SpanKind::Stage("sample.build"), s, t.now_ns());
-            t.metrics().inc("sample.builds", 1);
-        }
-        if let Some(trace) = trace {
-            trace.finish();
-        }
-        self.note_cancel(&result);
-        let catalog = result?;
-        self.samples
-            .write()
-            .insert(table.to_owned(), Arc::new(catalog));
+        let count = fractions.len() + stratify_on.len();
+        let describe = || format!("build_samples({count} samples)");
+        let stage = Some(("sample.build", "sample.builds"));
+        let catalog = self.call(table, describe, stage, |c| {
+            SampleCatalog::build(&*self.table(table)?, fractions, stratify_on, seed, &c.ctx)
+        })?;
+        let mut samples = self.shared.samples.write();
+        samples.insert(table.to_owned(), Arc::new(catalog));
         Ok(())
     }
 
@@ -1076,47 +930,37 @@ impl ExploreDb {
         column: &str,
         bound: Bound,
     ) -> Result<BoundedAnswer> {
-        let st = self.table_state(table)?;
-        let samples = self.samples.read().get(table).cloned().ok_or_else(|| {
-            StorageError::InvalidQuery(format!(
-                "no sample catalog for {table}; call build_samples first"
-            ))
-        })?;
-        // Epoch before snapshot, like every cache-admitting path.
-        let epoch = self.result_cache.epoch(table);
-        let t = st.snapshot();
-        let mut ex = BoundedExecutor::new(&t, &samples);
-        if self.cache_on() {
-            ex = ex.with_cache(Arc::clone(&self.result_cache), table, epoch);
-        }
-        if self.obs_on() {
-            ex = ex.with_metrics(self.obs.metrics());
-        }
-        let trace = self.start_trace(table, || {
-            format!("approx {func}({column}) where {predicate}")
-        });
-        let ctx = self.query_ctx().with_trace(trace.as_ref());
-        let start = trace.as_ref().map(|t| t.now_ns());
-        let ans = ex.aggregate(predicate, func, column, bound, &ctx);
-        if let Some((t, start)) = trace.as_ref().zip(start) {
-            if let Ok(ans) = &ans {
-                t.record(
-                    ROOT_SPAN,
-                    SpanKind::Aqp {
-                        fraction_bp: (ans.fraction_used * 10_000.0).round() as u32,
-                        rows_scanned: ans.rows_scanned.min(u32::MAX as usize) as u32,
-                        exact: ans.exact,
-                    },
-                    start,
-                    t.now_ns(),
-                );
+        let describe = || format!("approx {func}({column}) where {predicate}");
+        self.call(table, describe, None, |c| {
+            let st = self.table_state(table)?;
+            let samples = self.shared.samples.read().get(table).cloned();
+            let samples = samples.ok_or_else(|| {
+                StorageError::InvalidQuery(format!(
+                    "no sample catalog for {table}; call build_samples first"
+                ))
+            })?;
+            // Epoch before snapshot, like every cache-admitting path.
+            let epoch = self.shared.result_cache.epoch(table);
+            let t = st.snapshot();
+            let mut ex = BoundedExecutor::new(&t, &samples);
+            if c.cache_on {
+                ex = ex.with_cache(Arc::clone(&self.shared.result_cache), table, epoch);
             }
-        }
-        if let Some(trace) = trace {
-            trace.finish();
-        }
-        self.note_cancel(&ans);
-        ans
+            if c.obs_on {
+                ex = ex.with_metrics(self.shared.obs.metrics());
+            }
+            let start = c.ctx.trace.map(ActiveTrace::now_ns);
+            let ans = ex.aggregate(predicate, func, column, bound, &c.ctx)?;
+            if let Some((t, start)) = c.ctx.trace.zip(start) {
+                let kind = SpanKind::Aqp {
+                    fraction_bp: (ans.fraction_used * 10_000.0).round() as u32,
+                    rows_scanned: ans.rows_scanned.min(u32::MAX as usize) as u32,
+                    exact: ans.exact,
+                };
+                t.record(ROOT_SPAN, kind, start, t.now_ns());
+            }
+            Ok(ans)
+        })
     }
 
     /// A speculative range-aggregate executor over a snapshot of
@@ -1125,18 +969,19 @@ impl ExploreDb {
     /// speculatively computed aggregates are visible to
     /// [`ExploreDb::query`] and vice versa.
     pub fn speculator(&self, table: &str, budget: usize) -> Result<SpeculativeExecutor> {
+        let c = self.resolve();
         let st = self.table_state(table)?;
         // Epoch before snapshot: a mutation racing this attach leaves
         // the executor admitting under a dead epoch — refused entries,
         // never stale ones.
-        let epoch = self.result_cache.epoch(table);
+        let epoch = self.shared.result_cache.epoch(table);
         let t = st.snapshot();
-        let mut ex = SpeculativeExecutor::new(t, budget).with_cancel(self.session_token());
-        if self.cache_on() {
-            ex = ex.with_shared_cache(Arc::clone(&self.result_cache), table, epoch);
+        let mut ex = SpeculativeExecutor::new(t, budget).with_cancel(c.session_token());
+        if c.cache_on {
+            ex = ex.with_shared_cache(Arc::clone(&self.shared.result_cache), table, epoch);
         }
-        if self.obs_on() {
-            ex = ex.with_metrics(self.obs.metrics());
+        if c.obs_on {
+            ex = ex.with_metrics(self.shared.obs.metrics());
         }
         Ok(ex)
     }
@@ -1155,25 +1000,13 @@ impl ExploreDb {
         confidence: f64,
         seed: u64,
     ) -> Result<OnlineAggregation> {
-        let trace = self.start_trace(table, || {
-            format!("online {func}({column}) where {predicate}")
-        });
-        let start = trace.as_ref().map(|t| t.now_ns());
-        let oa = self
-            .table_state(table)
-            .and_then(|st| {
-                let t = st.snapshot();
-                OnlineAggregation::start(&t, predicate, func, column, confidence, seed)
-            })
-            .map(|oa| oa.with_cancel(self.session_token()));
-        if let Some((t, s)) = trace.as_ref().zip(start) {
-            t.record(ROOT_SPAN, SpanKind::Stage("aqp.online"), s, t.now_ns());
-            t.metrics().inc("aqp.online_sessions", 1);
-        }
-        if let Some(trace) = trace {
-            trace.finish();
-        }
-        oa
+        let describe = || format!("online {func}({column}) where {predicate}");
+        let stage = Some(("aqp.online", "aqp.online_sessions"));
+        self.call(table, describe, stage, |c| {
+            let t = self.table(table)?;
+            let oa = OnlineAggregation::start(&t, predicate, func, column, confidence, seed)?;
+            Ok(oa.with_cancel(c.session_token()))
+        })
     }
 
     /// SeeDB: recommend the `k` most deviating views of `target` rows
@@ -1187,28 +1020,19 @@ impl ExploreDb {
         target: &Predicate,
         k: usize,
     ) -> Result<Vec<ScoredView>> {
-        let t = self.table(table)?;
-        let trace = self.start_trace(table, || format!("recommend_views(k={k})"));
-        let ctx = self.query_ctx().with_trace(trace.as_ref());
-        let views = candidate_views(&t, &[AggFunc::Count, AggFunc::Sum, AggFunc::Avg]);
-        let mut stats = SeedbStats::default();
-        let start = ctx.trace.map(|t| t.now_ns());
-        let result = recommend_shared(&t, target, &views, k, &mut stats, &ctx);
-        if let Some((t, s)) = ctx.trace.zip(start) {
-            t.record(ROOT_SPAN, SpanKind::Stage("viz.recommend"), s, t.now_ns());
-            t.metrics().inc("viz.recommendations", 1);
-        }
-        if let Some(trace) = trace {
-            trace.finish();
-        }
-        self.note_cancel(&result);
-        result
+        let describe = || format!("recommend_views(k={k})");
+        let stage = Some(("viz.recommend", "viz.recommendations"));
+        self.call(table, describe, stage, |c| {
+            let t = self.table(table)?;
+            let views = candidate_views(&t, &[AggFunc::Count, AggFunc::Sum, AggFunc::Avg]);
+            recommend_shared(&t, target, &views, k, &mut SeedbStats::default(), &c.ctx)
+        })
     }
 
     /// Build (or rebuild) the AQUA-style synopsis store for a table.
     pub fn build_synopses(&self, table: &str, buckets: usize) -> Result<()> {
         let t = self.table(table)?;
-        self.synopses.write().insert(
+        self.shared.synopses.write().insert(
             table.to_owned(),
             Arc::new(SynopsisStore::build(&t, buckets)),
         );
@@ -1250,32 +1074,17 @@ impl ExploreDb {
         table: &str,
         f: impl FnOnce(&SynopsisStore) -> Result<SynopsisAnswer>,
     ) -> Result<SynopsisAnswer> {
-        let ctx = self.query_ctx();
-        ctx.check_cancel()?;
-        let store = self.synopsis_store(table)?;
-        let trace = self.start_trace(table, || "synopsis estimate".to_owned());
-        let start = trace.as_ref().map(|t| t.now_ns());
-        let result = f(&store);
-        if let Some((t, s)) = trace.as_ref().zip(start) {
-            t.record(
-                ROOT_SPAN,
-                SpanKind::Stage("synopsis.estimate"),
-                s,
-                t.now_ns(),
-            );
-            t.metrics().inc("synopsis.estimates", 1);
-        }
-        if let Some(trace) = trace {
-            trace.finish();
-        }
-        result
-    }
-
-    fn synopsis_store(&self, table: &str) -> Result<Arc<SynopsisStore>> {
-        self.synopses.read().get(table).cloned().ok_or_else(|| {
-            StorageError::InvalidQuery(format!(
-                "no synopses for {table}; call build_synopses first"
-            ))
+        let describe = || "synopsis estimate".to_owned();
+        let stage = Some(("synopsis.estimate", "synopsis.estimates"));
+        self.call(table, describe, stage, |c| {
+            c.ctx.check_cancel()?;
+            let store = self.shared.synopses.read().get(table).cloned();
+            let store = store.ok_or_else(|| {
+                StorageError::InvalidQuery(format!(
+                    "no synopses for {table}; call build_synopses first"
+                ))
+            })?;
+            f(&store)
         })
     }
 
@@ -1288,16 +1097,12 @@ impl ExploreDb {
         min_support: usize,
         k: usize,
     ) -> Result<Vec<explore_explore::Facet>> {
-        let t = self.table(table)?;
-        let trace = self.start_trace(table, || format!("facets(k={k}) where {predicate}"));
-        let ctx = self.query_ctx().with_trace(trace.as_ref());
-        let result = explore_exec::evaluate_selection(&t, predicate, &ctx)
-            .and_then(|rows| explore_explore::faceted_recommendations(&t, &rows, min_support, k));
-        if let Some(trace) = trace {
-            trace.finish();
-        }
-        self.note_cancel(&result);
-        result
+        let describe = || format!("facets(k={k}) where {predicate}");
+        self.call(table, describe, None, |c| {
+            let t = self.table(table)?;
+            let rows = explore_exec::evaluate_selection(&t, predicate, &c.ctx)?;
+            explore_explore::faceted_recommendations(&t, &rows, min_support, k)
+        })
     }
 
     /// Diversified top-k rows: relevance from a numeric column, pairwise
@@ -1312,65 +1117,35 @@ impl ExploreDb {
         k: usize,
         lambda: f64,
     ) -> Result<Vec<u32>> {
-        let t = self.table(table)?;
-        let trace = self.start_trace(table, || format!("diversified_topk(k={k}, λ={lambda})"));
-        let ctx = self.query_ctx().with_trace(trace.as_ref());
-        let start = ctx.trace.map(|t| t.now_ns());
-        let result =
-            Self::diversify_rows(&t, predicate, relevance_col, feature_cols, k, lambda, &ctx);
-        if let Some((t, s)) = ctx.trace.zip(start) {
-            t.record(ROOT_SPAN, SpanKind::Stage("div.topk"), s, t.now_ns());
-            t.metrics().inc("div.topk", 1);
-        }
-        if let Some(trace) = trace {
-            trace.finish();
-        }
-        self.note_cancel(&result);
-        result
-    }
-
-    /// The selection + item construction + MMR core of
-    /// [`ExploreDb::diversified_topk`].
-    fn diversify_rows(
-        t: &Table,
-        predicate: &Predicate,
-        relevance_col: &str,
-        feature_cols: &[&str],
-        k: usize,
-        lambda: f64,
-        ctx: &QueryCtx,
-    ) -> Result<Vec<u32>> {
-        let rows = explore_exec::evaluate_selection(t, predicate, ctx)?;
-        let rel = t.column(relevance_col)?;
-        let feats: Vec<&explore_storage::Column> = feature_cols
-            .iter()
-            .map(|c| t.column(c))
-            .collect::<Result<_>>()?;
-        let mut items = Vec::with_capacity(rows.len());
-        for &row in &rows {
-            let r = row as usize;
-            let relevance = rel
-                .numeric_at(r)
-                .ok_or_else(|| StorageError::TypeMismatch {
-                    column: relevance_col.to_owned(),
-                    expected: "numeric",
-                    found: rel.data_type().name(),
-                })?;
-            let features = feats
-                .iter()
-                .enumerate()
-                .map(|(fi, c)| {
-                    c.numeric_at(r).ok_or_else(|| StorageError::TypeMismatch {
-                        column: feature_cols[fi].to_owned(),
+        let describe = || format!("diversified_topk(k={k}, λ={lambda})");
+        self.call(table, describe, Some(("div.topk", "div.topk")), |c| {
+            let t = self.table(table)?;
+            let rows = explore_exec::evaluate_selection(&t, predicate, &c.ctx)?;
+            let numeric = |name: &str, col: &explore_storage::Column, row: usize| {
+                col.numeric_at(row)
+                    .ok_or_else(|| StorageError::TypeMismatch {
+                        column: name.to_owned(),
                         expected: "numeric",
-                        found: c.data_type().name(),
+                        found: col.data_type().name(),
                     })
-                })
-                .collect::<Result<Vec<f64>>>()?;
-            items.push(explore_diversify::Item::new(row, relevance, features));
-        }
-        let mut stats = explore_diversify::DivStats::default();
-        explore_diversify::mmr(&items, k, lambda, &[], &mut stats, ctx)
+            };
+            let rel = t.column(relevance_col)?;
+            let feats = feature_cols
+                .iter()
+                .map(|name| Ok((*name, t.column(name)?)))
+                .collect::<Result<Vec<_>>>()?;
+            let mut items = Vec::with_capacity(rows.len());
+            for &row in &rows {
+                let relevance = numeric(relevance_col, rel, row as usize)?;
+                let features = feats
+                    .iter()
+                    .map(|(name, col)| numeric(name, col, row as usize))
+                    .collect::<Result<Vec<f64>>>()?;
+                items.push(explore_diversify::Item::new(row, relevance, features));
+            }
+            let mut stats = explore_diversify::DivStats::default();
+            explore_diversify::mmr(&items, k, lambda, &[], &mut stats, &c.ctx)
+        })
     }
 
     /// VizDeck: deal the top-`k` chart proposals for a table. The
@@ -1378,20 +1153,12 @@ impl ExploreDb {
     /// checked up front, and a `viz.propose` span and counter are
     /// recorded when observability is on.
     pub fn propose_charts(&self, table: &str, k: usize) -> Result<Vec<explore_viz::ChartProposal>> {
-        let ctx = self.query_ctx();
-        ctx.check_cancel()?;
-        let t = self.table(table)?;
-        let trace = self.start_trace(table, || format!("propose_charts(k={k})"));
-        let start = trace.as_ref().map(|t| t.now_ns());
-        let result = explore_viz::propose_charts(&t, k);
-        if let Some((t, s)) = trace.as_ref().zip(start) {
-            t.record(ROOT_SPAN, SpanKind::Stage("viz.propose"), s, t.now_ns());
-            t.metrics().inc("viz.proposals", 1);
-        }
-        if let Some(trace) = trace {
-            trace.finish();
-        }
-        result
+        let describe = || format!("propose_charts(k={k})");
+        let stage = Some(("viz.propose", "viz.proposals"));
+        self.call(table, describe, stage, |c| {
+            c.ctx.check_cancel()?;
+            explore_viz::propose_charts(&*self.table(table)?, k)
+        })
     }
 
     /// Discovery-driven cube exploration: score every cell of
@@ -1408,27 +1175,16 @@ impl ExploreDb {
         dim_b: &str,
         measure: &str,
     ) -> Result<DiscoveryView> {
-        let trace = self.start_trace(table, || {
-            format!("discover_cube({dim_a}, {dim_b}, {measure})")
-        });
-        let ctx = self.query_ctx().with_trace(trace.as_ref());
-        let query = Query::new()
-            .group(dim_a)
-            .group(dim_b)
-            .agg(AggFunc::Sum, measure);
-        let start = ctx.trace.map(|t| t.now_ns());
-        let result = self
-            .run_routed(table, &query, &ctx)
-            .and_then(|grouped| DiscoveryView::from_grouped(&grouped, dim_a, dim_b, measure));
-        if let Some((t, s)) = ctx.trace.zip(start) {
-            t.record(ROOT_SPAN, SpanKind::Stage("cube.discover"), s, t.now_ns());
-            t.metrics().inc("cube.discoveries", 1);
-        }
-        if let Some(trace) = trace {
-            trace.finish();
-        }
-        self.note_cancel(&result);
-        result
+        let describe = || format!("discover_cube({dim_a}, {dim_b}, {measure})");
+        let stage = Some(("cube.discover", "cube.discoveries"));
+        self.call(table, describe, stage, |c| {
+            let query = Query::new()
+                .group(dim_a)
+                .group(dim_b)
+                .agg(AggFunc::Sum, measure);
+            let grouped = self.run_routed(table, &query, c)?;
+            DiscoveryView::from_grouped(&grouped, dim_a, dim_b, measure)
+        })
     }
 
     /// A DICE-style speculative cube session over `table`. The session
@@ -1444,14 +1200,51 @@ impl ExploreDb {
         func: AggFunc,
         speculate: bool,
     ) -> Result<CubeSession> {
+        let c = self.resolve();
         let t = self.table(table)?;
         let cube = DataCube::new((*t).clone(), dims, measure, func)?;
-        let mut session = CubeSession::new(cube, speculate).with_cancel(self.session_token());
-        if self.obs_on() {
-            session = session.with_metrics(Some(self.obs.metrics()));
+        let mut session = CubeSession::new(cube, speculate).with_cancel(c.session_token());
+        if c.obs_on {
+            session = session.with_metrics(Some(self.shared.obs.metrics()));
         }
         Ok(session)
     }
+}
+
+/// `column` of `t` as Int64 values, or the typed mismatch error every
+/// cracking path reports.
+fn int64_column<'a>(t: &'a Table, column: &str) -> Result<&'a [i64]> {
+    let col = t.column(column)?;
+    col.as_i64().ok_or_else(|| StorageError::TypeMismatch {
+        column: column.to_owned(),
+        expected: "Int64",
+        found: col.data_type().name(),
+    })
+}
+
+/// Run one crack `step` as a root-level `Crack` span carrying the
+/// index's piece count on either side of it, and report whether the
+/// index grew.
+fn crack_step<T>(
+    ctx: &QueryCtx,
+    pieces: impl Fn() -> usize,
+    step: impl FnOnce() -> Result<T>,
+) -> (Result<T>, bool) {
+    let before = pieces();
+    let start = ctx.trace.map(ActiveTrace::now_ns);
+    let result = step();
+    let after = pieces();
+    if let Some((t, start)) = ctx.trace.zip(start) {
+        let kind = SpanKind::Crack {
+            pieces_before: before as u32,
+            pieces_after: after as u32,
+        };
+        t.record(ROOT_SPAN, kind, start, t.now_ns());
+        if after != before {
+            t.metrics().inc("crack.reorganizations", 1);
+        }
+    }
+    (result, after != before)
 }
 
 #[cfg(test)]

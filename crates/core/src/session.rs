@@ -4,15 +4,18 @@
 //! override about the engine's defaults: its own cancel token, its own
 //! deadline budget, and optional exec/cache/obs policy overlays. It is
 //! deliberately *sparse* — every field is an `Option`, and `None` means
-//! "inherit the engine knob" — so the merge happens in exactly one
-//! place, [`ExploreDb::query_ctx`](crate::ExploreDb)'s resolution order
-//! (DESIGN.md §10): session overlay first, engine default second.
+//! "inherit the engine default" — so the merge happens in exactly one
+//! place, the engine's private per-call `resolve` (DESIGN.md §10):
+//! session overlay first, engine default second.
 //!
-//! The serving layer (`explore-serve`) mints one `SessionCtx` per
-//! connected session and installs it for the duration of each scheduled
-//! call via [`ExploreDb::with_session`](crate::ExploreDb::with_session);
-//! direct library users can do the same to scope a token or a policy to
-//! one call sequence without mutating engine-wide knobs.
+//! An overlay takes effect by being owned by an engine handle:
+//! [`ExploreDb::with_session`](crate::ExploreDb::with_session) passes
+//! its closure a `&ExploreDb` that carries the overlay, and every call
+//! made on that handle — from any thread — resolves it. The serving
+//! layer (`explore-serve`) mints one `SessionCtx` per connected session
+//! and runs each scheduled call that way; direct library users can do
+//! the same to scope a token or a policy to one call sequence without
+//! mutating engine-wide policies.
 
 use std::fmt;
 use std::time::Duration;
@@ -73,8 +76,8 @@ impl SessionCtx {
         }
     }
 
-    /// Replace the session's cancel token (or drop it to inherit the
-    /// engine's).
+    /// Replace the session's cancel token (or drop it: the session can
+    /// then not be cancelled).
     pub fn with_cancel(mut self, cancel: Option<CancelToken>) -> SessionCtx {
         self.cancel = cancel;
         self

@@ -177,9 +177,9 @@ impl Shared {
         }
     }
 
-    /// Run one job to completion on the calling thread: install the
-    /// session overlay (plus the cooperative yield hook), run the
-    /// closure against the shared engine, account the session's
+    /// Run one job to completion on the calling thread: run the closure
+    /// against a handle on the shared engine that carries the session
+    /// overlay (plus the cooperative yield hook), account the session's
     /// consumed service time, and fulfill the ticket. `inline` marks the
     /// admission-degradation path (no queueing delay to record).
     pub(crate) fn execute(&self, job: Job, inline: bool) {

@@ -16,8 +16,8 @@ use crate::ticket::{Payload, Ticket, TicketShared};
 
 /// One analyst session against a served engine. Carries its own cancel
 /// token, an optional deadline budget, and optional exec/cache/obs
-/// policy overlays — all merged over the engine defaults at
-/// `query_ctx()` time when a scheduled query runs (DESIGN.md §10/§13).
+/// policy overlays — all laid over the engine defaults, once per
+/// engine call, when a scheduled query runs (DESIGN.md §10/§13).
 ///
 /// Sessions are cheap: thousands can exist concurrently, while only the
 /// fixed worker set executes queries. A session is `Send`, so a driver

@@ -5,7 +5,6 @@
 //! each comparison matches on the column type once and then runs a tight
 //! loop over the raw slice.
 
-use std::cell::RefCell;
 use std::fmt;
 use std::ops::Range;
 
@@ -14,15 +13,8 @@ use crate::error::{Result, StorageError};
 use crate::table::Table;
 use crate::value::Value;
 
-thread_local! {
-    /// Reusable word buffers for the vectorized evaluation path. One
-    /// pool per thread means each executor worker keeps its own bitmap
-    /// scratch hot across morsels, with zero cross-thread contention.
-    static BIT_SCRATCH: RefCell<WordPool> = RefCell::new(WordPool::default());
-}
-
-/// A free-list of `u64` bitmap buffers, recycled across predicate
-/// nodes and across morsels on the same thread.
+/// A free-list of `u64` bitmap buffers, recycled across the predicate
+/// nodes of one evaluation.
 #[derive(Debug, Default)]
 struct WordPool {
     free: Vec<Vec<u64>>,
@@ -199,10 +191,10 @@ impl Predicate {
     /// This is the vectorized hot path: each node fills a `u64` bitmap
     /// (64 rows per word, branchless per element), combinators fold
     /// word-wise, and the final bitmap converts to row ids via
-    /// `trailing_zeros`. Bitmap buffers come from a thread-local pool,
-    /// so a worker re-running this per morsel allocates nothing after
-    /// warm-up. [`Predicate::evaluate_mask_range`] remains the scalar
-    /// reference the differential suites compare against; both paths
+    /// `trailing_zeros`. Bitmap buffers are recycled across the nodes of
+    /// one evaluation, so it allocates one per `And`/`Or` nesting level,
+    /// not one per node. [`Predicate::evaluate_mask_range`] remains the
+    /// scalar reference the differential suites compare against; both paths
     /// share literal resolution and `CmpOp::holds`, so results —
     /// including NaN comparisons and error precedence — are identical.
     pub fn evaluate_range(&self, table: &Table, rows: Range<usize>) -> Result<Vec<u32>> {
@@ -237,24 +229,19 @@ impl Predicate {
         Ok(sel)
     }
 
-    /// Run [`Predicate::eval_bits`] over `rows` with bitmaps from this
-    /// thread's scratch pool, and convert the result with `finish`
-    /// before the root bitmap goes back to the pool.
+    /// Run [`Predicate::eval_bits`] over `rows` with bitmaps from a
+    /// scratch pool of this call's own, and convert the root bitmap
+    /// with `finish`.
     fn eval_rows<R>(
         &self,
         table: &Table,
         rows: RowSet<'_>,
         finish: impl FnOnce(&[u64]) -> R,
     ) -> Result<R> {
-        BIT_SCRATCH.with(|scratch| {
-            let pool = &mut *scratch.borrow_mut();
-            let mut bits = pool.take(rows.len().div_ceil(64));
-            let result = self
-                .eval_bits(table, &rows, &mut bits, pool)
-                .map(|()| finish(&bits));
-            pool.give(bits);
-            result
-        })
+        let mut pool = WordPool::default();
+        let mut bits = pool.take(rows.len().div_ceil(64));
+        self.eval_bits(table, &rows, &mut bits, &mut pool)?;
+        Ok(finish(&bits))
     }
 
     /// Fill `out` (one bit per row in `rows`, LSB-first within each

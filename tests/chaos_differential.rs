@@ -12,8 +12,9 @@
 //! fault-free truth bit-for-bit, proving no fault corrupted persistent
 //! state (cache, loaders, cracker indexes, exec pool).
 //!
-//! The iteration count defaults to the CI smoke budget and scales up
-//! via the `CHAOS_ITERS` env var for long-run soaking.
+//! The iteration count defaults to a budget sized for the everyday
+//! `cargo test` run; `ci.sh`'s chaos-smoke step pins `CHAOS_ITERS=200`
+//! as the depth gate, and the same env var scales it up for soaking.
 
 use std::time::Duration;
 
@@ -161,13 +162,14 @@ const POINTS: &[&str] = &[
     "cache.evict",
 ];
 
-/// Iteration budget: the CI smoke default satisfies the ≥200-seeded-
-/// schedules acceptance bar; `CHAOS_ITERS` scales it up for soak runs.
+/// Iteration budget: 40 seeded schedules by default, so the suite is
+/// not half of tier-1's wall clock; the ≥200-schedule acceptance bar is
+/// the chaos-smoke step's explicit `CHAOS_ITERS=200`.
 fn chaos_iters() -> usize {
     std::env::var("CHAOS_ITERS")
         .ok()
         .and_then(|s| s.parse().ok())
-        .unwrap_or(200)
+        .unwrap_or(40)
 }
 
 /// A random fault schedule derived deterministically from the rng.
