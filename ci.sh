@@ -1,21 +1,24 @@
 #!/usr/bin/env bash
-# Local CI: exactly what .github/workflows/ci.yml runs.
+# The one CI definition: .github/workflows/ci.yml runs this script and
+# nothing else, so a lint added here cannot be missing there.
 #
-#   ./ci.sh          # fmt check, clippy -D warnings, docs, full test
-#                    # suite, repo-benchmark output smoke, bench smokes +
-#                    # regression gate against bench/baselines/
-#   ./ci.sh fast     # skip the bench smoke and gate
+#   ./ci.sh          # lints, fmt check, clippy -D warnings, docs, full
+#                    # test suite, chaos smoke, repo-benchmark output
+#                    # smoke, same-run overhead check
+#   ./ci.sh fast     # skip the overhead check
 #
-# Knobs: BENCH_SAMPLES (default 3), BENCH_GATE=warn to report
-# regressions without failing, BENCH_GATE_THRESHOLD (default 1.5),
-# CHAOS_ITERS (the chaos-smoke step's seeded fault schedules, default 200
-# — the depth gate; the suite's own default under `cargo test` is 40),
+# Knobs: CHAOS_ITERS (the chaos-smoke step's seeded fault schedules,
+# default 200 — the depth gate; the suite's own default under
+# `cargo test` is 40),
 # WORKLOAD_ITERS (default 8 seeded workload replays per test in
 # tests/workload_determinism.rs; raise for soak runs),
 # STRESS_ITERS (default 4 seeded reader/mutator/chaos rounds per test in
 # tests/concurrent_stress.rs; raise for soak runs),
 # SPEEDUP_ITERS (best-of-N sampling in tests/parallel_speedup.rs; its
 # wall-clock assertion only arms on hosts with >= 4 cores).
+#
+# Cross-commit performance numbers come from BENCHMARK.json + benchmark/
+# (run by the PR driver, ten alternating pairs), never from this script.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -63,6 +66,35 @@ if grep -nE 'RwLock<(Exec|Cache|Shard|Obs|Error)Policy>' crates/core/src/engine.
     exit 1
 fi
 
+echo "==> one-measurement-authority lint (the retired bench harness stays retired)"
+# benchmark/ is the only source of a cross-commit number. The Criterion
+# shim, the gate binary and their env knobs were deleted; a reference
+# creeping back into code, manifests or CI means a second, ungoverned
+# measurement system is growing again.
+if grep -rn 'criterion\|BENCH_JSON\|BENCH_GATE\|bench_gate' \
+    --include='*.rs' --include='*.toml' --include='*.sh' --include='*.yml' \
+    --exclude-dir=benchmark --exclude-dir=target --exclude-dir=.git . |
+    grep -v "^./ci.sh:.*grep -rn 'criterion"; then
+    echo "error: reference to the retired bench harness; measure through benchmark/" >&2
+    exit 1
+fi
+
+echo "==> public-surface lint (api-surface.txt matches the tree)"
+# Every `pub` item of the workspace crates and the umbrella, one line
+# each, test modules excluded (each file stops at its first
+# #[cfg(test)]). Growth or shrinkage of the public surface is a reviewed
+# decision: it shows up as a diff of the committed snapshot.
+mkdir -p target
+find crates/*/src src -name '*.rs' | while read -r f; do
+    sed '/#\[cfg(test)\]/q' "$f" | grep -v '^ *//' | tr -s '\n ' ' ' |
+        grep -oE 'pub (use [^;]+;|((const |async |unsafe )*fn|struct|enum|trait|type|const|static|mod) [A-Za-z0-9_]+)' |
+        sed "s|^|$f: |" || true
+done | LC_ALL=C sort > target/api-surface.txt
+if ! diff -u api-surface.txt target/api-surface.txt; then
+    echo "error: public surface changed; if intended: cp target/api-surface.txt api-surface.txt" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -96,51 +128,13 @@ echo "==> repo benchmark: unit tests + outputs-only smoke (benchmark/run.sh --qu
 (cd benchmark && cargo test -q --offline)
 benchmark/run.sh --quick
 
+# The overheads a workload benchmark cannot see (tracing on, cancel
+# token, deadline, cache probe at 6 000 supersets), as ratios against the
+# plain query measured in the same process. No baseline file: the bench
+# exits non-zero on its own when an arm is over its ceiling.
 if [[ "${1:-}" != "fast" ]]; then
-    echo "==> bench smoke (engine) -> BENCH_engine.json"
-    BENCH_SAMPLES="${BENCH_SAMPLES:-3}" BENCH_JSON="$PWD/BENCH_engine.json" \
-        cargo bench -q -p explore-bench --bench engine
-    echo "==> wrote $(wc -c < BENCH_engine.json) bytes of benchmark records"
-
-    echo "==> bench smoke (cache) -> BENCH_cache.json"
-    BENCH_SAMPLES="${BENCH_SAMPLES:-3}" BENCH_JSON="$PWD/BENCH_cache.json" \
-        cargo bench -q -p explore-bench --bench cache
-    echo "==> wrote $(wc -c < BENCH_cache.json) bytes of benchmark records"
-
-    echo "==> bench smoke (shard) -> BENCH_shard.json"
-    BENCH_SAMPLES="${BENCH_SAMPLES:-3}" BENCH_JSON="$PWD/BENCH_shard.json" \
-        cargo bench -q -p explore-bench --bench shard
-    echo "==> wrote $(wc -c < BENCH_shard.json) bytes of benchmark records"
-
-    echo "==> bench smoke (workload) -> BENCH_workload.json"
-    BENCH_SAMPLES="${BENCH_SAMPLES:-3}" BENCH_JSON="$PWD/BENCH_workload.json" \
-        cargo bench -q -p explore-bench --bench workload
-    echo "==> wrote $(wc -c < BENCH_workload.json) bytes of benchmark records"
-
-    echo "==> bench smoke (serve) -> BENCH_serve.json"
-    BENCH_SAMPLES="${BENCH_SAMPLES:-3}" BENCH_JSON="$PWD/BENCH_serve.json" \
-        cargo bench -q -p explore-bench --bench serve
-    echo "==> wrote $(wc -c < BENCH_serve.json) bytes of benchmark records"
-
-    echo "==> bench-check (engine vs bench/baselines)"
-    cargo run -q --release -p explore-bench --bin bench_gate -- \
-        BENCH_engine.json bench/baselines/BENCH_engine.json
-
-    echo "==> bench-check (cache vs bench/baselines)"
-    cargo run -q --release -p explore-bench --bin bench_gate -- \
-        BENCH_cache.json bench/baselines/BENCH_cache.json
-
-    echo "==> bench-check (shard vs bench/baselines)"
-    cargo run -q --release -p explore-bench --bin bench_gate -- \
-        BENCH_shard.json bench/baselines/BENCH_shard.json
-
-    echo "==> bench-check (workload vs bench/baselines)"
-    cargo run -q --release -p explore-bench --bin bench_gate -- \
-        BENCH_workload.json bench/baselines/BENCH_workload.json
-
-    echo "==> bench-check (serve vs bench/baselines)"
-    cargo run -q --release -p explore-bench --bin bench_gate -- \
-        BENCH_serve.json bench/baselines/BENCH_serve.json
+    echo "==> same-run overhead check (cargo bench --bench overheads)"
+    cargo bench -q -p explore-bench --bench overheads
 fi
 
 echo "==> CI green"

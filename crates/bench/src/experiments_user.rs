@@ -50,20 +50,28 @@ pub fn e7() {
     let (shared, t_shared) = timed(|| {
         recommend_shared(&t, &target, &views, 5, &mut s_shared, &QueryCtx::none()).expect("shared")
     });
-    let mut s_pruned = SeedbStats::default();
-    let (pruned, t_pruned) = timed(|| {
-        recommend_pruned(
-            &t,
-            &target,
-            &views,
-            5,
-            10,
-            70,
-            &mut s_pruned,
-            &QueryCtx::none(),
-        )
-        .expect("pruned")
-    });
+    // Pruned at 2 / 5 / 10 phases: a view can only be dropped at a
+    // phase boundary, so the phase count sets how early pruning bites.
+    let pruned_runs: Vec<_> = [2usize, 5, 10]
+        .into_iter()
+        .map(|phases| {
+            let mut stats = SeedbStats::default();
+            let (top, dt) = timed(|| {
+                recommend_pruned(
+                    &t,
+                    &target,
+                    &views,
+                    5,
+                    phases,
+                    70,
+                    &mut stats,
+                    &QueryCtx::none(),
+                )
+                .expect("pruned")
+            });
+            (phases, top, dt, stats)
+        })
+        .collect();
     println!(
         "{:>10} | {:>12} | {:>14} | {:>8} | {:>8}",
         "strategy", "latency", "agg ops", "pruned", "recall"
@@ -84,14 +92,16 @@ pub fn e7() {
         0,
         recall(&shared, &exact)
     );
-    println!(
-        "{:>10} | {:>12} | {:>14} | {:>8} | {:>8.2}",
-        "pruned",
-        us(t_pruned),
-        s_pruned.agg_ops,
-        s_pruned.pruned,
-        recall(&pruned, &exact)
-    );
+    for (phases, top, dt, stats) in &pruned_runs {
+        println!(
+            "{:>10} | {:>12} | {:>14} | {:>8} | {:>8.2}",
+            format!("pruned/{phases}"),
+            us(*dt),
+            stats.agg_ops,
+            stats.pruned,
+            recall(top, &exact)
+        );
+    }
     println!("\ntop views (exact):");
     for v in &exact {
         println!("   {:<28} utility {:.4}", v.spec.label(), v.utility);

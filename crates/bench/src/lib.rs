@@ -1,11 +1,15 @@
 //! # explore-bench
 //!
-//! The benchmark harness of the reproduction: one function per
+//! The experiment harness of the reproduction: one function per
 //! experiment in EXPERIMENTS.md, each printing the paper-shaped table or
 //! series for its technique family. The `reproduce` binary dispatches on
-//! experiment ids (`reproduce -e e1`, `reproduce --all`); the Criterion
-//! benches in `benches/` measure the same code paths under a proper
-//! statistical harness.
+//! experiment ids (`reproduce -e e1`, `reproduce --all`).
+//!
+//! Cross-commit performance numbers come from the repo benchmark
+//! (`BENCHMARK.json`, `benchmark/`), not from here. The one bench target,
+//! `benches/overheads.rs`, is a same-run ratio check of the overheads a
+//! workload benchmark cannot see (tracing on, cancel token, deadline,
+//! cache probe); [`over_ceiling`] is its verdict.
 
 pub mod experiments_db;
 pub mod experiments_mid;
@@ -29,6 +33,17 @@ pub fn us(v: f64) -> String {
     } else {
         format!("{v:.1}µs")
     }
+}
+
+/// The verdict of the same-run overhead check (`benches/overheads.rs`):
+/// given the `plain` arm's best time and each other arm's
+/// `(name, best time, ceiling)`, the names of the arms whose best time
+/// exceeds `ceiling × plain_ns`. Empty means the check passes.
+pub fn over_ceiling<'a>(plain_ns: u64, arms: &[(&'a str, u64, f64)]) -> Vec<&'a str> {
+    arms.iter()
+        .filter(|&&(_, ns, ceiling)| ns as f64 > ceiling * plain_ns as f64)
+        .map(|&(name, _, _)| name)
+        .collect()
 }
 
 /// The experiment registry: (id, title, runner).
@@ -132,6 +147,28 @@ mod tests {
         ids.dedup();
         assert_eq!(ids.len(), r.len());
         assert_eq!(r.len(), 19);
+    }
+
+    #[test]
+    fn over_ceiling_names_exactly_the_arms_past_their_ratio() {
+        // 10 ms plain: 3 % over passes a 1.05 ceiling, a 22 µs probe
+        // passes 0.5 %.
+        let within = [("obs_on", 10_300_000, 1.05), ("probe_6k", 22_000, 0.005)];
+        assert!(over_ceiling(10_000_000, &within).is_empty());
+        // A ceiling is inclusive; one nanosecond past it fails.
+        assert!(over_ceiling(10_000_000, &[("deadline", 10_500_000, 1.05)]).is_empty());
+        assert_eq!(
+            over_ceiling(10_000_000, &[("deadline", 10_500_001, 1.05)]),
+            ["deadline"]
+        );
+        // A 10 % tax on one arm and a slow probe fail by name; the
+        // healthy arm between them does not.
+        let taxed = [
+            ("obs_on", 11_000_000, 1.05),
+            ("cancel_token", 10_100_000, 1.05),
+            ("probe_6k", 60_000, 0.005),
+        ];
+        assert_eq!(over_ceiling(10_000_000, &taxed), ["obs_on", "probe_6k"]);
     }
 
     #[test]

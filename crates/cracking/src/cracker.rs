@@ -296,47 +296,6 @@ impl CrackerColumn {
         self.piece_sizes().into_iter().max().unwrap_or(0)
     }
 
-    /// Branch-free (predicated) variant of crack-in-two over an explicit
-    /// piece — the kernel question of "Database cracking: fancy scan,
-    /// not poor man's sort!" (Pirk et al., DaMoN'14 \[50\]): on modern
-    /// CPUs, replacing the partition loop's data-dependent branch with
-    /// predicated stores can beat the classic Hoare-style loop because
-    /// the branch predictor cannot learn a 50/50 pivot comparison.
-    /// Exposed for the `ablation_predication` bench; semantics are
-    /// identical to the branchy kernel (verified by tests).
-    ///
-    /// Does **not** register a boundary: callers must only partition
-    /// within a single existing piece (as
-    /// [`bound_position`](Self::bound_position) does) or on a fresh
-    /// column, otherwise the cracker-index invariant breaks.
-    pub fn crack_in_two_predicated(&mut self, start: usize, end: usize, pivot: i64) -> usize {
-        // Out-of-place predicated partition into a scratch buffer:
-        // write each element to either the advancing low cursor or the
-        // retreating high cursor, selected without a branch.
-        let len = end - start;
-        let mut scratch_v = vec![0i64; len];
-        let mut scratch_i = vec![0u32; len];
-        let mut lo = 0usize;
-        let mut hi = len;
-        for k in start..end {
-            let v = self.values[k];
-            let id = self.ids[k];
-            let is_low = (v < pivot) as usize;
-            // Predicated cursor select: write to lo when below the
-            // pivot, to hi-1 otherwise, then advance the chosen cursor.
-            let dst = if is_low == 1 { lo } else { hi - 1 };
-            scratch_v[dst] = v;
-            scratch_i[dst] = id;
-            lo += is_low;
-            hi -= 1 - is_low;
-        }
-        self.values[start..end].copy_from_slice(&scratch_v);
-        self.ids[start..end].copy_from_slice(&scratch_i);
-        self.stats.cracks += 1;
-        self.stats.touched += len as u64;
-        start + lo
-    }
-
     /// Crack an explicit piece around a pivot, recording the boundary.
     /// Exposed for the stochastic cracking strategies, which introduce
     /// extra data-driven pivots beyond the query bounds.
@@ -541,50 +500,5 @@ mod tests {
             c.query(a, a + 500);
         }
         assert!(c.max_piece() < before / 4);
-    }
-}
-
-#[cfg(test)]
-mod predication_tests {
-    use super::*;
-    use explore_storage::gen::uniform_i64;
-
-    #[test]
-    fn predicated_partition_matches_branchy_semantics() {
-        let base = uniform_i64(10_000, 0, 1000, 42);
-        let mut a = CrackerColumn::new(base.clone());
-        let mut b = CrackerColumn::new(base.clone());
-        let split_a = {
-            // Branchy path via the public bound API.
-            a.bound_position(500)
-        };
-        let split_b = b.crack_in_two_predicated(0, base.len(), 500);
-        assert_eq!(split_a, split_b, "same split position");
-        // Both sides hold the same multisets.
-        let sort = |v: &[i64]| {
-            let mut v = v.to_vec();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(sort(&a.values()[..split_a]), sort(&b.values()[..split_b]));
-        assert_eq!(sort(&a.values()[split_a..]), sort(&b.values()[split_b..]));
-        // Ids stay aligned with values in the predicated kernel too.
-        for (pos, &id) in b.ids().iter().enumerate() {
-            assert_eq!(b.values()[pos], base[id as usize]);
-        }
-    }
-
-    #[test]
-    fn predicated_partition_edge_pivots() {
-        let base = vec![5i64, 1, 9, 5, 3];
-        let mut c = CrackerColumn::new(base.clone());
-        assert_eq!(c.crack_in_two_predicated(0, 5, i64::MIN), 0);
-        let mut c = CrackerColumn::new(base.clone());
-        assert_eq!(c.crack_in_two_predicated(0, 5, i64::MAX), 5);
-        let mut c = CrackerColumn::new(base);
-        let s = c.crack_in_two_predicated(1, 4, 5); // sub-piece [1,4)
-        assert!((1..=4).contains(&s));
-        assert!(c.values()[1..s].iter().all(|&v| v < 5));
-        assert!(c.values()[s..4].iter().all(|&v| v >= 5));
     }
 }

@@ -44,9 +44,7 @@ pub mod render;
 pub mod span;
 pub mod tracer;
 
-pub use metrics::{
-    percentile_sorted, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
-};
+pub use metrics::{Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use policy::{ObsConfig, ObsPolicy};
 pub use render::{fmt_ns, render_trace};
 pub use span::{CacheOutcome, QueryTrace, Span, SpanId, SpanKind, ROOT_SPAN};

@@ -106,24 +106,6 @@ impl Histogram {
     }
 }
 
-/// Exact nearest-rank `q`-quantile (0.0–1.0) of an ascending-sorted
-/// slice of nanosecond observations; 0 when empty.
-///
-/// The [`Histogram`]'s power-of-two buckets are the right shape for an
-/// always-on metrics surface, but their quantiles snap to bucket
-/// midpoints — a value drifting across a bucket boundary *doubles*.
-/// Consumers that gate on a percentile (the workload driver's SLO
-/// records) keep the raw samples and use this instead, so regressions
-/// move the number continuously.
-pub fn percentile_sorted(sorted_ns: &[u64], q: f64) -> u64 {
-    if sorted_ns.is_empty() {
-        return 0;
-    }
-    debug_assert!(sorted_ns.windows(2).all(|w| w[0] <= w[1]));
-    let rank = (q.clamp(0.0, 1.0) * sorted_ns.len() as f64).ceil() as usize;
-    sorted_ns[rank.clamp(1, sorted_ns.len()) - 1]
-}
-
 /// Frozen summary of one histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HistogramSnapshot {
@@ -259,21 +241,6 @@ mod tests {
         let p99 = h.quantile(0.99);
         assert!((500..=1023).contains(&p99), "p99 {p99}");
         assert!(h.quantile(1.0) >= h.quantile(0.5));
-    }
-
-    #[test]
-    fn percentile_sorted_is_exact_nearest_rank() {
-        assert_eq!(percentile_sorted(&[], 0.95), 0);
-        assert_eq!(percentile_sorted(&[7], 0.0), 7);
-        assert_eq!(percentile_sorted(&[7], 1.0), 7);
-        let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile_sorted(&v, 0.50), 50);
-        assert_eq!(percentile_sorted(&v, 0.95), 95);
-        assert_eq!(percentile_sorted(&v, 0.99), 99);
-        assert_eq!(percentile_sorted(&v, 1.0), 100);
-        // Out-of-range quantiles clamp instead of indexing out of bounds.
-        assert_eq!(percentile_sorted(&v, -1.0), 1);
-        assert_eq!(percentile_sorted(&v, 2.0), 100);
     }
 
     #[test]

@@ -12,13 +12,14 @@
 //! no OS randomness, same seed ⇒ bit-identical trajectory — and
 //! [`WorkloadRunner`] replays N of them concurrently against one shared
 //! [`ExploreDb`](explore_core::ExploreDb) under any
-//! `ExecPolicy × CachePolicy × ShardPolicy`, timing every interaction
-//! against an SLO budget and digesting every answer. The
-//! [`WorkloadReport`] carries exact per-class latency percentiles, the
-//! violated-deadline rate, cache hit rate and throughput; its
+//! `ExecPolicy × CachePolicy × ShardPolicy`, holding every interaction
+//! to an SLO budget and digesting every answer. The
+//! [`WorkloadReport`] carries the counts — interactions per class,
+//! errors, SLO violations — and the result checksum; its
 //! [`deterministic`](WorkloadReport::deterministic) projection is a pure
 //! function of the [`WorkloadConfig`], which is what the determinism and
-//! chaos suites assert.
+//! chaos suites assert. Latency distributions and throughput are the
+//! repo benchmark's job (`benchmark/`), not this crate's.
 //!
 //! [`SplitMix64`]: explore_storage::rng::SplitMix64
 //!
@@ -44,7 +45,5 @@
 pub mod runner;
 pub mod spec;
 
-pub use runner::{
-    ClassStats, DeterministicReport, DriveMode, WorkloadConfig, WorkloadReport, WorkloadRunner,
-};
+pub use runner::{DeterministicReport, DriveMode, WorkloadConfig, WorkloadReport, WorkloadRunner};
 pub use spec::{Interaction, SessionSpec, GRID_CELLS};

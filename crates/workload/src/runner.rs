@@ -9,16 +9,13 @@
 //! pan sessions, which never touch the engine at all. `run` replays
 //! every [`SessionSpec`] and emits a [`WorkloadReport`].
 //!
-//! Each interaction's latency is accounted in two parts: **queueing
-//! delay** (zero in direct mode — there is no lock to wait on —
-//! run-queue wait in serve mode) and service time. The per-class
-//! percentiles cover the total — that is what the analyst feels — while
-//! [`ClassStats::mean_queue_ns`] / [`ClassStats::p95_queue_ns`] expose
-//! the scheduling share, so SLO accounting can separate an overloaded
-//! scheduler from a slow engine instead of blaming the query.
+//! The runner times each interaction only to decide whether it broke
+//! the SLO budget; latency distributions, queueing shares and
+//! throughput are the repo benchmark's job (`benchmark/`,
+//! `driver.*` / `serve.*` metrics), not this crate's.
 //!
-//! Determinism contract: wall-clock numbers (latencies, SLO violations,
-//! throughput) are *measured* and vary run to run, but everything in
+//! Determinism contract: the SLO-violation count is *measured* and
+//! varies run to run, but everything in
 //! [`WorkloadReport::deterministic`] — session/interaction/error counts,
 //! per-class counts, and the result `checksum` — is a pure function of
 //! the [`WorkloadConfig`] as long as no deadline or cancel cuts a query
@@ -30,7 +27,6 @@
 //! answer, whose order depends on how far cracking has converged).
 
 use std::collections::BTreeMap;
-use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -38,7 +34,6 @@ use explore_cache::{CachePolicy, ResultCache};
 use explore_core::{ExploreDb, SessionCtx};
 use explore_exec::ExecPolicy;
 use explore_fault::FailPoints;
-use explore_obs::{percentile_sorted, MetricsRegistry, MetricsSnapshot};
 use explore_prefetch::{CellAgg, GridIndex, PanSession, Viewport};
 use explore_serve::{ServeConfig, ServeEngine, Session as ServeSession};
 use explore_shard::ShardPolicy;
@@ -79,9 +74,6 @@ pub struct WorkloadConfig {
     pub exec: ExecPolicy,
     pub cache: CachePolicy,
     pub shard: ShardPolicy,
-    /// Idle time between interactions (human think time). Zero for
-    /// benchmarks.
-    pub think: Duration,
     /// Engine-enforced per-query deadline; `None` leaves queries uncut
     /// (required for a deterministic checksum).
     pub deadline: Option<Duration>,
@@ -104,30 +96,11 @@ impl Default for WorkloadConfig {
             exec: ExecPolicy::Serial,
             cache: CachePolicy::on(),
             shard: ShardPolicy::Off,
-            think: Duration::ZERO,
             deadline: None,
             budget: Duration::from_millis(50),
             mode: DriveMode::Direct,
         }
     }
-}
-
-/// Latency summary of one interaction class. Percentiles are exact
-/// (nearest-rank over the raw samples), not histogram-bucket estimates,
-/// so the bench gate sees continuous movement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ClassStats {
-    pub count: u64,
-    pub mean_ns: u64,
-    pub p50_ns: u64,
-    pub p95_ns: u64,
-    pub p99_ns: u64,
-    /// Mean queueing delay (zero in direct mode — the shared engine has
-    /// no lock to wait on — run-queue wait in serve mode) — the
-    /// scheduling share of `mean_ns`.
-    pub mean_queue_ns: u64,
-    /// p95 queueing delay (same separation as `mean_queue_ns`).
-    pub p95_queue_ns: u64,
 }
 
 /// The deterministic projection of a report: exactly the fields that
@@ -160,32 +133,11 @@ pub struct WorkloadReport {
     pub rejections: u64,
     /// Order-independent digest of every successful result.
     pub checksum: u64,
-    /// Per-class latency summaries, keyed by interaction kind.
-    pub classes: BTreeMap<String, ClassStats>,
-    /// Engine result-cache deltas over the run (includes pan cells when
-    /// the pan sessions share the engine cache).
-    pub cache_hits: u64,
-    pub cache_subsumption_hits: u64,
-    pub cache_misses: u64,
-    /// Wall-clock duration of the whole run.
-    pub elapsed_ns: u64,
-    /// The run's obs-registry snapshot (`workload.<class>` histograms).
-    pub obs: MetricsSnapshot,
+    /// Interactions attempted per class, keyed by interaction kind.
+    pub classes: BTreeMap<String, u64>,
 }
 
 impl WorkloadReport {
-    /// Fraction of cache lookups served (plain + subsumption), percent.
-    /// 0 when the cache saw no traffic.
-    pub fn cache_hit_rate_pct(&self) -> f64 {
-        let hits = self.cache_hits + self.cache_subsumption_hits;
-        let total = hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            100.0 * hits as f64 / total as f64
-        }
-    }
-
     /// Fraction of interactions that violated their budget, percent.
     pub fn violation_rate_pct(&self) -> f64 {
         if self.interactions == 0 {
@@ -195,20 +147,6 @@ impl WorkloadReport {
         }
     }
 
-    /// Completed interactions per wall-clock second.
-    pub fn throughput_per_sec(&self) -> f64 {
-        if self.elapsed_ns == 0 {
-            0.0
-        } else {
-            self.interactions as f64 * 1e9 / self.elapsed_ns as f64
-        }
-    }
-
-    /// One class's stats, if any interaction of that kind ran.
-    pub fn class(&self, kind: &str) -> Option<&ClassStats> {
-        self.classes.get(kind)
-    }
-
     /// The seed-reproducible projection (see the module docs).
     pub fn deterministic(&self) -> DeterministicReport {
         DeterministicReport {
@@ -216,49 +154,15 @@ impl WorkloadReport {
             interactions: self.interactions,
             errors: self.errors,
             checksum: self.checksum,
-            class_counts: self
-                .classes
-                .iter()
-                .map(|(k, v)| (k.clone(), v.count))
-                .collect(),
+            class_counts: self.classes.clone(),
         }
-    }
-}
-
-impl fmt::Display for WorkloadReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "workload: {} sessions × {} interactions  checksum={:016x}",
-            self.sessions,
-            self.interactions / self.sessions.max(1),
-            self.checksum
-        )?;
-        writeln!(
-            f,
-            "  throughput {:.0}/s  violations {:.1}%  errors {}  rejections {}  cache hit {:.1}%",
-            self.throughput_per_sec(),
-            self.violation_rate_pct(),
-            self.errors,
-            self.rejections,
-            self.cache_hit_rate_pct()
-        )?;
-        for (kind, c) in &self.classes {
-            writeln!(
-                f,
-                "  {kind:<8} n={:<5} mean={:<9} p50={:<9} p95={:<9} p99={:<9} queue(mean={}, p95={})",
-                c.count, c.mean_ns, c.p50_ns, c.p95_ns, c.p99_ns, c.mean_queue_ns, c.p95_queue_ns
-            )?;
-        }
-        Ok(())
     }
 }
 
 /// What one session replay brought home.
 struct SessionOutcome {
-    /// (class, total latency_ns, queue_ns, violated) per interaction,
-    /// in order. `queue_ns` is the scheduling share of the total.
-    latencies: Vec<(&'static str, u64, u64, bool)>,
+    /// (class, violated) per interaction, in order.
+    interactions: Vec<(&'static str, bool)>,
     errors: u64,
     /// Admission rejections this session absorbed (serve mode only).
     rejections: u64,
@@ -330,17 +234,6 @@ type InteractionOp = Box<dyn FnOnce(&ExploreDb) -> Result<u64> + Send>;
 enum Backend {
     Direct(Box<ExploreDb>),
     Serve(ServeEngine),
-}
-
-impl Backend {
-    /// Run `f` directly against the engine, outside any scheduling —
-    /// setup and stats reads.
-    fn with_engine<R>(&self, f: impl FnOnce(&ExploreDb) -> R) -> R {
-        match self {
-            Backend::Direct(db) => f(db),
-            Backend::Serve(engine) => engine.with_engine(f),
-        }
-    }
 }
 
 /// Replays seeded exploration sessions against one shared engine.
@@ -423,10 +316,6 @@ impl WorkloadRunner {
 
     /// Replay every session concurrently and summarize.
     pub fn run(&self) -> Result<WorkloadReport> {
-        let registry = MetricsRegistry::new();
-        let stats_before = self.backend.with_engine(|db| db.cache_stats());
-        let started = Instant::now();
-
         let workers = self.config.threads.max(1).min(self.specs.len().max(1));
         let outcomes: Vec<SessionOutcome> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
@@ -446,8 +335,6 @@ impl WorkloadRunner {
                 .flat_map(|h| h.join().expect("workload session thread panicked"))
                 .collect()
         });
-        let elapsed_ns = started.elapsed().as_nanos() as u64;
-        let stats_after = self.backend.with_engine(|db| db.cache_stats());
 
         // Combine sessions order-independently: thread scheduling must
         // not leak into the checksum.
@@ -456,41 +343,16 @@ impl WorkloadRunner {
             .fold(0u64, |acc, o| acc.wrapping_add(mix(o.digest)));
         let errors = outcomes.iter().map(|o| o.errors).sum();
         let rejections = outcomes.iter().map(|o| o.rejections).sum();
-        let mut samples: BTreeMap<&'static str, (Vec<u64>, Vec<u64>)> = BTreeMap::new();
+        let mut classes: BTreeMap<String, u64> = BTreeMap::new();
         let mut violations = 0u64;
         let mut interactions = 0u64;
         for o in &outcomes {
-            for &(kind, ns, queue_ns, violated) in &o.latencies {
+            for &(kind, violated) in &o.interactions {
                 interactions += 1;
                 violations += violated as u64;
-                registry.observe_ns(&format!("workload.{kind}"), ns);
-                registry.observe_ns(&format!("workload.{kind}.queue"), queue_ns);
-                let (totals, queues) = samples.entry(kind).or_default();
-                totals.push(ns);
-                queues.push(queue_ns);
+                *classes.entry(kind.to_owned()).or_default() += 1;
             }
         }
-        let classes = samples
-            .into_iter()
-            .map(|(kind, (mut ns, mut queue))| {
-                ns.sort_unstable();
-                queue.sort_unstable();
-                let sum: u64 = ns.iter().sum();
-                let queue_sum: u64 = queue.iter().sum();
-                (
-                    kind.to_owned(),
-                    ClassStats {
-                        count: ns.len() as u64,
-                        mean_ns: sum / ns.len() as u64,
-                        p50_ns: percentile_sorted(&ns, 0.50),
-                        p95_ns: percentile_sorted(&ns, 0.95),
-                        p99_ns: percentile_sorted(&ns, 0.99),
-                        mean_queue_ns: queue_sum / queue.len() as u64,
-                        p95_queue_ns: percentile_sorted(&queue, 0.95),
-                    },
-                )
-            })
-            .collect();
 
         Ok(WorkloadReport {
             sessions: self.specs.len() as u64,
@@ -500,11 +362,6 @@ impl WorkloadRunner {
             rejections,
             checksum,
             classes,
-            cache_hits: stats_after.hits - stats_before.hits,
-            cache_subsumption_hits: stats_after.subsumption_hits - stats_before.subsumption_hits,
-            cache_misses: stats_after.misses - stats_before.misses,
-            elapsed_ns,
-            obs: registry.snapshot(),
         })
     }
 
@@ -542,31 +399,25 @@ impl WorkloadRunner {
     }
 
     /// Run one engine-backed interaction through the active backend.
-    /// Returns the digest outcome and the queueing delay (always zero
-    /// in direct mode — the query path is `&self`, there is no lock to
-    /// wait on — run-queue wait in serve mode). Serve-mode admission
-    /// rejections are counted and retried after yielding — truth is
-    /// always re-served.
+    /// Serve-mode admission rejections are counted and retried after
+    /// yielding — truth is always re-served.
     fn dispatch(
         &self,
         session: Option<&ServeSession>,
         overlay: &SessionCtx,
         it: &Interaction,
         rejections: &mut u64,
-    ) -> (Result<u64>, u64) {
+    ) -> Result<u64> {
         match session {
             Some(s) => loop {
                 let op = Self::interaction_op(it).expect("pan never dispatches");
                 match s.submit(op) {
-                    Ok(ticket) => {
-                        let outcome = ticket.wait();
-                        break (outcome, ticket.queue_ns());
-                    }
+                    Ok(ticket) => break ticket.wait(),
                     Err(StorageError::Overloaded { .. }) => {
                         *rejections += 1;
                         std::thread::yield_now();
                     }
-                    Err(e) => break (Err(e), 0),
+                    Err(e) => break Err(e),
                 }
             },
             None => {
@@ -574,7 +425,7 @@ impl WorkloadRunner {
                 let Backend::Direct(db) = &self.backend else {
                     unreachable!("direct dispatch without a serve session")
                 };
-                (db.with_session(overlay, |db| op(db)), 0)
+                db.with_session(overlay, |db| op(db))
             }
         }
     }
@@ -600,28 +451,23 @@ impl WorkloadRunner {
             w: 4,
             h: 4,
         };
-        let budget_ns = self.config.budget.as_nanos() as u64;
-        let mut latencies = Vec::with_capacity(spec.interactions.len());
+        let mut interactions = Vec::with_capacity(spec.interactions.len());
         let mut errors = 0u64;
         let mut rejections = 0u64;
         let mut digest = 0xD16E_5700_0000_0000u64 ^ mix(spec.session);
         for it in &spec.interactions {
-            if !self.config.think.is_zero() {
-                std::thread::sleep(self.config.think);
-            }
             let start = Instant::now();
-            let (outcome, queue_ns): (Result<u64>, u64) = match *it {
+            let outcome: Result<u64> = match *it {
                 Interaction::Pan { dx, dy, resize } => {
                     vp.cx = (vp.cx + dx).clamp(0, GRID_CELLS - 1);
                     vp.cy = (vp.cy + dy).clamp(0, GRID_CELLS - 1);
                     vp.w = (vp.w as i64 + resize).clamp(2, 6) as usize;
                     vp.h = (vp.h as i64 + resize).clamp(2, 6) as usize;
-                    (pan.view(vp).map(|cells| cells_digest(&cells)), 0)
+                    pan.view(vp).map(|cells| cells_digest(&cells))
                 }
                 _ => self.dispatch(serve_session.as_ref(), &overlay, it, &mut rejections),
             };
-            let ns = start.elapsed().as_nanos() as u64;
-            let mut violated = ns > budget_ns;
+            let mut violated = start.elapsed() > self.config.budget;
             match outcome {
                 Ok(d) => digest = fold(digest, d),
                 Err(e) => {
@@ -631,10 +477,10 @@ impl WorkloadRunner {
                     }
                 }
             }
-            latencies.push((it.kind(), ns, queue_ns, violated));
+            interactions.push((it.kind(), violated));
         }
         SessionOutcome {
-            latencies,
+            interactions,
             errors,
             rejections,
             digest,
@@ -664,17 +510,7 @@ mod tests {
         assert_eq!(report.sessions, 3);
         assert_eq!(report.interactions, 36);
         assert_eq!(report.errors, 0);
-        let class_total: u64 = report.classes.values().map(|c| c.count).sum();
-        assert_eq!(class_total, 36);
-        for (kind, c) in &report.classes {
-            assert!(c.p50_ns <= c.p95_ns && c.p95_ns <= c.p99_ns, "{kind}");
-            let h = report
-                .obs
-                .histogram(&format!("workload.{kind}"))
-                .expect("observed into obs histogram");
-            assert_eq!(h.count, c.count);
-        }
-        assert!(report.throughput_per_sec() > 0.0);
+        assert_eq!(report.classes.values().sum::<u64>(), 36);
     }
 
     #[test]
@@ -690,16 +526,6 @@ mod tests {
             c.deterministic().checksum,
             "different seed must explore different results"
         );
-    }
-
-    #[test]
-    fn refinement_hits_the_cache() {
-        let report = WorkloadRunner::new(quick_config()).unwrap().run().unwrap();
-        assert!(
-            report.cache_hits + report.cache_subsumption_hits > 0,
-            "refine/pan traffic should hit the shared cache: {report}"
-        );
-        assert!(report.cache_hit_rate_pct() > 0.0);
     }
 
     #[test]
@@ -735,24 +561,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_delay_is_reported_as_its_own_field() {
-        let report = WorkloadRunner::new(quick_config()).unwrap().run().unwrap();
-        for (kind, c) in &report.classes {
-            assert!(
-                c.mean_queue_ns <= c.mean_ns,
-                "{kind}: queueing delay is a share of the total"
-            );
-            let h = report
-                .obs
-                .histogram(&format!("workload.{kind}.queue"))
-                .expect("queue histogram recorded per class");
-            assert_eq!(h.count, c.count);
-        }
-        // Pan sessions never queue on the engine.
-        assert_eq!(report.class("pan").map(|c| c.mean_queue_ns), Some(0));
-    }
-
-    #[test]
     fn report_math_handles_empty_runs() {
         let cfg = WorkloadConfig {
             sessions: 0,
@@ -763,6 +571,5 @@ mod tests {
         let report = WorkloadRunner::new(cfg).unwrap().run().unwrap();
         assert_eq!(report.interactions, 0);
         assert_eq!(report.violation_rate_pct(), 0.0);
-        assert_eq!(report.cache_hit_rate_pct(), 0.0);
     }
 }

@@ -156,6 +156,24 @@ fn taxonomy_table_renders() {
     assert_eq!(exploration::table1().len(), 14);
 }
 
+/// The two technique crates the `ExploreDb` facade never calls are
+/// reachable only through their umbrella aliases; nothing else in the
+/// test suite would notice those vanishing.
+#[test]
+fn umbrella_aliases_reach_layout_and_series() {
+    use exploration::layout::AdaptiveStore;
+    use exploration::series::{random_walks, BuildMode, SeriesIndex};
+
+    let store = AdaptiveStore::new(sales_table(&SalesConfig {
+        rows: 100,
+        ..SalesConfig::default()
+    }));
+    assert_eq!(store.builds(), 0);
+    let walks = random_walks(32, 16, 7);
+    let mut index = SeriesIndex::build(walks.clone(), 4, 8, BuildMode::Adaptive);
+    assert_eq!(index.nn(&walks[3]).0, 3);
+}
+
 #[test]
 fn error_paths_surface_cleanly() {
     let db = sales_db(100);

@@ -40,7 +40,6 @@ fn base_config(seed: u64) -> WorkloadConfig {
         exec: ExecPolicy::Serial,
         cache: CachePolicy::on(),
         shard: ShardPolicy::Off,
-        think: Duration::ZERO,
         deadline: None,
         budget: Duration::from_millis(50),
         mode: DriveMode::Direct,
