@@ -66,6 +66,17 @@ if grep -nE 'RwLock<(Exec|Cache|Shard|Obs|Error)Policy>' crates/core/src/engine.
     exit 1
 fi
 
+echo "==> single-store lint (a table's rows live in its ShardedTable and nowhere else)"
+# TableState owns row data through one field, an Arc<ShardedTable> whose
+# one-shard case is the registered Arc<Table> itself (DESIGN.md §11/§14).
+# A bare table slot beside it, or a "mirror" of anything, is the
+# canonical-twin design coming back: two copies, a dual write and a lock
+# level to keep them from diverging.
+if grep -nE 'RwLock<Arc<Table>>|mirror' crates/core/src/engine.rs; then
+    echo "error: second row store in engine.rs; the ShardedTable is the table" >&2
+    exit 1
+fi
+
 echo "==> one-measurement-authority lint (the retired bench harness stays retired)"
 # benchmark/ is the only source of a cross-commit number. The Criterion
 # shim, the gate binary and their env knobs were deleted; a reference

@@ -19,14 +19,16 @@
 //! particular) run queries concurrently over one `ExploreDb`. The
 //! catalog maps table names to [`Arc`]-shared per-table state; a query
 //! clones the `Arc`s it needs under a brief catalog read lock and runs
-//! lock-free thereafter against an immutable `Table` snapshot.
-//! Mutations take the owning table's write lock (and, for sharded
-//! tables, the owning shards' write locks), bump epochs exactly as the
-//! serialized engine did, and never block queries on *other* tables.
+//! lock-free thereafter against immutable `Table` snapshots. Each
+//! table's rows live in exactly one place, its `ShardedTable` (one
+//! shard unless the shard policy splits it); a mutation is one routed
+//! write into that store under the table's writer mutex and the owning
+//! shards' write locks, bumps epochs exactly as the serialized engine
+//! did, and never blocks queries on *other* tables.
 //!
-//! Lock ordering is strictly catalog → table data → sharded-mirror slot
-//! → shards (ascending) → cracker map, which makes deadlock impossible
-//! by construction (DESIGN.md §14). Epochs are read **before** data
+//! Lock ordering is strictly catalog → store (writer mutex, then the
+//! store slot) → shards (ascending), which makes deadlock impossible by
+//! construction (DESIGN.md §14). Epochs are read **before** data
 //! snapshots, so a racing mutation can only make a cache admission die
 //! young, never go stale.
 //!
@@ -42,14 +44,12 @@
 //! that owns the trace, the stage span and the `cancel.*` accounting.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use explore_aqp::{
     Bound, BoundedAnswer, BoundedExecutor, OnlineAggregation, SynopsisAnswer, SynopsisStore,
 };
 use explore_cache::{CachePolicy, CacheStats, ResultCache};
-use explore_cracking::ConcurrentCracker;
 use explore_cube::{CubeSession, DataCube, DiscoveryView};
 use explore_exec::{ExecPolicy, QueryCtx};
 use explore_fault::{CancelToken, FailPoints, Observer};
@@ -71,41 +71,39 @@ use crate::session::SessionCtx;
 /// since replaced.
 #[derive(Debug)]
 struct TableState {
-    /// The canonical table. Readers clone the `Arc` under a brief read
-    /// lock and run against that immutable snapshot; mutations hold the
-    /// write lock across the sharded-mirror write so the two copies
-    /// never diverge observably.
-    data: RwLock<Arc<Table>>,
-    /// Adaptive range indexes, keyed by column. Crackers reorganize
-    /// under their own internal locks; this map only guards presence.
-    crackers: Mutex<HashMap<String, Arc<ConcurrentCracker>>>,
-    /// The sharded mirror, present while the shard policy is on.
-    sharded: RwLock<Option<Arc<ShardedTable>>>,
-    /// Bumped under the data write lock after every data change.
-    /// `ensure_cracker` re-checks it before installing a freshly built
-    /// cracker, so an index built from a snapshot that a mutation has
-    /// since replaced is served once and never installed.
-    generation: AtomicU64,
+    /// The rows — the table's only copy — with their per-shard adaptive
+    /// indexes. Readers clone the `Arc` under a brief read lock and take
+    /// immutable snapshots from the store; writes route into it in
+    /// place. The slot itself is replaced only when the rows are laid
+    /// out afresh (re-registration, shard-policy change).
+    store: RwLock<Arc<ShardedTable>>,
+    /// The table's writer mutex, and the one thing derived from the rows
+    /// that it guards: the whole-table view of a multi-shard store, a
+    /// concatenation of one snapshot that whole-table consumers share
+    /// until the next write clears it. Building it under the mutex is
+    /// what keeps a racing write from leaving a stale view behind.
+    whole: Mutex<Option<Arc<Table>>>,
 }
 
 impl TableState {
-    fn new(table: Arc<Table>) -> Self {
-        TableState {
-            data: RwLock::new(table),
-            crackers: Mutex::new(HashMap::new()),
-            sharded: RwLock::new(None),
-            generation: AtomicU64::new(0),
+    /// The current row store.
+    fn store(&self) -> Arc<ShardedTable> {
+        Arc::clone(&self.store.read())
+    }
+
+    /// An immutable snapshot of the whole table: the one shard's own
+    /// `Arc`, or the shared concatenation of a multi-shard store.
+    fn whole(&self) -> Arc<Table> {
+        let mut whole = self.whole.lock();
+        if let Some(t) = &*whole {
+            return Arc::clone(t);
         }
-    }
-
-    /// The current immutable data snapshot.
-    fn snapshot(&self) -> Arc<Table> {
-        Arc::clone(&self.data.read())
-    }
-
-    /// The current sharded mirror, if any.
-    fn mirror(&self) -> Option<Arc<ShardedTable>> {
-        self.sharded.read().as_ref().map(Arc::clone)
+        let snap = self.store().snapshot();
+        let t = snap.to_table();
+        if snap.shard_count() > 1 {
+            *whole = Some(Arc::clone(&t));
+        }
+        t
     }
 }
 
@@ -259,17 +257,18 @@ impl ExploreDb {
         db
     }
 
-    /// Turn table sharding on or off (and retune it). `On` mirrors every
+    /// Turn table sharding on or off (and retune it). `On` splits every
     /// registered in-memory table into contiguous row-range shards, each
     /// with its own cracker state and cache-epoch scope; queries fan out
     /// per shard and merge bit-identically to the unsharded engine (see
-    /// `explore_shard`). `Off` drops the mirrors — the canonical tables
-    /// in the catalog were authoritative all along.
+    /// `explore_shard`). `Off` lays every table out as one shard again.
+    /// Either way the rows move, they are never duplicated, and adaptive
+    /// indexes restart from the new layout.
     pub fn set_shard_policy(&self, policy: ShardPolicy) {
         self.shared.config.write().shard = policy;
         let states = self.shared.catalog.read().clone();
         for (name, st) in states {
-            self.rebuild_shards(&st, &name);
+            self.reshard(&st, &name, None);
         }
     }
 
@@ -279,33 +278,33 @@ impl ExploreDb {
     }
 
     /// Per-shard layout, epoch, and index statistics for a table, or
-    /// `None` when the table has no sharded mirror (policy off, raw
-    /// table, or unknown name).
+    /// `None` when the table is not split (one shard: policy off or too
+    /// few rows; also a raw table or an unknown name).
     pub fn shard_stats(&self, table: &str) -> Option<Vec<ShardStats>> {
-        let st = self.shared.catalog.read().get(table).cloned()?;
-        let mirror = st.mirror()?;
-        Some(mirror.stats(|i| self.shared.result_cache.epoch(&scoped_name(table, i))))
+        let store = self.shared.catalog.read().get(table)?.store();
+        let epoch_of = |i| self.shared.result_cache.epoch(&scoped_name(table, i));
+        (store.shard_count() > 1).then(|| store.stats(epoch_of))
     }
 
-    /// (Re)build `table`'s sharded mirror from the canonical snapshot,
-    /// installing it (or `None`, policy off) in the table's mirror slot.
-    /// Bumps every shard-scope epoch the change touches — the union of
-    /// the old and new shard ranges — so cache entries under scoped
-    /// names from any earlier sharding era, including one the policy was
-    /// toggled across, never survive into the new mirror.
-    fn rebuild_shards(&self, st: &TableState, name: &str) {
+    /// Lay `name`'s rows out afresh under the current shard policy:
+    /// `replacement` when re-registering, else the concatenation of the
+    /// current shards. Holds the table's writer mutex across the swap,
+    /// then bumps every shard-scope epoch the change touches — the union
+    /// of the old and new shard ranges — so cache entries under scoped
+    /// names from any earlier layout never survive into the new one.
+    fn reshard(&self, st: &TableState, name: &str, replacement: Option<Arc<Table>>) {
         let policy = self.shard_policy();
-        let old_count = st.mirror().map_or(0, |m| m.shard_count());
-        let mirror = match &policy {
-            ShardPolicy::On(config) => {
-                let data = st.snapshot();
-                Some(Arc::new(ShardedTable::build(name, &data, config)))
-            }
-            _ => None,
+        let (old, new) = {
+            let mut whole = st.whole.lock();
+            let view = whole.take();
+            let rows = replacement
+                .or(view)
+                .unwrap_or_else(|| st.store().snapshot().to_table());
+            let new = Arc::new(ShardedTable::from_arc(name, rows, &policy));
+            let old = std::mem::replace(&mut *st.store.write(), Arc::clone(&new));
+            (old, new)
         };
-        let new_count = mirror.as_ref().map_or(0, |m| m.shard_count());
-        *st.sharded.write() = mirror;
-        for s in 0..old_count.max(new_count) {
+        for s in 0..old.shard_count().max(new.shard_count()) {
             self.shared.result_cache.bump_epoch(&scoped_name(name, s));
         }
     }
@@ -319,7 +318,7 @@ impl ExploreDb {
 
     /// Turn query tracing and metrics on or off. `On` makes every
     /// [`ExploreDb::query`] record a span tree into the recent-trace
-    /// ring and mirror engine counters into the metrics registry; `Off`
+    /// ring and copy engine counters into the metrics registry; `Off`
     /// (the default) stops recording but keeps what was collected.
     /// Either way results are bit-identical — observability never
     /// changes what executes.
@@ -328,7 +327,7 @@ impl ExploreDb {
         obs.set_policy(&policy);
         let metrics = policy.is_on().then(|| obs.metrics());
         self.shared.result_cache.set_metrics(metrics);
-        // Mirror fault trips and degradation/cancellation events into
+        // Copy fault trips and degradation/cancellation events into
         // the metrics registry as `fault.*` / `cancel.*` counters.
         faults.set_observer(policy.is_on().then(|| {
             let metrics = obs.metrics();
@@ -420,51 +419,40 @@ impl ExploreDb {
         self.shared.result_cache.epoch(table)
     }
 
-    /// Record that `table`'s data changed through a channel the engine
-    /// did not see: bumps the cache epoch (so no pre-mutation result is
-    /// ever served again) — every shard-scope epoch included — drops the
-    /// table's adaptive indexes, which mirror the old data, and rebuilds
-    /// the sharded mirror from the canonical copy. The mutation APIs
-    /// below route mutations precisely instead (bumping only the owning
-    /// shard's epoch); callers that mutate through other channels get
-    /// this conservative whole-table invalidation.
+    /// Conservative whole-table invalidation: bumps the table's cache
+    /// epoch and every shard-scope epoch (so no earlier result is ever
+    /// served again) and drops the table's adaptive indexes. The engine
+    /// never needs it — rows sit behind immutable `Arc` snapshots that
+    /// only the mutation APIs below replace, and those invalidate
+    /// precisely (only the owning shards' epochs and indexes) — so this
+    /// is for callers whose own derived state went stale and who want
+    /// the engine's to restart with it.
     pub fn note_mutation(&self, table: &str) {
-        self.shared.result_cache.bump_epoch(table);
-        let st = self.shared.catalog.read().get(table).cloned();
-        if let Some(st) = st {
-            {
-                // Hold the data lock across the generation bump so a
-                // concurrent `ensure_cracker` can never install an
-                // index built from the superseded snapshot.
-                let _guard = st.data.write();
-                st.generation.fetch_add(1, Ordering::SeqCst);
-            }
-            st.crackers.lock().clear();
-            self.rebuild_shards(&st, table);
+        if let Some(st) = self.shared.catalog.read().get(table).cloned() {
+            let store = st.store();
+            self.note_shard_epochs(table, &store, 0..store.shard_count());
+            store.drop_indexes();
+        } else {
+            self.shared.result_cache.bump_epoch(table);
         }
     }
 
-    /// Whole-table invalidation: base epoch, every current shard-scope
-    /// epoch, and the table's adaptive indexes.
-    fn invalidate_table(&self, table: &str) {
+    /// Record a change to the `mutated` shards of `store`: bump the base
+    /// epoch (whole-table results die) and, where the store fans out,
+    /// only those shards' scope epochs — the other shards' cached
+    /// results are still exact, and keeping them live is the payoff of
+    /// sharding. A one-shard store is queried under the base name alone.
+    fn note_shard_epochs(
+        &self,
+        table: &str,
+        store: &ShardedTable,
+        mutated: impl IntoIterator<Item = usize>,
+    ) {
         self.shared.result_cache.bump_epoch(table);
-        if let Some(st) = self.shared.catalog.read().get(table).cloned() {
-            let count = st.mirror().map_or(0, |m| m.shard_count());
-            for s in 0..count {
+        if store.shard_count() > 1 {
+            for s in mutated {
                 self.shared.result_cache.bump_epoch(&scoped_name(table, s));
             }
-            st.crackers.lock().clear();
-        }
-    }
-
-    /// Record a mutation the sharded mirror (if any) already absorbed in
-    /// place: bump the base epoch (whole-table results die) and only the
-    /// `mutated` shards' scope epochs — the other shards' cached results
-    /// are still exact, and keeping them live is the payoff of sharding.
-    fn note_shard_epochs(&self, table: &str, mutated: &[usize]) {
-        self.shared.result_cache.bump_epoch(table);
-        for &s in mutated {
-            self.shared.result_cache.bump_epoch(&scoped_name(table, s));
         }
     }
 
@@ -494,7 +482,9 @@ impl ExploreDb {
         Ok(())
     }
 
-    /// Register an in-memory table (a `Table` or an `Arc<Table>`).
+    /// Register an in-memory table (a `Table` or an `Arc<Table>`). The
+    /// engine takes the rows over: unsharded it keeps the `Arc` it was
+    /// given (no copy), sharded it splits them and lets the `Arc` go.
     /// Re-registering an existing name is a mutation: the old name's
     /// cache entries are invalidated and its adaptive indexes dropped.
     pub fn register(&self, name: impl Into<String>, table: impl Into<Arc<Table>>) {
@@ -503,65 +493,61 @@ impl ExploreDb {
         let existing = self.shared.catalog.read().get(&name).cloned();
         match existing {
             Some(st) => {
-                {
-                    // Data first, bump second: a reader that saw the old
-                    // epoch gets either old data (fine) or new data
-                    // admitted under the old epoch (dies at the bump) —
-                    // never new-epoch/old-data.
-                    let mut data = st.data.write();
-                    *data = table;
-                    st.generation.fetch_add(1, Ordering::SeqCst);
-                }
-                st.crackers.lock().clear();
-                self.rebuild_shards(&st, &name);
+                // Data first, bump second: a reader that saw the old
+                // epoch gets either old data (fine) or new data
+                // admitted under the old epoch (dies at the bump) —
+                // never new-epoch/old-data.
+                self.reshard(&st, &name, Some(table));
                 self.shared.result_cache.bump_epoch(&name);
             }
             None => {
-                let st = Arc::new(TableState::new(table));
-                self.rebuild_shards(&st, &name);
-                self.shared.catalog.write().insert(name, st);
+                let store = ShardedTable::from_arc(name.as_str(), table, &self.shard_policy());
+                let st = TableState {
+                    store: RwLock::new(Arc::new(store)),
+                    whole: Mutex::new(None),
+                };
+                self.shared.catalog.write().insert(name, Arc::new(st));
             }
         }
     }
 
-    /// Append one row of dynamic values to an in-memory table.
-    pub fn push_row(&self, table: &str, values: Vec<Value>) -> Result<()> {
+    /// One routed write: run `f` against `table`'s store under the
+    /// table's writer mutex — writers to one table serialize, so `f` may
+    /// derive its write from a snapshot it takes — then clear the
+    /// whole-table view and bump the epochs of the shards `f` reports it
+    /// changed. Data first, epochs second; a write that changed nothing
+    /// is not a mutation.
+    fn write<T>(
+        &self,
+        table: &str,
+        f: impl FnOnce(&ShardedTable) -> Result<(T, Vec<usize>)>,
+    ) -> Result<T> {
         self.fire_table_write()?;
         let st = self.table_state(table)?;
-        let mutated = {
-            let mut data = st.data.write();
-            // The canonical write validates; the mirror's schema is
-            // identical, so the dual-write below routes to the owning
-            // (last) shard and cannot fail after this point.
-            Arc::make_mut(&mut *data).push_row(values.clone())?;
-            st.generation.fetch_add(1, Ordering::SeqCst);
-            match st.mirror() {
-                Some(m) => Some(m.push_row(values)?),
-                None => None,
+        let (store, out, mutated) = {
+            let mut whole = st.whole.lock();
+            let store = st.store();
+            let (out, mutated) = f(&store)?;
+            if !mutated.is_empty() {
+                *whole = None;
             }
+            (store, out, mutated)
         };
-        st.crackers.lock().clear();
-        self.note_shard_epochs(table, mutated.as_slice());
-        Ok(())
+        if !mutated.is_empty() {
+            self.note_shard_epochs(table, &store, mutated);
+        }
+        Ok(out)
+    }
+
+    /// Append one row of dynamic values to an in-memory table.
+    pub fn push_row(&self, table: &str, values: Vec<Value>) -> Result<()> {
+        self.write(table, |store| Ok(((), vec![store.push_row(values)?])))
     }
 
     /// Append all rows of `rows` (identical schema) to an in-memory
     /// table.
     pub fn append_rows(&self, table: &str, rows: &Table) -> Result<()> {
-        self.fire_table_write()?;
-        let st = self.table_state(table)?;
-        let mutated = {
-            let mut data = st.data.write();
-            Arc::make_mut(&mut *data).append(rows)?;
-            st.generation.fetch_add(1, Ordering::SeqCst);
-            match st.mirror() {
-                Some(m) => Some(m.append_rows(rows)?),
-                None => None,
-            }
-        };
-        st.crackers.lock().clear();
-        self.note_shard_epochs(table, mutated.as_slice());
-        Ok(())
+        self.write(table, |store| Ok(((), vec![store.append_rows(rows)?])))
     }
 
     /// Set `column = value` on every row matching `predicate`; returns
@@ -574,12 +560,21 @@ impl ExploreDb {
         column: &str,
         value: Value,
     ) -> Result<usize> {
-        self.fire_table_write()?;
-        let st = self.table_state(table)?;
-        let (changed, mutated) = {
-            let mut data = st.data.write();
-            let sel = predicate.evaluate(&data)?;
-            let expected = data.column(column)?.data_type();
+        self.write(table, |store| {
+            // The global selection, from the store's own snapshot: each
+            // shard's matches offset to global row ids, ascending. The
+            // snapshot is let go before the write, which would otherwise
+            // have to copy every shard it touches.
+            let (sel, expected) = {
+                let snap = store.snapshot();
+                let mut sel = Vec::new();
+                for s in 0..snap.shard_count() {
+                    let start = snap.range(s).start as u32;
+                    let local = predicate.evaluate(snap.table(s))?;
+                    sel.extend(local.into_iter().map(|row| start + row));
+                }
+                (sel, snap.table(0).column(column)?.data_type())
+            };
             let compatible = matches!(
                 (expected, &value),
                 (DataType::Int64, Value::Int(_))
@@ -594,22 +589,10 @@ impl ExploreDb {
                 });
             }
             if sel.is_empty() {
-                return Ok(0);
+                return Ok((0, Vec::new()));
             }
-            let t = Arc::make_mut(&mut *data);
-            for &row in &sel {
-                t.set_cell(column, row as usize, value.clone())?;
-            }
-            st.generation.fetch_add(1, Ordering::SeqCst);
-            let mutated = match st.mirror() {
-                Some(m) => Some(m.update_where(&sel, column, &value)?),
-                None => None,
-            };
-            (sel.len(), mutated)
-        };
-        st.crackers.lock().clear();
-        self.note_shard_epochs(table, mutated.as_deref().unwrap_or_default());
-        Ok(changed)
+            Ok((sel.len(), store.update_where(&sel, column, &value)?))
+        })
     }
 
     /// Attach a raw CSV file; queries against it run through the NoDB
@@ -634,7 +617,7 @@ impl ExploreDb {
     /// immutable: later mutations replace the table's `Arc`, they never
     /// write through one you already hold.
     pub fn table(&self, name: &str) -> Result<Arc<Table>> {
-        Ok(self.table_state(name)?.snapshot())
+        Ok(self.table_state(name)?.whole())
     }
 
     /// Run an exact query, routing to the right storage path. With
@@ -699,7 +682,7 @@ impl ExploreDb {
     /// context; start a trace when observability is on for this call
     /// (or `force`d — `explain`); run `body`; record `stage`'s span over
     /// it and bump its counter; finish the trace; count a cancelled or
-    /// expired outcome as a `cancel.*` event (mirrored into obs metrics
+    /// expired outcome as a `cancel.*` event (copied into obs metrics
     /// when observability is on).
     fn call_traced<T>(
         &self,
@@ -731,11 +714,12 @@ impl ExploreDb {
     /// The routing core of [`ExploreDb::query`], shared with
     /// [`ExploreDb::explain`]: raw tables go through the adaptive
     /// loader (recorded as one raw-load span), in-memory tables through
-    /// the cache or the plain executor. In-memory reads clone the
-    /// table's `Arc` snapshot and run lock-free; the cache-admission
-    /// epoch is read *before* the snapshot (see
-    /// `explore_cache::cached_query_at_epoch` for why that order is the
-    /// sound one).
+    /// the cache or the plain executor — directly on the one shard of an
+    /// unsplit table, under the base table name, or fanned out over the
+    /// shards of a split one. In-memory reads run lock-free against a
+    /// snapshot of the store; the cache-admission epoch is read *before*
+    /// the snapshot (see `explore_cache::cached_query_at_epoch` for why
+    /// that order is the sound one).
     fn run_routed(&self, table: &str, query: &Query, c: &Call) -> Result<Table> {
         let ctx = &c.ctx;
         // An already-cancelled or expired token fails before routing —
@@ -749,18 +733,19 @@ impl ExploreDb {
                 None => loader.query(query, ctx),
             };
         }
-        let st = self.table_state(table)?;
+        let store = self.table_state(table)?.store();
         let cache = c.cache_on.then_some(&*self.shared.result_cache);
-        if let Some(m) = st.mirror() {
-            return run_sharded_query(&m, cache, query, ctx);
+        if store.shard_count() > 1 {
+            return run_sharded_query(&store, cache, query, ctx);
         }
         match cache {
             Some(cache) => {
                 let epoch = cache.epoch(table);
-                let base = st.snapshot();
-                explore_cache::cached_query_at_epoch(cache, &base, table, query, ctx, epoch)
+                let snap = store.snapshot();
+                let base = snap.table(0);
+                explore_cache::cached_query_at_epoch(cache, base, table, query, ctx, epoch)
             }
-            None => explore_exec::run_query(&st.snapshot(), query, ctx),
+            None => explore_exec::run_query(store.snapshot().table(0), query, ctx),
         }
     }
 
@@ -784,10 +769,10 @@ impl ExploreDb {
     /// own lock (lookups that hit an existing piece don't block each
     /// other).
     ///
-    /// A sharded table cracks per shard: each shard cracks its own copy
-    /// of the column independently, and matching global row ids come
-    /// back concatenated in shard order — cracked (physical) order
-    /// within each shard, like the unsharded path.
+    /// Cracking is per shard: each shard of the table cracks its own
+    /// copy of the column independently, and matching global row ids
+    /// come back concatenated in shard order — cracked (physical) order
+    /// within each shard.
     pub fn cracked_range(
         &self,
         table: &str,
@@ -800,102 +785,55 @@ impl ExploreDb {
             let ctx = &c.ctx;
             ctx.check_cancel()?;
             let token = c.session_token();
-            let st = self.table_state(table)?;
-            let mirror = st.mirror();
-            let cracker = match &mirror {
-                // Sharded tables crack per shard; validate the column
-                // here so the error shape matches `ensure_cracker`.
-                Some(_) => int64_column(&st.snapshot(), column).map(|_| None)?,
-                None => Some(self.ensure_cracker(&st, column)?),
-            };
+            let store = self.table_state(table)?.store();
             if ctx.fire("crack.reorg") {
                 // Injected reorganization failure: answer by scanning
                 // the (never-reorganized) base column instead. Cracking
                 // writes are discretionary, so skipping one changes
                 // convergence rate, never answers.
                 ctx.note("fault.crack.scan_fallback");
-                let t = st.snapshot();
-                return Ok(int64_column(&t, column)?
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &v)| v >= low && v < high)
-                    .map(|(i, _)| i as u32)
-                    .collect());
+                let snap = store.snapshot();
+                let mut ids = Vec::new();
+                for s in 0..snap.shard_count() {
+                    let start = snap.range(s).start;
+                    let matching = int64_column(snap.table(s), column)?
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, &v)| v >= low && v < high);
+                    ids.extend(matching.map(|(i, _)| (start + i) as u32));
+                }
+                return Ok(ids);
             }
+            let (result, grew) = crack_step(
+                ctx,
+                || store.index_pieces(column).unwrap_or(0),
+                || store.cracked_range(column, low, high, token.as_ref()),
+            );
             // Cracking reorganizes the index copy, not the base table,
             // so cached results stay byte-correct — but a reorganization
             // is treated as an epoch event, which keeps the cache
-            // conservative if cracking ever becomes in-place. Even an
-            // aborted (cancelled) call may have registered a boundary.
-            let cache = &self.shared.result_cache;
-            let Some(m) = mirror else {
-                let cracker = cracker.expect("cracker ensured on the unsharded path");
-                let (ids, grew) = crack_step(
-                    ctx,
-                    || cracker.num_pieces(),
-                    || cracker.query_ids(low, high, token.as_ref()),
-                );
-                if grew {
-                    cache.bump_epoch(table);
-                }
-                return ids;
-            };
-            let (result, grew) = crack_step(
-                ctx,
-                || m.index_pieces(column).unwrap_or(0),
-                || m.cracked_range(column, low, high, token.as_ref()),
-            );
+            // conservative if cracking ever becomes in-place.
             match &result {
-                // A per-shard epoch event: only the shards that grew
-                // pieces bump (plus the base epoch).
+                // Only the shards that grew pieces bump (plus the base
+                // epoch).
                 Ok((_, reorganized)) if !reorganized.is_empty() => {
-                    for &s in reorganized {
-                        cache.bump_epoch(&scoped_name(table, s));
-                    }
-                    cache.bump_epoch(table);
+                    self.note_shard_epochs(table, &store, reorganized.iter().copied());
                 }
                 // An aborted (cancelled) call may have reorganized some
                 // shards before stopping and cannot say which;
                 // invalidate conservatively.
-                Err(_) if grew => self.invalidate_table(table),
+                Err(_) if grew => self.note_shard_epochs(table, &store, 0..store.shard_count()),
                 _ => {}
             }
             result.map(|(ids, _)| ids)
         })
     }
 
-    /// The table's cracker for `column`, building it on first use. A
-    /// build races mutations benignly: the generation counter is read
-    /// before the data snapshot, and a cracker whose generation went
-    /// stale by install time serves this one call but is never
-    /// installed — the next call rebuilds from current data.
-    fn ensure_cracker(&self, st: &TableState, column: &str) -> Result<Arc<ConcurrentCracker>> {
-        if let Some(c) = st.crackers.lock().get(column) {
-            return Ok(Arc::clone(c));
-        }
-        let built_at = st.generation.load(Ordering::SeqCst);
-        let values = int64_column(&st.snapshot(), column)?.to_vec();
-        let cracker = Arc::new(ConcurrentCracker::new(values));
-        let mut map = st.crackers.lock();
-        if st.generation.load(Ordering::SeqCst) == built_at {
-            let entry = map
-                .entry(column.to_owned())
-                .or_insert_with(|| Arc::clone(&cracker));
-            return Ok(Arc::clone(entry));
-        }
-        Ok(cracker)
-    }
-
     /// Pieces the adaptive index on (table, column) currently has —
-    /// observability for convergence. For a sharded table, the sum of
-    /// per-shard piece counts.
+    /// observability for convergence: the sum of per-shard piece counts.
     pub fn index_pieces(&self, table: &str, column: &str) -> Option<usize> {
-        let st = self.shared.catalog.read().get(table).cloned()?;
-        let cracker = st.crackers.lock().get(column).map(Arc::clone);
-        if let Some(c) = cracker {
-            return Some(c.num_pieces());
-        }
-        st.mirror().and_then(|m| m.index_pieces(column))
+        let store = self.shared.catalog.read().get(table)?.store();
+        store.index_pieces(column)
     }
 
     /// Build (or rebuild) the sample catalog enabling approximate
@@ -941,7 +879,7 @@ impl ExploreDb {
             })?;
             // Epoch before snapshot, like every cache-admitting path.
             let epoch = self.shared.result_cache.epoch(table);
-            let t = st.snapshot();
+            let t = st.whole();
             let mut ex = BoundedExecutor::new(&t, &samples);
             if c.cache_on {
                 ex = ex.with_cache(Arc::clone(&self.shared.result_cache), table, epoch);
@@ -975,7 +913,7 @@ impl ExploreDb {
         // the executor admitting under a dead epoch — refused entries,
         // never stale ones.
         let epoch = self.shared.result_cache.epoch(table);
-        let t = st.snapshot();
+        let t = st.whole();
         let mut ex = SpeculativeExecutor::new(t, budget).with_cancel(c.session_token());
         if c.cache_on {
             ex = ex.with_shared_cache(Arc::clone(&self.shared.result_cache), table, epoch);
@@ -1511,6 +1449,16 @@ mod tests {
         db.append_rows("sales", &copy).unwrap();
         assert_eq!(db.table_epoch("sales"), 4);
         assert_eq!(db.table("sales").unwrap().num_rows(), 2 * copy.num_rows());
+
+        // `note_mutation` bumps the epoch and drops the adaptive index;
+        // the rows are the same `Arc` as before.
+        db.cracked_range("sales", "qty", 3, 7).unwrap();
+        let epoch = db.table_epoch("sales");
+        let rows = db.table("sales").unwrap();
+        db.note_mutation("sales");
+        assert_eq!(db.table_epoch("sales"), epoch + 1);
+        assert!(db.index_pieces("sales", "qty").is_none());
+        assert!(Arc::ptr_eq(&rows, &db.table("sales").unwrap()));
     }
 
     #[test]
@@ -1583,7 +1531,7 @@ mod tests {
         assert_eq!(snap.counter("cache.hits"), 1);
         assert_eq!(snap.counter("cache.misses"), 1);
         assert_eq!(snap.counter("cache.insertions"), 1);
-        // The resident-superset gauges mirror `CacheStats`.
+        // The resident-superset gauges track `CacheStats`.
         let stats = db.cache_stats();
         assert_eq!(stats.reuse_entries, 1);
         assert_eq!(snap.counter("cache.reuse_entries"), 1);
@@ -1724,7 +1672,7 @@ mod tests {
         assert_eq!(got, want);
         assert!(db.index_pieces("sales", "qty").unwrap() >= 4);
 
-        // Turning the policy off drops the mirrors; answers unchanged.
+        // Turning the policy off regathers one shard; answers unchanged.
         db.set_shard_policy(ShardPolicy::Off);
         assert!(db.shard_stats("sales").is_none());
         let q = Query::new().agg(AggFunc::Sum, "qty");
@@ -1763,19 +1711,32 @@ mod tests {
         }
         assert_eq!(db.table_epoch(&scoped_name("sales", 3)), before[3] + 1);
 
-        // The sharded mirror stays in sync with the canonical table.
+        // The fan-out and the whole-table view read the same rows.
         let q = Query::new().agg(AggFunc::Count, "qty");
         let n = db.query("sales", &q).unwrap();
         assert_eq!(
             n.column("count(qty)").unwrap().as_f64().unwrap()[0],
             2_001.0
         );
+        assert_eq!(db.table("sales").unwrap().num_rows(), 2_001);
 
-        // An external-channel mutation is conservative: every scope bumps.
+        // `note_mutation` is conservative: every scope bumps and every
+        // shard's index goes, while the rows and their layout stay put.
+        db.cracked_range("sales", "qty", 3, 7).unwrap();
+        let layout = db.shard_stats("sales").unwrap();
+        assert!(layout.iter().all(|s| s.crackers == 1));
+        let scopes: Vec<u64> = layout.iter().map(|s| s.epoch).collect();
+        let view = db.table("sales").unwrap();
         db.note_mutation("sales");
-        for (s, &epoch) in before.iter().enumerate() {
-            assert!(db.table_epoch(&scoped_name("sales", s)) > epoch);
+        for (s, &epoch) in scopes.iter().enumerate() {
+            assert_eq!(db.table_epoch(&scoped_name("sales", s)), epoch + 1);
         }
+        let after = db.shard_stats("sales").unwrap();
+        assert!(after.iter().all(|s| s.crackers == 0));
+        for (a, b) in layout.iter().zip(&after) {
+            assert_eq!((a.start, a.rows), (b.start, b.rows));
+        }
+        assert!(Arc::ptr_eq(&view, &db.table("sales").unwrap()));
     }
 
     #[test]

@@ -54,7 +54,7 @@ use parking_lot::Mutex;
 
 use crate::table::{scoped_name, ShardSnapshot, ShardedTable};
 
-/// Execute `query` against the sharded mirror of a registered table.
+/// Execute `query` against the shards of a registered table.
 /// `cache` is `Some` iff the engine's cache policy is on; per-shard
 /// scan results and whole-table aggregate results are then served and
 /// admitted through it. See the module docs for the exactness contract.

@@ -1,7 +1,7 @@
 //! Engine-level sharding policy, following the house `CachePolicy` /
-//! `ObsPolicy` shape: `Off` (the default) is the zero-cost single-table
-//! path, `On(config)` mirrors every registered table into independent
-//! row-range shards.
+//! `ObsPolicy` shape: `Off` (the default) stores every registered table
+//! as one shard — the registered `Arc<Table>` itself — and `On(config)`
+//! splits each into independent row-range shards.
 
 use explore_storage::MORSEL_ROWS;
 
@@ -38,15 +38,14 @@ impl ShardConfig {
     }
 }
 
-/// Whether `ExploreDb` mirrors registered tables into shards.
+/// Whether `ExploreDb` splits registered tables into shards.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum ShardPolicy {
-    /// No sharding: queries run against the single registered table.
-    /// Bit-identical to (and indistinguishable from) the pre-shard
-    /// engine.
+    /// No sharding: every table is one shard and queries run against
+    /// the registered table directly.
     #[default]
     Off,
-    /// Tables are mirrored into independent row-range shards, each with
+    /// Tables are split into independent row-range shards, each with
     /// its own cracker state, cache epoch, and stats.
     On(ShardConfig),
 }

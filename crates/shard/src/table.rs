@@ -1,20 +1,22 @@
-//! The sharded mirror of one registered table.
+//! The row store of one registered table.
 //!
-//! A [`ShardedTable`] partitions a table's rows into contiguous ranges
-//! ("shards"), each holding a bitwise copy of its rows plus private
-//! adaptive-index state. The canonical table stays in the engine
-//! catalog — every non-query subsystem (samples, synopses, SeeDB,
-//! facets, raw loading) keeps reading it unchanged — and the mirror is
-//! kept in sync by routing each mutation to its owning shard.
+//! A [`ShardedTable`] *is* the table: it partitions the rows into
+//! contiguous ranges ("shards"), each owning its slice of the rows plus
+//! private adaptive-index state, and nothing else in the engine holds a
+//! second copy. An unsharded table is the one-shard case of the same
+//! type — [`ShardedTable::from_arc`] then keeps the registered
+//! `Arc<Table>` itself, so registering without sharding copies nothing.
+//! Whole-table consumers (samples, synopses, SeeDB, facets, cubes) read
+//! [`ShardSnapshot::to_table`]: shard 0's `Arc` when there is one shard,
+//! a concatenation of one consistent cut otherwise.
 //!
-//! Each shard owns a **cache-epoch scope** of its own: cache entries
-//! for shard `i` of table `t` live under the scoped table name
+//! Each shard of a multi-shard table owns a **cache-epoch scope**: cache
+//! entries for shard `i` of table `t` live under the scoped table name
 //! [`scoped_name`]`(t, i)`, so a mutation to one shard bumps only that
 //! shard's epoch and the other shards' entries stay live. That epoch
 //! locality is the point of sharding a cache-fronted engine.
 //!
-//! **Locking.** Every shard carries its own `RwLock`, so sessions that
-//! mutate *disjoint* shards of one table proceed concurrently, and
+//! **Locking.** Every shard carries its own `RwLock` over its rows, so
 //! queries never block behind a mutation for longer than an `Arc`
 //! clone. The two multi-shard operations acquire their guards in
 //! ascending shard order and hold them together — ordered two-phase
@@ -28,17 +30,25 @@
 //!
 //! Single-shard mutations ([`ShardedTable::push_row`],
 //! [`ShardedTable::append_rows`]) lock only the last shard.
+//!
+//! A shard's adaptive indexes live *outside* its row lock, as
+//! `Arc<ConcurrentCracker>`s that reorganize under their own locks: a
+//! cracking lookup never blocks a snapshot. Each mutation bumps the
+//! shard's generation under the row lock and then drops the shard's
+//! indexes; an index built from rows a mutation has since replaced
+//! answers the one call that built it and is never installed.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use explore_cracking::CrackerColumn;
+use explore_cracking::ConcurrentCracker;
 use explore_exec::morsel_rows_for;
 use explore_fault::CancelToken;
 use explore_storage::{Result, StorageError, Table, Value};
-use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use crate::policy::ShardConfig;
+use crate::policy::{ShardConfig, ShardPolicy};
 
 /// The cache-epoch scope name of shard `shard` of table `table`. The
 /// `#` separator cannot appear in a registered table name used through
@@ -47,26 +57,82 @@ pub fn scoped_name(table: &str, shard: usize) -> String {
     format!("{table}#s{shard}")
 }
 
-/// One contiguous row-range shard: a bitwise copy of the base table's
-/// rows `[start, start + rows)` plus this shard's private adaptive
-/// indexes, behind the shard's own reader-writer lock.
+/// One contiguous row-range shard: the table's rows
+/// `[start, start + rows)` behind the shard's own reader-writer lock,
+/// plus this shard's private adaptive indexes beside it.
 #[derive(Debug)]
-pub struct Shard {
+struct Shard {
     /// Global row id of this shard's first row (fixed at build).
     start: usize,
-    state: RwLock<ShardState>,
+    /// The rows. `Arc`-shared so a snapshot is one refcount bump;
+    /// mutations go through `Arc::make_mut` (in place while unshared,
+    /// copy-on-write while a snapshot is live), so a reader's snapshot
+    /// is immutable by construction — torn reads cannot happen.
+    table: RwLock<Arc<Table>>,
+    /// Bumped under the row write lock after every data change.
+    /// [`Shard::cracker`] re-checks it before installing a freshly built
+    /// index, so one built from rows that a mutation has since replaced
+    /// is served once and never installed.
+    generation: AtomicU64,
+    /// Per-column adaptive range indexes, converging independently per
+    /// shard. Crackers reorganize under their own internal locks; this
+    /// map only guards presence.
+    crackers: Mutex<HashMap<String, Arc<ConcurrentCracker>>>,
 }
 
-/// A shard's lock-protected contents. The table is `Arc`-shared so a
-/// snapshot is one refcount bump; mutations go through `Arc::make_mut`
-/// (in place while unshared, copy-on-write while a snapshot is live),
-/// so a reader's snapshot is immutable by construction — torn reads
-/// cannot happen.
-#[derive(Debug)]
-struct ShardState {
-    table: Arc<Table>,
-    /// Per-column cracker state, converging independently per shard.
-    crackers: HashMap<String, CrackerColumn>,
+impl Shard {
+    fn new(start: usize, table: Arc<Table>) -> Shard {
+        Shard {
+            start,
+            table: RwLock::new(table),
+            generation: AtomicU64::new(0),
+            crackers: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// Apply one fallible edit to the rows; a successful one bumps the
+    /// generation and drops the shard's indexes, which described the
+    /// old rows.
+    fn edit(&self, f: impl FnOnce(&mut Table) -> Result<()>) -> Result<()> {
+        {
+            let mut rows = self.table.write();
+            f(Arc::make_mut(&mut rows))?;
+            self.generation.fetch_add(1, Ordering::SeqCst);
+        }
+        self.crackers.lock().clear();
+        Ok(())
+    }
+
+    /// This shard's cracker for `column` (which must be Int64), built on
+    /// first use. A build races mutations benignly: the generation is
+    /// read before the rows, and a cracker whose generation went stale
+    /// by install time serves this one call but is never installed — the
+    /// next call rebuilds from current rows.
+    fn cracker(&self, column: &str) -> Result<Arc<ConcurrentCracker>> {
+        if let Some(c) = self.crackers.lock().get(column) {
+            return Ok(Arc::clone(c));
+        }
+        let built_at = self.generation.load(Ordering::SeqCst);
+        let values = {
+            let rows = self.table.read();
+            let col = rows.column(column)?;
+            let values = col.as_i64().ok_or_else(|| StorageError::TypeMismatch {
+                column: column.to_owned(),
+                expected: "Int64",
+                found: col.data_type().name(),
+            })?;
+            values.to_vec()
+        };
+        let cracker = Arc::new(ConcurrentCracker::new(values));
+        let mut map = self.crackers.lock();
+        if self.generation.load(Ordering::SeqCst) == built_at {
+            let entry = map
+                .entry(column.to_owned())
+                .or_insert_with(|| Arc::clone(&cracker));
+            return Ok(Arc::clone(entry));
+        }
+        Ok(cracker)
+    }
 }
 
 /// Point-in-time statistics of one shard, via
@@ -124,6 +190,23 @@ impl ShardSnapshot {
     pub fn range(&self, i: usize) -> std::ops::Range<usize> {
         self.starts[i]..self.starts[i] + self.tables[i].num_rows()
     }
+
+    /// The whole table as of the snapshot: the one shard's own `Arc`
+    /// (no copy), or the shards' rows concatenated in shard — global
+    /// row — order.
+    pub fn to_table(&self) -> Arc<Table> {
+        let (first, rest) = self.tables.split_first().expect("at least one shard");
+        if rest.is_empty() {
+            return Arc::clone(first);
+        }
+        let mut whole = Table::clone(first);
+        for t in rest {
+            whole
+                .append(t)
+                .expect("shards of one table share its schema");
+        }
+        Arc::new(whole)
+    }
 }
 
 /// A table partitioned into independent contiguous row-range shards.
@@ -134,14 +217,14 @@ pub struct ShardedTable {
 }
 
 impl ShardedTable {
-    /// Mirror `table` (registered as `name`) into shards per `config`.
-    /// The split is contiguous and near-balanced: shard `i` of `k` ends
-    /// at `(i+1)*n/k`, **snapped to the executor's global morsel grid**
-    /// when every shard spans at least one morsel. Snapping is a pure
-    /// performance choice — any contiguous partition is bit-identical by
-    /// construction — but aligned boundaries mean no global morsel
-    /// straddles two shards, so the aggregate merge has no serially
-    /// rebuilt straddle morsels (see `explore_shard::fanout`).
+    /// Split a copy of `table` (registered as `name`) into shards per
+    /// `config`. The split is contiguous and near-balanced: shard `i` of
+    /// `k` ends at `(i+1)*n/k`, **snapped to the executor's global morsel
+    /// grid** when every shard spans at least one morsel. Snapping is a
+    /// pure performance choice — any contiguous partition is
+    /// bit-identical by construction — but aligned boundaries mean no
+    /// global morsel straddles two shards, so the aggregate merge has no
+    /// serially rebuilt straddle morsels (see `explore_shard::fanout`).
     pub fn build(name: impl Into<String>, table: &Table, config: &ShardConfig) -> ShardedTable {
         let n = table.num_rows();
         let k = config.effective_count(n);
@@ -162,18 +245,33 @@ impl ShardedTable {
             .map(|i| {
                 let (start, end) = (boundary(i), boundary(i + 1));
                 let sel: Vec<u32> = (start as u32..end as u32).collect();
-                Shard {
-                    start,
-                    state: RwLock::new(ShardState {
-                        table: Arc::new(table.gather(&sel)),
-                        crackers: HashMap::new(),
-                    }),
-                }
+                Shard::new(start, Arc::new(table.gather(&sel)))
             })
             .collect();
         ShardedTable {
             name: name.into(),
             shards,
+        }
+    }
+
+    /// Take ownership of `table` (registered as `name`) laid out per
+    /// `policy`. Where the policy yields one shard — `Off`, or a table
+    /// below [`ShardConfig::min_rows_per_shard`] — that shard holds
+    /// `table` itself, so nothing is copied; otherwise the rows are
+    /// split as [`ShardedTable::build`] does and `table` is released.
+    pub fn from_arc(
+        name: impl Into<String>,
+        table: Arc<Table>,
+        policy: &ShardPolicy,
+    ) -> ShardedTable {
+        match policy.config() {
+            Some(config) if config.effective_count(table.num_rows()) > 1 => {
+                ShardedTable::build(name, &table, config)
+            }
+            _ => ShardedTable {
+                name: name.into(),
+                shards: vec![Shard::new(0, table)],
+            },
         }
     }
 
@@ -199,11 +297,11 @@ impl ShardedTable {
     /// update entirely or not at all (update guards are acquired in the
     /// same order — ordered 2PL).
     pub fn snapshot(&self) -> ShardSnapshot {
-        let guards: Vec<RwLockReadGuard<'_, ShardState>> =
-            self.shards.iter().map(|s| s.state.read()).collect();
+        let guards: Vec<RwLockReadGuard<'_, Arc<Table>>> =
+            self.shards.iter().map(|s| s.table.read()).collect();
         ShardSnapshot {
             name: self.name.clone(),
-            tables: guards.iter().map(|g| Arc::clone(&g.table)).collect(),
+            tables: guards.iter().map(|g| Arc::clone(g)).collect(),
             starts: self.shards.iter().map(|s| s.start).collect(),
         }
     }
@@ -214,9 +312,7 @@ impl ShardedTable {
     /// shard's index.
     pub fn push_row(&self, values: Vec<Value>) -> Result<usize> {
         let idx = self.shards.len() - 1;
-        let mut state = self.shards[idx].state.write();
-        Arc::make_mut(&mut state.table).push_row(values)?;
-        state.crackers.clear();
+        self.shards[idx].edit(|rows| rows.push_row(values))?;
         Ok(idx)
     }
 
@@ -224,80 +320,74 @@ impl ShardedTable {
     /// shard's index.
     pub fn append_rows(&self, rows: &Table) -> Result<usize> {
         let idx = self.shards.len() - 1;
-        let mut state = self.shards[idx].state.write();
-        Arc::make_mut(&mut state.table).append(rows)?;
-        state.crackers.clear();
+        self.shards[idx].edit(|last| last.append(rows))?;
         Ok(idx)
     }
 
     /// Apply `column = value` to the global row ids in `sel` (ascending,
-    /// as produced by predicate evaluation on the canonical table),
-    /// routing each row to its owning shard. Write guards over exactly
-    /// the touched shards are acquired in ascending order and held
-    /// across all writes, so concurrent updates to disjoint shards
-    /// proceed in parallel while snapshots never observe a half-applied
-    /// update. Returns the indexes of the shards that changed,
-    /// ascending. The caller has already validated type compatibility
-    /// against the canonical table — identical schemas make the writes
-    /// infallible here short of engine bugs.
+    /// as produced by predicate evaluation over a snapshot of this
+    /// table), routing each row to its owning shard. Write guards over
+    /// exactly the touched shards are acquired in ascending order and
+    /// held across all writes, so snapshots never observe a
+    /// half-applied update. Returns the indexes of the shards that
+    /// changed, ascending. A selection that is not ascending, or names a
+    /// row past the table's end, is a caller bug and is refused before
+    /// any write; the caller validates the column and value type, which
+    /// `set_cell` re-checks on the first cell.
     pub fn update_where(&self, sel: &[u32], column: &str, value: &Value) -> Result<Vec<usize>> {
-        // Phase 1: partition the selection by the (immutable) shard
-        // starts. Shard i < last covers [starts[i], starts[i+1]).
-        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); self.shards.len()];
-        let mut cursor = 0usize;
+        // Phase 1: partition the selection into per-shard local row ids
+        // with one forward cursor over the (immutable) shard starts.
+        // Shard i < last covers [starts[i], starts[i+1]).
+        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
+        let mut owner = 0;
         for &row in sel {
-            let owner = match self.shards.iter().rposition(|s| s.start <= row as usize) {
-                Some(i) => i,
-                None => {
-                    return Err(StorageError::Internal(
-                        "update selection not ascending across shards".into(),
-                    ))
-                }
-            };
-            if owner < cursor {
+            let row = row as usize;
+            if row < self.shards[owner].start {
                 return Err(StorageError::Internal(
                     "update selection not ascending across shards".into(),
                 ));
             }
-            cursor = owner;
-            buckets[owner].push(row);
+            while self.shards.get(owner + 1).is_some_and(|s| s.start <= row) {
+                owner += 1;
+            }
+            buckets[owner].push(row - self.shards[owner].start);
         }
-        // Phase 2: lock the touched shards (ascending) and write.
-        let mut guards: Vec<(usize, RwLockWriteGuard<'_, ShardState>)> = buckets
+        // Phase 2: lock the touched shards (ascending), check the
+        // selection against their current ends, then write.
+        let mut guards: Vec<(usize, RwLockWriteGuard<'_, Arc<Table>>)> = buckets
             .iter()
             .enumerate()
             .filter(|(_, b)| !b.is_empty())
-            .map(|(i, _)| (i, self.shards[i].state.write()))
+            .map(|(i, _)| (i, self.shards[i].table.write()))
             .collect();
-        let mut mutated = Vec::new();
-        for (idx, state) in &mut guards {
-            let start = self.shards[*idx].start;
-            let len = state.table.num_rows();
-            let mut touched = false;
-            for &row in &buckets[*idx] {
-                let local = row as usize - start;
-                if local >= len {
-                    // Beyond the last shard's current end: the canonical
-                    // selection cannot name such rows; skip defensively.
-                    continue;
-                }
-                Arc::make_mut(&mut state.table).set_cell(column, local, value.clone())?;
-                touched = true;
+        for (idx, rows) in &guards {
+            if buckets[*idx].iter().any(|&local| local >= rows.num_rows()) {
+                return Err(StorageError::Internal(format!(
+                    "update selection names a row past the end of shard {idx}"
+                )));
             }
-            if touched {
-                state.crackers.clear();
-                mutated.push(*idx);
+        }
+        for (idx, rows) in &mut guards {
+            let rows = Arc::make_mut(&mut **rows);
+            for &local in &buckets[*idx] {
+                rows.set_cell(column, local, value.clone())?;
             }
+            self.shards[*idx].generation.fetch_add(1, Ordering::SeqCst);
+        }
+        let mutated: Vec<usize> = guards.iter().map(|(idx, _)| *idx).collect();
+        drop(guards);
+        for &idx in &mutated {
+            self.shards[idx].crackers.lock().clear();
         }
         Ok(mutated)
     }
 
     /// Range query `low <= v < high` through per-shard adaptive indexes:
     /// each shard cracks its own copy of `column` independently (under
-    /// its own write lock — cracking reorganizes), and the matching ids
-    /// are returned offset back to global row ids, concatenated in
-    /// shard order. Like the unsharded cracked path, ids come back in
-    /// cracked (physical) order, not ascending.
+    /// the cracker's own lock, never the shard's row lock), and the
+    /// matching ids are returned offset back to global row ids,
+    /// concatenated in shard order. Ids come back in cracked (physical)
+    /// order within each shard, not ascending.
     ///
     /// Returns `(ids, reorganized)` where `reorganized` lists the shards
     /// whose piece count grew — the caller bumps exactly those shards'
@@ -313,32 +403,14 @@ impl ShardedTable {
         let mut out = Vec::new();
         let mut reorganized = Vec::new();
         for (idx, shard) in self.shards.iter().enumerate() {
-            let mut state = shard.state.write();
-            if !state.crackers.contains_key(column) {
-                let col = state.table.column(column)?;
-                let values = col
-                    .as_i64()
-                    .ok_or_else(|| StorageError::TypeMismatch {
-                        column: column.to_owned(),
-                        expected: "Int64",
-                        found: col.data_type().name(),
-                    })?
-                    .to_vec();
-                state
-                    .crackers
-                    .insert(column.to_owned(), CrackerColumn::new(values));
-            }
-            let cracker = state
-                .crackers
-                .get_mut(column)
-                .ok_or_else(|| StorageError::Internal("shard cracker lost after build".into()))?;
+            let cracker = shard.cracker(column)?;
             let before = cracker.num_pieces();
-            let (s, e) = cracker.query_bounds(low, high, cancel)?;
+            let ids = cracker.query_ids(low, high, cancel)?;
             if cracker.num_pieces() != before {
                 reorganized.push(idx);
             }
             let start = shard.start as u32;
-            out.extend(cracker.ids()[s..e].iter().map(|&i| start + i));
+            out.extend(ids.into_iter().map(|i| start + i));
         }
         Ok((out, reorganized))
     }
@@ -349,15 +421,17 @@ impl ShardedTable {
         let counts: Vec<usize> = self
             .shards
             .iter()
-            .filter_map(|s| {
-                s.state
-                    .read()
-                    .crackers
-                    .get(column)
-                    .map(CrackerColumn::num_pieces)
-            })
+            .filter_map(|s| s.crackers.lock().get(column).map(|c| c.num_pieces()))
             .collect();
         (!counts.is_empty()).then(|| counts.iter().sum())
+    }
+
+    /// Drop every shard's adaptive indexes; the next lookup rebuilds
+    /// them from current rows.
+    pub fn drop_indexes(&self) {
+        for shard in &self.shards {
+            shard.crackers.lock().clear();
+        }
     }
 
     /// Per-shard statistics; `epoch_of(i)` supplies shard `i`'s cache
@@ -367,14 +441,15 @@ impl ShardedTable {
             .iter()
             .enumerate()
             .map(|(i, s)| {
-                let state = s.state.read();
+                let rows = s.table.read().num_rows();
+                let crackers = s.crackers.lock();
                 ShardStats {
                     shard: i,
                     start: s.start,
-                    rows: state.table.num_rows(),
+                    rows,
                     epoch: epoch_of(i),
-                    crackers: state.crackers.len(),
-                    pieces: state.crackers.values().map(CrackerColumn::num_pieces).sum(),
+                    crackers: crackers.len(),
+                    pieces: crackers.values().map(|c| c.num_pieces()).sum(),
                 }
             })
             .collect()
@@ -448,6 +523,56 @@ mod tests {
         for &i in &mutated {
             assert!(i < 2, "rows < 50 live in the first two shards of 201");
         }
+    }
+
+    #[test]
+    fn update_refuses_a_selection_the_table_cannot_hold() {
+        let t = sales(100);
+        let st = ShardedTable::build("sales", &t, &config(4));
+        // Row 100 is one past the last shard's end; rows 0 and 99 are
+        // real, and neither is written.
+        let err = st.update_where(&[0, 99, 100], "qty", &Value::Int(42));
+        assert!(matches!(err, Err(StorageError::Internal(_))), "{err:?}");
+        // Shard 3 starts at row 75: going back to shard 0 is refused.
+        let err = st.update_where(&[80, 10], "qty", &Value::Int(42));
+        assert!(matches!(err, Err(StorageError::Internal(_))), "{err:?}");
+        assert_eq!(st.snapshot().to_table().as_ref(), &t);
+        // An appended row is addressable at once.
+        st.push_row(t.row(0).unwrap()).unwrap();
+        assert_eq!(
+            st.update_where(&[0, 99, 100], "qty", &Value::Int(42))
+                .unwrap(),
+            vec![0, 3]
+        );
+    }
+
+    #[test]
+    fn one_shard_holds_the_arc_it_was_given() {
+        let t = Arc::new(sales(100));
+        let on = ShardPolicy::On(config(4));
+        // Off, and On below the per-shard minimum: no copy, ever.
+        for policy in [ShardPolicy::Off, ShardPolicy::on()] {
+            let st = ShardedTable::from_arc("sales", Arc::clone(&t), &policy);
+            assert_eq!(st.shard_count(), 1);
+            assert!(Arc::ptr_eq(&st.snapshot().to_table(), &t));
+        }
+        // Split: the rows move into the shards and the Arc is let go.
+        let st = ShardedTable::from_arc("sales", Arc::clone(&t), &on);
+        assert_eq!(st.shard_count(), 4);
+        assert_eq!(Arc::strong_count(&t), 1);
+        assert_eq!(st.snapshot().to_table().as_ref(), t.as_ref());
+    }
+
+    #[test]
+    fn mutation_drops_only_the_owning_shards_indexes() {
+        let t = sales(1000);
+        let st = ShardedTable::build("sales", &t, &config(4));
+        st.cracked_range("qty", 3, 7, None).unwrap();
+        st.push_row(t.row(0).unwrap()).unwrap();
+        let crackers: Vec<usize> = st.stats(|_| 0).iter().map(|s| s.crackers).collect();
+        assert_eq!(crackers, [1, 1, 1, 0]);
+        st.drop_indexes();
+        assert!(st.index_pieces("qty").is_none());
     }
 
     #[test]

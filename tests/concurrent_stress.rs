@@ -12,7 +12,11 @@
 //! region of rows and every update sets the *whole* region to a single
 //! new value, atomically under the table (and shard) write locks. Any
 //! snapshot therefore shows `min == max` inside each region; a reader
-//! that ever observes `min != max` caught a half-applied write.
+//! that ever observes `min != max` caught a half-applied write. One
+//! more reader holds the whole-table view (`ExploreDb::table`) to the
+//! same standard while an appender grows the table: on a split table
+//! that view is a concatenation of the shards, so it must come from one
+//! consistent cut of them and its row count may only grow.
 //!
 //! Iteration count scales with `STRESS_ITERS` (default 4) for soak
 //! runs, mirroring `CHAOS_ITERS`; the seeded schedules replay from the
@@ -20,7 +24,6 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
 
 use exploration::cache::CachePolicy;
 use exploration::shard::{ShardConfig, ShardPolicy};
@@ -121,8 +124,9 @@ fn run_stress(shard: ShardPolicy, iter: usize) {
 
     let writes_per_mutator = 12u64;
     let stop = Arc::new(AtomicBool::new(false));
-    // Mutators + readers + the coordinating test thread all line up.
-    let start = Arc::new(Barrier::new(REGIONS + 3 + 1));
+    // Mutators + appender + readers + the coordinating test thread all
+    // line up.
+    let start = Arc::new(Barrier::new(REGIONS + 1 + 3 + 1));
 
     // One mutator per region: sets the whole region to successive
     // values 1, 2, ... under its own session. Injected write failures
@@ -160,8 +164,27 @@ fn run_stress(shard: ShardPolicy, iter: usize) {
         })
         .collect();
 
+    // The appender: grows the table past the regions (ids no region or
+    // crack probe selects), so the whole-table view's row count moves.
+    let appender = {
+        let db = Arc::clone(&db);
+        let start = Arc::clone(&start);
+        std::thread::spawn(move || {
+            let first = (REGIONS * ROWS_PER_REGION) as i64;
+            start.wait();
+            for i in 0..writes_per_mutator as i64 {
+                let row = vec![Value::Int(first + i), Value::Float(0.0)];
+                if let Err(e) = db.push_row("t", row) {
+                    assert_typed(&e, "appender");
+                }
+            }
+        })
+    };
+
     // Three readers: aggregate scans over every region, a cracked_range
-    // probe, and per-thread epoch monotonicity.
+    // probe, and per-thread epoch monotonicity. Reader 0 also takes the
+    // whole-table view each round: it must be one complete state of the
+    // table — one value per region — and never lose rows.
     let readers: Vec<_> = (0..3)
         .map(|reader| {
             let db = Arc::clone(&db);
@@ -170,9 +193,34 @@ fn run_stress(shard: ShardPolicy, iter: usize) {
             std::thread::spawn(move || {
                 let session = SessionCtx::new();
                 let mut last_epoch = 0u64;
+                let mut last_rows = 0;
                 let mut reads = 0u64;
                 start.wait();
-                while !stop.load(Ordering::Relaxed) {
+                loop {
+                    // Read before the round, so the round that starts
+                    // after the writers are done is a full one.
+                    let settled = stop.load(Ordering::SeqCst);
+                    if reader == 0 {
+                        match db.table("t") {
+                            Ok(t) => {
+                                let vals = t.column("val").unwrap().as_f64().unwrap();
+                                for region in 0..REGIONS {
+                                    let vals = &vals[region * ROWS_PER_REGION..][..ROWS_PER_REGION];
+                                    assert!(
+                                        vals.iter().all(|v| v.to_bits() == vals[0].to_bits()),
+                                        "reader 0: torn whole-table view in region {region}"
+                                    );
+                                }
+                                assert!(
+                                    t.num_rows() >= last_rows,
+                                    "reader 0: rows went backwards ({last_rows} -> {})",
+                                    t.num_rows()
+                                );
+                                last_rows = t.num_rows();
+                            }
+                            Err(e) => assert_typed(&e, "reader 0 (view)"),
+                        }
+                    }
                     for region in 0..REGIONS {
                         match db.with_session(&session, |db| region_min_max(db, region)) {
                             Ok((min, max)) => {
@@ -205,6 +253,9 @@ fn run_stress(shard: ShardPolicy, iter: usize) {
                     );
                     last_epoch = epoch;
                     reads += 1;
+                    if settled {
+                        break;
+                    }
                 }
                 reads
             })
@@ -217,9 +268,9 @@ fn run_stress(shard: ShardPolicy, iter: usize) {
         let (region, applied) = m.join().expect("mutator thread");
         finals[region] = applied;
     }
-    // Let readers observe the settled state at least once, then stop.
-    std::thread::sleep(Duration::from_millis(5));
-    stop.store(true, Ordering::Relaxed);
+    appender.join().expect("appender thread");
+    // Every reader runs one more round, over the settled state.
+    stop.store(true, Ordering::SeqCst);
     for r in readers {
         assert!(r.join().expect("reader thread") > 0, "reader starved");
     }
@@ -250,6 +301,22 @@ fn sharded_readers_never_see_torn_data_under_mutation_and_chaos() {
         run_stress(
             ShardPolicy::On(ShardConfig {
                 count: REGIONS,
+                min_rows_per_shard: 1,
+            }),
+            iter,
+        );
+    }
+}
+
+/// And with shards that do *not* coincide with regions: 7 shards of
+/// ~286 rows under 500-row regions, so every update is a multi-shard
+/// write and neighbouring mutators contend for a shard.
+#[test]
+fn multi_shard_updates_are_atomic_to_every_reader() {
+    for iter in 0..stress_iters() {
+        run_stress(
+            ShardPolicy::On(ShardConfig {
+                count: 7,
                 min_rows_per_shard: 1,
             }),
             iter,

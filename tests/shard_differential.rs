@@ -437,6 +437,99 @@ fn two_sessions_mutating_disjoint_shards_keep_other_shards_warm() {
     );
 }
 
+/// The engine stores a table once. Sharded, registration splits the rows
+/// and lets go of the `Arc` it was handed; unsharded, the one shard *is*
+/// that `Arc`, so the whole-table view costs nothing either.
+#[test]
+fn engine_holds_one_copy() {
+    use std::sync::Arc;
+
+    let t = Arc::new(sales(2 * MORSEL_ROWS + 4321));
+    let db = ExploreDb::with_shard_policy(shard_policy(4));
+    db.register("sales", Arc::clone(&t));
+    assert_eq!(
+        Arc::strong_count(&t),
+        1,
+        "a split engine keeps no second copy"
+    );
+    assert_eq!(db.table("sales").unwrap().as_ref(), t.as_ref());
+
+    let db = ExploreDb::new();
+    db.register("sales", Arc::clone(&t));
+    assert!(Arc::ptr_eq(&db.table("sales").unwrap(), &t));
+
+    // One copy also means a write to rows nobody else holds is made in
+    // place, not to a copy the engine took of its own snapshot.
+    drop(t);
+    let before = Arc::as_ptr(&db.table("sales").unwrap());
+    db.update_where("sales", &Predicate::True, "qty", Value::Int(1))
+        .unwrap();
+    assert_eq!(before, Arc::as_ptr(&db.table("sales").unwrap()));
+}
+
+/// With no second copy to fall back on, changing the layout has to carry
+/// every mutation along: push/append/update under 4 shards, regather to
+/// one, split into 7 — after each step the whole-table view and all
+/// twelve shapes are bit-identical to an unsharded engine given the
+/// same mutations.
+#[test]
+fn policy_toggle_preserves_mutations() {
+    let t = sales(2 * MORSEL_ROWS + 4321);
+    let plain = ExploreDb::new();
+    let db = ExploreDb::with_shard_policy(shard_policy(4));
+    db.set_cache_policy(roomy_policy());
+    let batch = sales(777);
+    // One update inside a shard, one across every shard boundary.
+    let narrow = Predicate::range("price", 100.0, 110.0);
+    let wide = Predicate::cmp("qty", CmpOp::Ge, 5.0);
+    for engine in [&plain, &db] {
+        engine.register("sales", t.clone());
+        engine.push_row("sales", t.row(7).unwrap()).unwrap();
+        engine.append_rows("sales", &batch).unwrap();
+        let n = engine
+            .update_where("sales", &wide, "discount", Value::Float(0.5))
+            .unwrap();
+        assert!(n > MORSEL_ROWS, "the wide update spans shards");
+        engine
+            .update_where("sales", &narrow, "qty", Value::Int(3))
+            .unwrap();
+    }
+
+    let check = |context: &str| {
+        assert_bitwise_eq(
+            &plain.table("sales").unwrap(),
+            &db.table("sales").unwrap(),
+            &format!("{context}: whole-table view"),
+        );
+        for (name, q) in &query_shapes() {
+            // Twice: computed, then served by whatever the layout cached.
+            for pass in ["cold", "warm"] {
+                assert_bitwise_eq(
+                    &plain.query("sales", q).unwrap(),
+                    &db.query("sales", q).unwrap(),
+                    &format!("{context}: {name} {pass}"),
+                );
+            }
+        }
+    };
+    check("4 shards");
+    db.set_shard_policy(ShardPolicy::Off);
+    assert!(db.shard_stats("sales").is_none());
+    check("toggled off");
+    db.set_shard_policy(shard_policy(7));
+    assert_eq!(db.shard_stats("sales").unwrap().len(), 7);
+    check("7 shards");
+
+    // The new layout takes writes like the first one did.
+    for engine in [&plain, &db] {
+        engine.push_row("sales", t.row(11).unwrap()).unwrap();
+        engine
+            .update_where("sales", &wide, "discount", Value::Float(0.25))
+            .unwrap();
+    }
+    check("7 shards, mutated again");
+}
+
 /// Fail points reachable through a sharded `ExploreDb::query`, the two
 /// shard-specific sites composed with the generic exec/cache ones.
 const POINTS: &[&str] = &[
