@@ -77,6 +77,25 @@ if grep -nE 'RwLock<Arc<Table>>|mirror' crates/core/src/engine.rs; then
     exit 1
 fi
 
+echo "==> one-fan-out lint (one dispatcher, one aggregate pipeline)"
+# explore_exec::fan_out is the only place a dispatch path is chosen from
+# an ExecPolicy and the only caller of the pool (DESIGN.md §6); a sharded
+# aggregate is the executor's aggregate over the shards as parts
+# (DESIGN.md §11). A pool call or a policy match arm outside crates/exec,
+# or morsel math in crates/shard, is a second dispatcher or a second
+# pipeline growing back.
+if find crates/*/src src -name '*.rs' -not -path 'crates/exec/src/*' | while read -r f; do
+    sed '/#\[cfg(test)\]/q' "$f" | grep -nE 'global_pool\(\)|ExecPolicy::Parallel \{[^}]*\} *(=>|if )' |
+        sed "s|^|$f:|" || true
+done | grep .; then
+    echo "error: dispatch outside explore-exec; call explore_exec::fan_out" >&2
+    exit 1
+fi
+if grep -rnE 'straddle|morsel_rows_for' crates/shard/src/; then
+    echo "error: morsel math in crates/shard; hand the shards to run_query_parts" >&2
+    exit 1
+fi
+
 echo "==> one-measurement-authority lint (the retired bench harness stays retired)"
 # benchmark/ is the only source of a cross-commit number. The Criterion
 # shim, the gate binary and their env knobs were deleted; a reference

@@ -67,7 +67,7 @@ pub mod store;
 
 pub use fingerprint::{predicate_key, Fingerprint};
 pub use region::{BoundVal, Interval, Region};
-pub use serve::{cached_query, cached_query_at_epoch};
+pub use serve::{cached_query, cached_query_at_epoch, serve_or_compute};
 pub use store::{
     table_bytes, CacheConfig, CachePolicy, CacheStats, ResultCache, ReuseArtifacts,
     SubsumeCandidate,

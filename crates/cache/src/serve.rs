@@ -77,42 +77,71 @@ pub fn cached_query_at_epoch(
     epoch: u64,
 ) -> Result<Table> {
     let fingerprint = Fingerprint::for_query(table_name, query);
+    serve_or_compute(
+        cache,
+        fingerprint,
+        epoch,
+        ctx,
+        |fingerprint, lookup_start| {
+            try_subsumption(
+                cache,
+                base,
+                table_name,
+                query,
+                fingerprint,
+                epoch,
+                ctx,
+                lookup_start,
+            )
+        },
+        || {
+            // Mirror `run_query`'s error precedence: scan queries
+            // validate the projection before the predicate ever runs.
+            if query.aggregates.is_empty() {
+                query.check_projection(base)?;
+            }
+            let sel = evaluate_selection(base, &query.predicate, ctx)?;
+            let result = run_query_on_selection(base, query, &sel, ctx)?;
+            Ok((result, reuse_artifacts(base, query, sel)))
+        },
+    )
+}
 
+/// The serve protocol around one fingerprint, for any result the cache
+/// can hold: an exact hit serves; else `second_chance` may serve some
+/// other way (it is handed the fingerprint and the lookup's start time,
+/// and records its own lookup outcome and admission — `|_, _| None`
+/// when there is none); else the lookup is a miss, `compute` runs and
+/// is timed, and its result is offered to the cache under `epoch` —
+/// with the reuse artifacts `compute` returned, when it clears
+/// cost-aware admission. Everything that decides *whether* a result is
+/// admitted lives here.
+pub fn serve_or_compute(
+    cache: &ResultCache,
+    fingerprint: Fingerprint,
+    epoch: u64,
+    ctx: &QueryCtx,
+    second_chance: impl FnOnce(&Fingerprint, Option<u64>) -> Option<Table>,
+    compute: impl FnOnce() -> Result<(Table, Option<ReuseArtifacts>)>,
+) -> Result<Table> {
     let lookup_start = ctx.trace.map(|t| t.now_ns());
     if let Some(hit) = cache.get(&fingerprint) {
         record_lookup(ctx, lookup_start, CacheOutcome::Hit);
         return Ok((*hit).clone());
     }
-
-    if let Some(served) = try_subsumption(
-        cache,
-        base,
-        table_name,
-        query,
-        &fingerprint,
-        epoch,
-        ctx,
-        lookup_start,
-    ) {
+    if let Some(served) = second_chance(&fingerprint, lookup_start) {
         return Ok(served);
     }
 
-    // A cancellation that aborted the subsumption path must surface as
-    // the typed error, not silently fall through to a (doomed) rescan.
+    // A cancellation that aborted the second chance must surface as the
+    // typed error, not silently fall through to a (doomed) computation.
     ctx.check_cancel()?;
 
     record_lookup(ctx, lookup_start, CacheOutcome::Miss);
     cache.note_miss();
 
-    // Mirror `run_query`'s error precedence: scan queries validate the
-    // projection before the predicate ever runs.
-    if query.aggregates.is_empty() {
-        query.check_projection(base)?;
-    }
-
     let started = Instant::now();
-    let sel = evaluate_selection(base, &query.predicate, ctx)?;
-    let result = run_query_on_selection(base, query, &sel, ctx)?;
+    let (result, reuse) = compute()?;
     let cost_ns = started.elapsed().as_nanos();
 
     let result = Arc::new(result);
@@ -122,7 +151,6 @@ pub fn cached_query_at_epoch(
     // workloads that never re-ask a query.
     let admit_start = ctx.trace.map(|t| t.now_ns());
     let accepted = if cache.should_admit(cost_ns) {
-        let reuse = reuse_artifacts(base, query, sel);
         cache.insert(fingerprint, Arc::clone(&result), reuse, cost_ns, epoch)
     } else {
         cache.note_admit_rejected();

@@ -17,7 +17,6 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use explore_exec::{global_pool, parallel_profitable, ExecPolicy};
 use explore_fault::{CancelToken, FailPoints};
 use explore_obs::MetricsRegistry;
 use parking_lot::RwLock;
@@ -202,37 +201,6 @@ impl ConcurrentCracker {
         sum
     }
 
-    /// Answer a batch of count queries, fanning the batch out over the
-    /// morsel pool under [`ExecPolicy::Parallel`]. Each query still takes
-    /// the shared-or-exclusive path of [`query_count`](Self::query_count);
-    /// converged workloads run almost entirely under the shared lock and
-    /// scale with the worker count. Results are returned in input order
-    /// and are identical under either policy (each query's answer is
-    /// independent of crack interleaving).
-    pub fn query_counts_batch(&self, ranges: &[(i64, i64)], policy: ExecPolicy) -> Vec<usize> {
-        let out: Vec<std::sync::atomic::AtomicUsize> =
-            ranges.iter().map(|_| Default::default()).collect();
-        let run = |i: usize| {
-            let (low, high) = ranges[i];
-            out[i].store(self.query_count(low, high), Ordering::Relaxed);
-        };
-        match policy {
-            // The executor's profitability clamp applies here too: a
-            // batch that would resolve to one participant (single-core
-            // host, one-element batch, workers=1) skips pool dispatch
-            // entirely — per-probe submission otherwise dominates these
-            // tiny cracked-range lookups (the E16 regression).
-            ExecPolicy::Parallel { workers } if parallel_profitable(workers, ranges.len()) => {
-                // One "morsel" per query: cracker queries are tiny
-                // relative to MORSEL_ROWS-row scans, and the pool's
-                // work-stealing keeps the batch balanced anyway.
-                global_pool().run(workers.max(1), ranges.len(), &run);
-            }
-            ExecPolicy::Serial | ExecPolicy::Parallel { .. } => (0..ranges.len()).for_each(run),
-        }
-        out.into_iter().map(|c| c.into_inner()).collect()
-    }
-
     /// Lock-acquisition statistics so far.
     pub fn lock_stats(&self) -> LockStats {
         LockStats {
@@ -328,25 +296,6 @@ mod tests {
             s.shared,
             s.exclusive
         );
-    }
-
-    #[test]
-    fn batch_counts_match_serial_and_parallel() {
-        let base = uniform_i64(50_000, 0, 5_000, 11);
-        let queries = workload(QueryPattern::Random, 5_000, 200, 64, 12);
-        let serial = {
-            let c = ConcurrentCracker::new(base.clone());
-            c.query_counts_batch(&queries, ExecPolicy::Serial)
-        };
-        let parallel = {
-            let c = ConcurrentCracker::new(base.clone());
-            c.query_counts_batch(&queries, ExecPolicy::Parallel { workers: 4 })
-        };
-        assert_eq!(serial, parallel);
-        let scan = ScanBaseline::new(base);
-        for (i, &(lo, hi)) in queries.iter().enumerate() {
-            assert_eq!(serial[i], scan.query_count(lo, hi), "query {i}");
-        }
     }
 
     #[test]

@@ -22,6 +22,15 @@
 //! context bundling execution policy, fail points, cancellation, and
 //! tracing — instead of per-concern method variants.
 //!
+//! The crate holds the workspace's one dispatch protocol and its one
+//! scan-and-aggregate pipeline. [`fan_out`] runs `n` indexed jobs under
+//! the context's policy — the policy match, the pool submission (the
+//! pool has one entry point, [`ExecPool::run`]), the panic fallback and
+//! the lowest-index-error rule are written there and nowhere else; the
+//! shard layer's scan fan-out is a caller. [`run_query_parts`] runs a
+//! query over a table given as row-range parts, which is how a sharded
+//! table aggregates; [`run_query`] is its one-part case.
+//!
 //! # Example
 //!
 //! ```
@@ -39,14 +48,16 @@
 //! ```
 
 pub mod ctx;
+pub mod fanout;
 pub mod policy;
 pub mod pool;
 pub mod query;
 
 pub use ctx::{QueryCtx, YieldHook};
+pub use fanout::{fan_out, FanOut, FanOutSite};
 pub use policy::ExecPolicy;
 pub use pool::{default_parallelism, global_pool, ExecPool};
 pub use query::{
-    evaluate_selection, morsel_count, morsel_range, morsel_rows_for, parallel_profitable,
-    run_query, run_query_on_selection, MAX_MORSELS,
+    evaluate_selection, morsel_count, morsel_range, morsel_rows_for, run_query,
+    run_query_on_selection, run_query_parts, MAX_MORSELS,
 };

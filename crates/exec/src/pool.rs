@@ -1,8 +1,10 @@
 //! A small work-stealing worker pool for morsel-driven execution.
 //!
-//! The pool owns `helpers` persistent threads. Each submitted job is a
-//! batch of `n_morsels` independent tasks, block-partitioned across the
-//! participants (the submitting caller plus the helpers). Every
+//! The pool owns `helpers` persistent threads and has one submission
+//! method, [`ExecPool::run`]; [`crate::fan_out`] is its only caller in
+//! the workspace. Each submitted job is a batch of `n` independent
+//! indexed tasks (morsels, or shards of a scan), block-partitioned
+//! across the participants (the submitting caller plus the helpers). Every
 //! participant drains its own deque from the front and, when empty,
 //! steals the back half of another participant's deque — the classic
 //! morsel-driven scheme: coarse initial partitioning for locality,
@@ -15,10 +17,11 @@
 //!
 //! The caller always participates, so a pool with zero helper threads
 //! (e.g. on a single-core host) degrades to a plain sequential loop over
-//! the morsels. Submission is mutually exclusive: if another job is in
-//! flight the new caller just runs its morsels inline on its own thread
-//! rather than queueing — throughput under contention stays reasonable
-//! and deadlock is impossible by construction.
+//! the tasks. Submission is mutually exclusive: if another job is in
+//! flight the new caller just runs its tasks inline on its own thread
+//! rather than queueing — throughput under contention stays reasonable,
+//! a task may itself submit a job (it runs inline: shard jobs fan their
+//! morsels out this way), and deadlock is impossible by construction.
 //!
 //! Panics inside a task are caught, the job is cancelled (no new morsels
 //! are claimed), and the first payload is re-thrown on the submitting
@@ -213,79 +216,59 @@ impl ExecPool {
         self.helpers.len()
     }
 
-    /// Run `task` once for each morsel index in `0..n_morsels`, using up
+    /// How many participants a job of `n` tasks that asks for `workers`
+    /// is dispatched to: the request clamped to the pool size and the
+    /// task count. 1 means [`ExecPool::run`] would loop inline.
+    pub(crate) fn participants(&self, workers: usize, n: usize) -> usize {
+        workers.min(self.helpers.len() + 1).min(n).max(1)
+    }
+
+    /// Run `task(worker, index)` once for each index in `0..n`, using up
     /// to `workers` participants (including the calling thread). Blocks
-    /// until every morsel has run. Each index is executed exactly once;
-    /// completion of all tasks happens-before this returns.
+    /// until every index has run; each runs exactly once, and completion
+    /// of all of them happens-before this returns.
     ///
-    /// Falls back to an inline sequential loop when the effective
-    /// parallelism is 1 or another job already holds the pool.
-    pub fn run(&self, workers: usize, n_morsels: usize, task: &(dyn Fn(usize) + Sync)) {
-        self.run_counted(workers, n_morsels, task);
-    }
-
-    /// Like [`ExecPool::run`], but reports how many participants the job
-    /// was actually dispatched to — 1 means it ran inline on the calling
-    /// thread (single effective worker, busy pool, or a tiny job). The
-    /// observability layer records this in each exec span so inline
-    /// fallbacks are visible in traces.
-    pub fn run_counted(
-        &self,
-        workers: usize,
-        n_morsels: usize,
-        task: &(dyn Fn(usize) + Sync),
-    ) -> usize {
-        self.run_counted_indexed(workers, n_morsels, &|_worker, m| task(m))
-    }
-
-    /// Like [`ExecPool::run_counted`], but the task also receives the
-    /// participant index (`0..participants`) that runs it. A participant
-    /// index is stable for the duration of the job and exclusive to one
-    /// thread, which lets callers keep per-worker state (e.g. aggregation
-    /// scratch) without synchronization. Inline fallbacks run everything
-    /// as participant 0.
-    pub fn run_counted_indexed(
-        &self,
-        workers: usize,
-        n_morsels: usize,
-        task: &(dyn Fn(usize, usize) + Sync),
-    ) -> usize {
-        if n_morsels == 0 {
+    /// `worker` is the participant (`0..participants`) running the
+    /// index. It is stable for the duration of the job and exclusive to
+    /// one thread, which lets callers keep per-worker state (e.g.
+    /// aggregation scratch) without synchronization.
+    ///
+    /// Returns how many participants the job was dispatched to. 1 means
+    /// it ran inline on the calling thread, as worker 0 — one effective
+    /// worker, a tiny job, or another job already holding the pool (a
+    /// nested submission from inside a task always lands here).
+    pub fn run(&self, workers: usize, n: usize, task: &(dyn Fn(usize, usize) + Sync)) -> usize {
+        if n == 0 {
             return 0;
         }
-        let participants = workers.min(self.helpers.len() + 1).min(n_morsels).max(1);
-        if participants == 1 {
-            for m in 0..n_morsels {
-                task(0, m);
+        let inline = || {
+            for i in 0..n {
+                task(0, i);
             }
-            return 1;
+            1
+        };
+        let participants = self.participants(workers, n);
+        if participants == 1 {
+            return inline();
         }
 
         let job = {
             let mut st = match self.shared.state.try_lock() {
                 Ok(st) => st,
-                // Contended or poisoned: run inline instead of queueing.
-                Err(std::sync::TryLockError::WouldBlock) => {
-                    for m in 0..n_morsels {
-                        task(0, m);
-                    }
-                    return 1;
-                }
+                // Contended: run inline instead of queueing.
+                Err(std::sync::TryLockError::WouldBlock) => return inline(),
                 Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner(),
             };
             if st.job.is_some() {
                 drop(st);
-                for m in 0..n_morsels {
-                    task(0, m);
-                }
-                return 1;
+                return inline();
             }
             // Block-partition the morsels across the participants:
             // participant p starts with a contiguous chunk, preserving
             // scan locality; stealing rebalances the tail.
             let mut ranges = Vec::with_capacity(participants);
-            let per = n_morsels / participants;
-            let extra = n_morsels % participants;
+            let per = n / participants;
+            let extra = n % participants;
             let mut next = 0u32;
             for p in 0..participants {
                 let len = (per + usize::from(p < extra)) as u32;
@@ -422,7 +405,7 @@ mod tests {
         let pool = ExecPool::new(3);
         for n in [0usize, 1, 2, 7, 64, 1000] {
             let counts: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            pool.run(4, n, &|m| {
+            pool.run(4, n, &|_, m| {
                 counts[m].fetch_add(1, Ordering::Relaxed);
             });
             assert!(
@@ -436,7 +419,7 @@ mod tests {
     fn single_participant_runs_in_order() {
         let pool = ExecPool::new(0);
         let order = Mutex::new(Vec::new());
-        let used = pool.run_counted(8, 5, &|m| {
+        let used = pool.run(8, 5, &|_, m| {
             order.lock().unwrap_or_else(PoisonError::into_inner).push(m)
         });
         assert_eq!(used, 1, "zero helpers degrade to inline execution");
@@ -447,10 +430,10 @@ mod tests {
     }
 
     #[test]
-    fn run_counted_reports_multi_participant_dispatch() {
+    fn run_reports_multi_participant_dispatch() {
         let pool = ExecPool::new(3);
         let hits = AtomicUsize::new(0);
-        let used = pool.run_counted(4, 256, &|_| {
+        let used = pool.run(4, 256, &|_, _| {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 256);
@@ -464,7 +447,7 @@ mod tests {
     fn task_panic_propagates_to_caller() {
         let pool = ExecPool::new(2);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.run(3, 16, &|m| {
+            pool.run(3, 16, &|_, m| {
                 if m == 7 {
                     panic!("morsel 7 exploded");
                 }
@@ -475,7 +458,7 @@ mod tests {
         assert_eq!(msg, "morsel 7 exploded");
         // The pool must still be usable afterwards.
         let hits = AtomicUsize::new(0);
-        pool.run(3, 8, &|_| {
+        pool.run(3, 8, &|_, _| {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 8);
@@ -490,7 +473,7 @@ mod tests {
                 s.spawn(move || {
                     for _ in 0..20 {
                         let total = AtomicUsize::new(0);
-                        pool.run(3, 33, &|m| {
+                        pool.run(3, 33, &|_, m| {
                             total.fetch_add(m + 1, Ordering::Relaxed);
                         });
                         assert_eq!(total.load(Ordering::Relaxed), 33 * 34 / 2);
@@ -507,7 +490,7 @@ mod tests {
         // job — that exclusivity is what makes per-worker state sound.
         let owners: Vec<Mutex<Option<std::thread::ThreadId>>> =
             (0..4).map(|_| Mutex::new(None)).collect();
-        let used = pool.run_counted_indexed(4, 512, &|w, _m| {
+        let used = pool.run(4, 512, &|w, _m| {
             let mut owner = owners[w].lock().unwrap_or_else(PoisonError::into_inner);
             let me = std::thread::current().id();
             match *owner {
@@ -523,7 +506,7 @@ mod tests {
         // Inline fallback (zero helpers) runs everything as worker 0.
         let solo = ExecPool::new(0);
         let max_w = AtomicUsize::new(0);
-        solo.run_counted_indexed(4, 16, &|w, _| {
+        solo.run(4, 16, &|w, _| {
             max_w.fetch_max(w, Ordering::Relaxed);
         });
         assert_eq!(max_w.load(Ordering::Relaxed), 0);

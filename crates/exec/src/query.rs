@@ -6,13 +6,22 @@
 //! handful of work units. Each morsel independently evaluates the
 //! predicate over its row window (vectorized, see
 //! `Predicate::evaluate_range`) and either gathers its matching rows
-//! (scan queries) or folds them into a per-worker aggregation state
-//! that emits one partial batch per morsel (aggregate queries; see
-//! `run_agg_morsels`). Partial results are then merged **in morsel
-//! order**, so [`ExecPolicy::Serial`] and [`ExecPolicy::Parallel`]
-//! produce bit-identical tables by construction: the only difference is
-//! which thread computes each morsel, never what is computed or the
-//! order in which partials are combined.
+//! (scan queries) or folds them into its participant's aggregation
+//! state, which emits one partial batch per morsel (aggregate queries).
+//! Partial results are then merged **in morsel order**, so
+//! [`ExecPolicy::Serial`] and [`ExecPolicy::Parallel`] produce
+//! bit-identical tables by construction: the only difference is which
+//! thread computes each morsel, never what is computed or the order in
+//! which partials are combined.
+//!
+//! There is one pipeline. A table may be given as a list of row-range
+//! **parts** ([`run_query_parts`]; [`run_query`] is the one-part case):
+//! the morsel grid is the concatenation's, and a morsel whose rows live
+//! in several parts reads its fragments in place, in row order — so the
+//! partition is as invisible in the output as the policy. Every fan-out
+//! goes through [`crate::fan_out`] via the private `run_morsels`, which
+//! adds what is the executor's own: a cancel check per morsel, the
+//! `exec.*` fault names, and the exec/morsel/worker spans.
 //!
 //! Every entry point takes one [`QueryCtx`] carrying the execution
 //! policy, fail-point registry, cancellation tokens, and trace handle —
@@ -26,18 +35,22 @@
 //! `Query::run` in the last ulp (per-morsel Welford accumulators merged
 //! pairwise versus one long accumulation). Between the two policies the
 //! results are identical down to the bit.
+//!
+//! [`ExecPolicy::Serial`]: crate::ExecPolicy::Serial
+//! [`ExecPolicy::Parallel`]: crate::ExecPolicy::Parallel
 
 use std::borrow::Cow;
-use std::cell::UnsafeCell;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use explore_obs::{SpanKind, ROOT_SPAN};
-use explore_storage::{Predicate, Query, Result, StorageError, Table, MORSEL_ROWS};
+use explore_storage::{
+    AggColumns, GroupedAggState, Predicate, Query, Result, StorageError, Table, WorkerAggState,
+    MORSEL_ROWS,
+};
 
 use crate::ctx::QueryCtx;
-use crate::policy::ExecPolicy;
-use crate::pool::global_pool;
-
-use explore_storage::{Aggregate, GroupedAggState, MorselAggBatch, WorkerAggState};
+use crate::fanout::{fan_out, FanOutSite};
 
 /// Cap on how many morsels one fan-out produces. Above
 /// `MAX_MORSELS × MORSEL_ROWS` rows, morsels grow (in whole multiples
@@ -60,7 +73,7 @@ pub fn morsel_rows_for(n_rows: usize) -> usize {
 }
 
 /// The half-open row window of morsel `m` in a table of `n_rows` rows.
-pub fn morsel_range(m: usize, n_rows: usize) -> std::ops::Range<usize> {
+pub fn morsel_range(m: usize, n_rows: usize) -> Range<usize> {
     let rows = morsel_rows_for(n_rows);
     let start = m * rows;
     start..n_rows.min(start + rows)
@@ -86,9 +99,13 @@ pub fn evaluate_selection(
     ctx: &QueryCtx,
 ) -> Result<Vec<u32>> {
     let n = table.num_rows();
-    let pieces = run_morsels(ctx, morsel_count(n), "filter", |m| {
-        predicate.evaluate_range(table, morsel_range(m, n))
-    })?;
+    let (pieces, _) = run_morsels(
+        ctx,
+        morsel_count(n),
+        "filter",
+        || (),
+        |_, _, m| predicate.evaluate_range(table, morsel_range(m, n)),
+    )?;
     let mut sel = Vec::with_capacity(pieces.iter().map(Vec::len).sum());
     for piece in pieces {
         sel.extend_from_slice(&piece);
@@ -96,50 +113,36 @@ pub fn evaluate_selection(
     Ok(sel)
 }
 
-/// Execute `query` against `table` under `ctx`. See the module docs for
-/// the determinism contract. A cancelled or expired token surfaces as
+/// Execute `query` against `table` under `ctx`: the one-part case of
+/// [`run_query_parts`]. See the module docs for the determinism
+/// contract. A cancelled or expired token surfaces as
 /// `StorageError::Cancelled`/`DeadlineExceeded` after at most one
 /// in-flight morsel finishes; no partial result escapes.
 pub fn run_query(table: &Table, query: &Query, ctx: &QueryCtx) -> Result<Table> {
-    let n = table.num_rows();
-    let n_morsels = morsel_count(n);
+    run_query_parts(&[table], query, ctx)
+}
 
-    if query.aggregates.is_empty() {
-        // Scan query: validate the projection before any predicate runs,
-        // then gather each morsel's matches from the projected columns.
-        query.check_projection(table)?;
-        let pieces = run_morsels(ctx, n_morsels, "scan", |m| {
-            let sel = query.predicate.evaluate_range(table, morsel_range(m, n))?;
-            query.scan_rows(table, &sel)
-        })?;
-        let out = merge_traced(ctx, || {
-            let mut iter = pieces.into_iter();
-            let mut out = iter.next().expect("at least one morsel");
-            for piece in iter {
-                out.append(&piece)?;
-            }
-            Ok(out)
-        })?;
-        query.apply_order_limit(out)
+/// Execute `query` against the table whose rows are the rows of `parts`
+/// (at least one, all of one schema) concatenated in order, without
+/// materializing it. The morsel grid is the whole table's — computed
+/// from the total row count, wherever the part boundaries fall — and a
+/// morsel that covers rows of several parts evaluates the predicate on
+/// each fragment and consumes the fragments in row order, so the result
+/// is bit-identical to [`run_query`] on the concatenation (and errors
+/// are the same errors) for every partition of the rows.
+pub fn run_query_parts(parts: &[&Table], query: &Query, ctx: &QueryCtx) -> Result<Table> {
+    let n = parts.iter().map(|t| t.num_rows()).sum();
+    let stage = if query.aggregates.is_empty() {
+        "scan"
     } else {
-        // Aggregate query: per-worker interner state, one partial batch
-        // per morsel, absorbed in morsel order (group output order is
-        // first-appearance order).
-        let merged = run_agg_morsels(
-            ctx,
-            table,
-            &query.group_by,
-            &query.aggregates,
-            n_morsels,
-            "aggregate",
-            |m| {
-                Ok(Cow::Owned(
-                    query.predicate.evaluate_range(table, morsel_range(m, n))?,
-                ))
-            },
-        )?;
-        query.apply_order_limit(merged)
-    }
+        "aggregate"
+    };
+    run_selected(ctx, parts, query, morsel_count(n), stage, |m| {
+        fragments(parts, morsel_range(m, n)).map(|(p, rows)| {
+            let sel = query.predicate.evaluate_range(parts[p], rows)?;
+            Ok((p, Cow::Owned(sel)))
+        })
+    })
 }
 
 /// Execute the post-filter part of `query` on a precomputed selection
@@ -170,394 +173,199 @@ pub fn run_query_on_selection(
     let bounds: Vec<usize> = (0..=n_morsels)
         .map(|m| sel.partition_point(|&row| (row as usize) < m * rows_per_morsel))
         .collect();
-    let slice = |m: usize| &sel[bounds[m]..bounds[m + 1]];
+    run_selected(ctx, &[table], query, n_morsels, "replay", |m| {
+        std::iter::once(Ok((0, Cow::Borrowed(&sel[bounds[m]..bounds[m + 1]]))))
+    })
+}
 
-    if query.aggregates.is_empty() {
-        query.check_projection(table)?;
-        let pieces = run_morsels(ctx, n_morsels, "replay", |m| {
-            query.scan_rows(table, slice(m))
-        })?;
-        let out = merge_traced(ctx, || {
+/// The pieces of global row window `rows` that live in each of `parts`,
+/// in row order, as `(part index, part-local row window)`. An empty
+/// window (the one morsel of an empty table) still yields part 0, so
+/// validation runs and every partition surfaces identical errors.
+fn fragments<'p>(
+    parts: &'p [&'p Table],
+    rows: Range<usize>,
+) -> impl Iterator<Item = (usize, Range<usize>)> + 'p {
+    let mut start = 0;
+    parts.iter().enumerate().filter_map(move |(p, part)| {
+        let end = start + part.num_rows();
+        let (a, b) = (rows.start.max(start), rows.end.min(end));
+        let fragment = (a < b || (rows.is_empty() && p == 0)).then(|| (p, a - start..b - start));
+        start = end;
+        fragment
+    })
+}
+
+/// The post-filter pipeline every entry point shares. `selected(m)`
+/// yields morsel `m`'s fragments in row order — the part each lives in
+/// and the part-local rows the predicate selected there (evaluated
+/// lazily for direct runs, a precomputed slice for cache replays).
+///
+/// A scan gathers each fragment's rows from the projected columns and
+/// concatenates morsels in order. An aggregate keeps one
+/// [`WorkerAggState`] per pool participant (the group-key interner
+/// amortizes across stolen morsels), feeds it a morsel's fragments to
+/// get one [`MorselAggBatch`], and absorbs the batches into the final
+/// state **in morsel order** — a batch's content depends only on its
+/// morsel's rows, never on the worker that ran it or the parts they
+/// came from, so the result is bit-identical across policies, worker
+/// counts, steal schedules and partitions.
+fn run_selected<'s, I>(
+    ctx: &QueryCtx,
+    parts: &[&Table],
+    query: &Query,
+    n_morsels: usize,
+    stage: &'static str,
+    selected: impl Fn(usize) -> I + Sync,
+) -> Result<Table>
+where
+    I: Iterator<Item = Result<(usize, Cow<'s, [u32]>)>>,
+{
+    let first = *parts
+        .first()
+        .ok_or_else(|| StorageError::Internal("a query needs at least one part".into()))?;
+    let merged = if query.aggregates.is_empty() {
+        // Validate the projection before any predicate runs.
+        query.check_projection(first)?;
+        let (pieces, _) = run_morsels(
+            ctx,
+            n_morsels,
+            stage,
+            || (),
+            |_, _, m| {
+                let mut piece: Option<Table> = None;
+                for fragment in selected(m) {
+                    let (p, sel) = fragment?;
+                    let rows = query.scan_rows(parts[p], &sel)?;
+                    match &mut piece {
+                        None => piece = Some(rows),
+                        Some(piece) => piece.append(&rows)?,
+                    }
+                }
+                Ok(piece.expect("every morsel has a fragment"))
+            },
+        )?;
+        merge_traced(ctx, || {
             let mut iter = pieces.into_iter();
             let mut out = iter.next().expect("at least one morsel");
             for piece in iter {
                 out.append(&piece)?;
             }
             Ok(out)
-        })?;
-        query.apply_order_limit(out)
+        })?
     } else {
-        let merged = run_agg_morsels(
+        let (group_by, aggs) = (&query.group_by, &query.aggregates);
+        // Resolved once per part, consulted only after a fragment's
+        // selection exists: within a morsel a predicate error wins over
+        // an aggregate-validation error.
+        let cols: Result<Vec<AggColumns>> = parts
+            .iter()
+            .map(|part| AggColumns::resolve(part, group_by, aggs))
+            .collect();
+        let (batches, workers) = run_morsels(
             ctx,
-            table,
-            &query.group_by,
-            &query.aggregates,
             n_morsels,
-            "replay",
-            |m| Ok(Cow::Borrowed(slice(m))),
+            stage,
+            WorkerAggState::default,
+            |worker, w, m| {
+                worker.begin();
+                for fragment in selected(m) {
+                    let (p, sel) = fragment?;
+                    let cols = cols.as_ref().map_err(StorageError::clone)?;
+                    worker.feed(&cols[p], &sel);
+                }
+                Ok((w, worker.end()))
+            },
         )?;
-        query.apply_order_limit(merged)
-    }
+        if let Some(t) = ctx.trace {
+            let merged_states = (0..workers.len())
+                .filter(|w| batches.iter().any(|(ran_by, _)| ran_by == w))
+                .count();
+            t.metrics().inc("exec.worker_merge", merged_states as u64);
+        }
+        merge_traced(ctx, || {
+            let mut acc = GroupedAggState::new(first.schema(), group_by, aggs)?;
+            for (w, batch) in &batches {
+                acc.absorb_batch(&workers[*w], batch);
+            }
+            acc.finish()
+        })?
+    };
+    query.apply_order_limit(merged)
 }
 
-/// Run `f` once per morsel index under the context's policy and collect
-/// the results in morsel order. Errors are resolved deterministically:
-/// the error of the lowest-indexed failing morsel wins under either
-/// policy.
+/// What [`run_morsels`] reports a degradation under.
+const EXEC_SITE: FanOutSite = FanOutSite {
+    spawn_fail: "exec.spawn",
+    job_fail: Some("exec.morsel"),
+    degraded_event: "fault.exec.serial_fallback",
+    fault_site: "exec.serial_fallback",
+};
+
+/// Run `f(state, participant, morsel)` once per morsel index through
+/// [`fan_out`] and return the results in morsel order plus the
+/// per-participant states. Errors are resolved deterministically: the
+/// error of the lowest-indexed failing morsel wins under either policy.
 ///
-/// The context hooks in three behaviours, all off (one branch each) by
-/// default:
+/// What this adds to the dispatch protocol is the executor's own:
 ///
 /// * **Cancellation** — `ctx.check_cancel()` runs before every morsel,
 ///   so a cancelled/expired token stops the query after at most the
 ///   in-flight morsels finish; remaining morsels fail fast without
 ///   doing work.
-/// * **Fault injection** — the `exec.spawn` fail point diverts pool
-///   dispatch to an inline serial loop, and the `exec.morsel` fail
-///   point panics inside a pooled morsel task. Any worker panic
-///   (injected or real) is caught and the whole batch degrades to
-///   serial execution — bit-identical output, since the morsel
-///   decomposition and merge order never change. A panic that repeats
-///   serially propagates; the serial retry does not re-inject.
-/// * **Tracing** — with `ctx.trace` set, records one [`SpanKind::Exec`]
-///   span (parented at the trace root, stamped with the stage label and
-///   the number of pool participants actually dispatched) plus one
-///   [`SpanKind::Morsel`] child per morsel, and a [`SpanKind::Fault`]
-///   marker when a degradation path engages. The exec span id is
-///   reserved *before* the morsels run so children can parent under it,
-///   then filled in afterwards once the participant count is known.
-fn run_morsels<T, F>(ctx: &QueryCtx, n_morsels: usize, stage: &'static str, f: F) -> Result<Vec<T>>
-where
-    T: Send,
-    F: Fn(usize) -> Result<T> + Sync,
-{
-    let span = ctx.trace.map(|t| (t, t.alloc_id(), t.now_ns()));
-    // `inject` is true only for pooled attempts: the serial fallback
-    // must not re-trigger the fault it is recovering from.
-    let run_one = |m: usize, inject: bool| -> Result<T> {
-        ctx.check_cancel()?;
-        if inject && ctx.fire("exec.morsel") {
-            panic!("faultsim: injected morsel panic");
-        }
-        match span {
-            Some((t, exec_id, _)) => {
-                let start = t.now_ns();
-                let out = f(m);
-                t.record(
-                    exec_id,
-                    SpanKind::Morsel { index: m as u32 },
-                    start,
-                    t.now_ns(),
-                );
-                out
-            }
-            None => f(m),
-        }
-    };
-    let run_serial = |inject: bool| (0..n_morsels).map(|m| run_one(m, inject)).collect();
-    let serial_fallback = || {
-        ctx.note("fault.exec.serial_fallback");
-        if let Some((t, exec_id, _)) = span {
-            let now = t.now_ns();
-            t.record(
-                exec_id,
-                SpanKind::Fault {
-                    site: "exec.serial_fallback",
-                },
-                now,
-                now,
-            );
-        }
-        (run_serial(false), 1usize)
-    };
-    let (result, participants) = match ctx.exec {
-        ExecPolicy::Serial => (run_serial(false), 1usize),
-        ExecPolicy::Parallel { .. } if ctx.fire("exec.spawn") => {
-            // Injected dispatch failure: pretend the pool was
-            // unavailable and run the batch inline.
-            serial_fallback()
-        }
-        ExecPolicy::Parallel { workers } if parallel_profitable(workers, n_morsels) => {
-            let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let slots = SlotVec::new(n_morsels);
-                let participants = global_pool().run_counted(workers.max(1), n_morsels, &|m| {
-                    // Safety: the pool executes each morsel index exactly
-                    // once, so each slot is written by exactly one task.
-                    unsafe { slots.set(m, run_one(m, true)) };
-                });
-                (slots, participants)
-            }));
-            match attempt {
-                Ok((slots, participants)) => {
-                    let mut out = Vec::with_capacity(n_morsels);
-                    let mut collected = Ok(());
-                    for slot in slots.into_inner() {
-                        match slot {
-                            Some(Ok(v)) => out.push(v),
-                            Some(Err(e)) => {
-                                collected = Err(e);
-                                break;
-                            }
-                            None => {
-                                collected =
-                                    Err(StorageError::Internal("pool skipped a morsel".into()));
-                                break;
-                            }
-                        }
-                    }
-                    (collected.map(|()| out), participants.max(1))
-                }
-                // A worker panicked (injected or real). The pool caught
-                // it, unpublished the job, and stays valid; re-run the
-                // whole batch serially — same decomposition, same merge
-                // order, bit-identical output.
-                Err(_) => serial_fallback(),
-            }
-        }
-        ExecPolicy::Parallel { .. } => {
-            // Serial fast-path: the pool would run this inline on the
-            // calling thread anyway (one effective worker or a tiny
-            // job), so skip dispatch entirely. Fault semantics match
-            // the pooled path: injected morsel panics still fire and
-            // still degrade to the non-injecting serial fallback.
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_serial(true))) {
-                Ok(result) => (result, 1usize),
-                Err(_) => serial_fallback(),
-            }
-        }
-    };
-    if let Some((t, exec_id, start)) = span {
-        t.record_as(
-            exec_id,
-            ROOT_SPAN,
-            SpanKind::Exec {
-                stage,
-                participants: participants as u32,
-                morsels: n_morsels as u32,
-            },
-            start,
-            t.now_ns(),
-        );
-    }
-    result
-}
-
-/// Would a parallel fan-out actually dispatch to more than one thread?
-/// Mirrors the pool's own participant clamp; when the answer is no, the
-/// executor skips pool submission entirely (the serial fast-path).
-/// Public so other fan-out layers (cracked-range batches, shard
-/// dispatch) apply the same profitability rule instead of inventing
-/// their own thresholds.
-pub fn parallel_profitable(workers: usize, n_morsels: usize) -> bool {
-    workers
-        .max(1)
-        .min(global_pool().helper_count() + 1)
-        .min(n_morsels)
-        > 1
-}
-
-/// One pool participant's aggregation state plus its span bookkeeping.
-struct AggWorker<'t> {
-    state: WorkerAggState<'t>,
-    /// `(first_start_ns, last_end_ns)` of this worker's morsels, when
-    /// tracing.
-    window: Option<(u64, u64)>,
-    morsels: u32,
-}
-
-/// Per-participant state slots for one aggregation fan-out.
-struct WorkerSlots<'t>(Vec<UnsafeCell<Option<AggWorker<'t>>>>);
-
-// Safety: the pool guarantees each participant index is exclusive to
-// one thread for the job's duration, so distinct slots are only ever
-// touched by distinct threads; the pool's completion barrier
-// happens-before the collector reads them.
-unsafe impl Sync for WorkerSlots<'_> {}
-
-impl<'t> WorkerSlots<'t> {
-    fn new(cap: usize) -> Self {
-        WorkerSlots((0..cap).map(|_| UnsafeCell::new(None)).collect())
-    }
-
-    /// # Safety
-    /// Only participant `w` may call this for slot `w`, and only while
-    /// the job runs (or after its completion barrier).
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn get(&self, w: usize) -> &mut Option<AggWorker<'t>> {
-        unsafe { &mut *self.0[w].get() }
-    }
-
-    fn into_inner(self) -> Vec<Option<AggWorker<'t>>> {
-        self.0.into_iter().map(UnsafeCell::into_inner).collect()
-    }
-}
-
-/// Aggregate-specific fan-out: like [`run_morsels`], but each pool
-/// participant keeps one [`WorkerAggState`] across every morsel it
-/// runs (the group-key interner amortizes across stolen morsels instead
-/// of being rebuilt per morsel), and each morsel yields a lightweight
-/// [`MorselAggBatch`] partial. Batches are absorbed into the final
-/// state **in morsel order** — a batch's content depends only on its
-/// morsel's rows, never on the worker that ran it, so the result is
-/// bit-identical across policies, worker counts, and steal schedules.
-///
-/// `sel_for(m)` produces morsel `m`'s selection (predicate evaluation
-/// for direct runs, a precomputed slice for cache replays); it runs
-/// before aggregate-column validation, preserving the error precedence
-/// of the historical per-morsel path. Cancellation, fault injection
-/// (`exec.spawn`/`exec.morsel` with serial fallback from fresh state),
-/// and span recording all match [`run_morsels`]; additionally each
-/// participant that ran at least one morsel gets a
-/// [`SpanKind::Worker`] child under the exec span, and the merge bumps
-/// the `exec.worker_merge` counter by the number of worker states
-/// merged.
-fn run_agg_morsels<'t, 's>(
+/// * **Fault names** — `exec.spawn` diverts dispatch to the inline loop
+///   and `exec.morsel` panics inside a first-attempt morsel; either
+///   degrades to `fault.exec.serial_fallback`, bit-identical because
+///   the morsel decomposition and merge order never change.
+/// * **Tracing** — with `ctx.trace` set, one [`SpanKind::Exec`] span
+///   (parented at the trace root, stamped with the stage label and the
+///   number of pool participants actually dispatched), one
+///   [`SpanKind::Morsel`] child per morsel, and one
+///   [`SpanKind::Worker`] child per participant that ran any, from its
+///   first morsel to its last (an aborted first attempt's morsels
+///   included, like their morsel spans). The exec span id is reserved *before*
+///   the morsels run so children can parent under it, then filled in
+///   afterwards once the participant count is known.
+fn run_morsels<S: Send, T: Send>(
     ctx: &QueryCtx,
-    table: &'t Table,
-    group_by: &'t [String],
-    aggs: &'t [Aggregate],
     n_morsels: usize,
     stage: &'static str,
-    sel_for: impl Fn(usize) -> Result<Cow<'s, [u32]>> + Sync,
-) -> Result<Table> {
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize, usize) -> Result<T> + Sync,
+) -> Result<(Vec<T>, Vec<S>)> {
     let span = ctx.trace.map(|t| (t, t.alloc_id(), t.now_ns()));
-    // `inject` is true only for first attempts; the serial fallback must
-    // not re-trigger the fault it is recovering from.
-    let run_one = |slots: &WorkerSlots<'t>,
-                   w: usize,
-                   m: usize,
-                   inject: bool|
-     -> Result<(u32, MorselAggBatch)> {
+    // Per participant, when tracing: first morsel's start, last morsel's
+    // end, morsels run. Statistics only, hence relaxed.
+    let tallies: Vec<[AtomicU64; 3]> = (0..span.map_or(0, |_| ctx.exec.workers()))
+        .map(|_| {
+            [
+                AtomicU64::new(u64::MAX),
+                AtomicU64::new(0),
+                AtomicU64::new(0),
+            ]
+        })
+        .collect();
+    let exec_id = span.map_or(ROOT_SPAN, |(_, exec_id, _)| exec_id);
+    let out = fan_out(ctx, &EXEC_SITE, exec_id, n_morsels, init, |state, w, m| {
         ctx.check_cancel()?;
-        if inject && ctx.fire("exec.morsel") {
-            panic!("faultsim: injected morsel panic");
-        }
-        // Safety: the pool hands index `w` to exactly one thread.
-        let cell = unsafe { slots.get(w) };
-        let work = |cell: &mut Option<AggWorker<'t>>| -> Result<MorselAggBatch> {
-            // Predicate errors must win over aggregate-validation errors
-            // within a morsel, as in the historical path.
-            let sel = sel_for(m)?;
-            if cell.is_none() {
-                *cell = Some(AggWorker {
-                    state: WorkerAggState::new(table, group_by, aggs)?,
-                    window: None,
-                    morsels: 0,
-                });
-            }
-            let worker = cell.as_mut().expect("initialized above");
-            let batch = worker.state.update_morsel(&sel);
-            worker.morsels += 1;
-            Ok(batch)
+        let Some((t, exec_id, _)) = span else {
+            return f(state, w, m);
         };
-        match span {
-            Some((t, exec_id, _)) => {
-                let start = t.now_ns();
-                let out = work(cell);
-                let end = t.now_ns();
-                t.record(exec_id, SpanKind::Morsel { index: m as u32 }, start, end);
-                if let Some(worker) = cell.as_mut() {
-                    let first = worker.window.map_or(start, |(s, _)| s);
-                    worker.window = Some((first, end));
-                }
-                out.map(|batch| (w as u32, batch))
-            }
-            None => work(cell).map(|batch| (w as u32, batch)),
-        }
-    };
-    type Collected = Result<Vec<(u32, MorselAggBatch)>>;
-    let run_serial = |inject: bool| -> (WorkerSlots<'t>, Collected) {
-        let slots = WorkerSlots::new(1);
-        let result = (0..n_morsels)
-            .map(|m| run_one(&slots, 0, m, inject))
-            .collect();
-        (slots, result)
-    };
-    let serial_fallback = || {
-        ctx.note("fault.exec.serial_fallback");
-        if let Some((t, exec_id, _)) = span {
-            let now = t.now_ns();
-            t.record(
-                exec_id,
-                SpanKind::Fault {
-                    site: "exec.serial_fallback",
-                },
-                now,
-                now,
-            );
-        }
-        // Fresh state: nothing interned during an aborted pooled attempt
-        // may leak into the serial re-run.
-        let (slots, result) = run_serial(false);
-        (slots, result, 1usize)
-    };
-    let (worker_slots, collected, participants) = match ctx.exec {
-        ExecPolicy::Serial => {
-            let (slots, result) = run_serial(false);
-            (slots, result, 1usize)
-        }
-        ExecPolicy::Parallel { .. } if ctx.fire("exec.spawn") => serial_fallback(),
-        ExecPolicy::Parallel { workers } if parallel_profitable(workers, n_morsels) => {
-            let cap = workers
-                .max(1)
-                .min(global_pool().helper_count() + 1)
-                .min(n_morsels);
-            let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let slots = WorkerSlots::new(cap);
-                let batches: SlotVec<Result<(u32, MorselAggBatch)>> = SlotVec::new(n_morsels);
-                let participants =
-                    global_pool().run_counted_indexed(workers.max(1), n_morsels, &|w, m| {
-                        // Safety: each morsel index runs exactly once.
-                        unsafe { batches.set(m, run_one(&slots, w, m, true)) };
-                    });
-                (slots, batches, participants)
-            }));
-            match attempt {
-                Ok((slots, batches, participants)) => {
-                    let mut out = Vec::with_capacity(n_morsels);
-                    let mut result = Ok(());
-                    for slot in batches.into_inner() {
-                        match slot {
-                            Some(Ok(v)) => out.push(v),
-                            Some(Err(e)) => {
-                                result = Err(e);
-                                break;
-                            }
-                            None => {
-                                result =
-                                    Err(StorageError::Internal("pool skipped a morsel".into()));
-                                break;
-                            }
-                        }
-                    }
-                    (slots, result.map(|()| out), participants.max(1))
-                }
-                Err(_) => serial_fallback(),
-            }
-        }
-        ExecPolicy::Parallel { .. } => {
-            // Serial fast-path below the profitability threshold; fault
-            // semantics match the pooled path (see `run_morsels`).
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_serial(true))) {
-                Ok((slots, result)) => (slots, result, 1usize),
-                Err(_) => serial_fallback(),
-            }
-        }
-    };
-    let workers = worker_slots.into_inner();
+        let start = t.now_ns();
+        let out = f(state, w, m);
+        let end = t.now_ns();
+        t.record(exec_id, SpanKind::Morsel { index: m as u32 }, start, end);
+        tallies[w][0].fetch_min(start, Ordering::Relaxed);
+        tallies[w][1].fetch_max(end, Ordering::Relaxed);
+        tallies[w][2].fetch_add(1, Ordering::Relaxed);
+        out
+    });
     if let Some((t, exec_id, start)) = span {
-        for (w, worker) in workers.iter().enumerate() {
-            let Some(worker) = worker else { continue };
-            if let Some((first, last)) = worker.window {
-                t.record(
-                    exec_id,
-                    SpanKind::Worker {
-                        index: w as u32,
-                        morsels: worker.morsels,
-                    },
-                    first,
-                    last,
-                );
+        for (w, tally) in tallies.iter().enumerate() {
+            let [first, last, morsels] = tally.each_ref().map(|a| a.load(Ordering::Relaxed));
+            if morsels > 0 {
+                let (index, morsels) = (w as u32, morsels as u32);
+                t.record(exec_id, SpanKind::Worker { index, morsels }, first, last);
             }
         }
         t.record_as(
@@ -565,26 +373,14 @@ fn run_agg_morsels<'t, 's>(
             ROOT_SPAN,
             SpanKind::Exec {
                 stage,
-                participants: participants as u32,
+                participants: out.participants as u32,
                 morsels: n_morsels as u32,
             },
             start,
             t.now_ns(),
         );
     }
-    let batches = collected?;
-    if let Some((t, _, _)) = span {
-        let merged_states = workers.iter().flatten().filter(|c| c.morsels > 0).count();
-        t.metrics().inc("exec.worker_merge", merged_states as u64);
-    }
-    merge_traced(ctx, || {
-        let mut acc = GroupedAggState::new(table, group_by, aggs)?;
-        for (w, batch) in &batches {
-            let worker = workers[*w as usize].as_ref().expect("batch has a worker");
-            acc.absorb_batch(&worker.state, batch);
-        }
-        acc.finish()
-    })
+    Ok((out.results?, out.states))
 }
 
 /// Run the morsel-order merge step `f`, wrapped in a [`SpanKind::Merge`]
@@ -601,35 +397,11 @@ fn merge_traced<T>(ctx: &QueryCtx, f: impl FnOnce() -> Result<T>) -> Result<T> {
     }
 }
 
-/// A fixed-size vector of write-once result slots, one per morsel.
-struct SlotVec<T>(Vec<UnsafeCell<Option<T>>>);
-
-// Safety: distinct slots are written by distinct tasks (the pool runs
-// each morsel index exactly once) and only read after the pool's
-// completion barrier, which happens-before the reads.
-unsafe impl<T: Send> Sync for SlotVec<T> {}
-
-impl<T> SlotVec<T> {
-    fn new(n: usize) -> Self {
-        SlotVec((0..n).map(|_| UnsafeCell::new(None)).collect())
-    }
-
-    /// # Safety
-    /// Each index must be written at most once, with no concurrent
-    /// reader; see the `Sync` impl notes.
-    unsafe fn set(&self, i: usize, value: T) {
-        unsafe { *self.0[i].get() = Some(value) };
-    }
-
-    fn into_inner(self) -> impl Iterator<Item = Option<T>> {
-        self.0.into_iter().map(UnsafeCell::into_inner)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use explore_storage::{gen, AggFunc, CmpOp, SortOrder, StorageError, Value};
+    use crate::ExecPolicy;
+    use explore_storage::{gen, AggFunc, CmpOp, SortOrder, Value};
 
     fn table() -> Table {
         gen::sales_table(&gen::SalesConfig {
@@ -806,6 +578,66 @@ mod tests {
         // Empty selection still yields the canonical aggregate shape.
         let empty = run_query_on_selection(&t, &q, &[], &QueryCtx::none()).unwrap();
         assert_eq!(empty.num_rows(), 0);
+    }
+
+    #[test]
+    fn fragments_tile_a_window_across_parts() {
+        let t = table();
+        let a = t.gather(&[0, 1, 2]);
+        let none = t.gather(&[]);
+        let b = t.gather(&[3, 4, 5, 6]);
+        let parts = [&a, &none, &b];
+        let of = |rows| fragments(&parts, rows).collect::<Vec<_>>();
+        assert_eq!(of(0..7), [(0, 0..3), (2, 0..4)]);
+        assert_eq!(of(1..4), [(0, 1..3), (2, 0..1)]);
+        assert_eq!(of(3..5), [(2, 0..2)]);
+        // The one morsel of an empty table still visits a part.
+        assert_eq!(
+            fragments(&[&none, &none], 0..0).collect::<Vec<_>>(),
+            [(0, 0..0)]
+        );
+    }
+
+    #[test]
+    fn parts_are_bit_identical_to_the_whole() {
+        let t = table();
+        let n = t.num_rows() as u32;
+        // Off-grid cuts, an empty part, and one-row parts inside morsel 1.
+        let cuts = [
+            0,
+            1000,
+            1000,
+            MORSEL_ROWS as u32 + 7,
+            MORSEL_ROWS as u32 + 8,
+            n,
+        ];
+        let owned: Vec<Table> = cuts
+            .windows(2)
+            .map(|w| t.gather(&(w[0]..w[1]).collect::<Vec<u32>>()))
+            .collect();
+        let parts: Vec<&Table> = owned.iter().collect();
+        let shapes = [
+            Query::new()
+                .filter(Predicate::cmp("qty", CmpOp::Ge, 5.0))
+                .select(&["region", "price"]),
+            Query::new()
+                .filter(Predicate::range("price", 50.0, 800.0))
+                .group("region")
+                .agg(AggFunc::Sum, "price")
+                .agg(AggFunc::Var, "discount"),
+            Query::new().agg(AggFunc::Avg, "price"),
+        ];
+        for policy in [ExecPolicy::Serial, ExecPolicy::Parallel { workers: 4 }] {
+            let ctx = QueryCtx::new(policy);
+            for q in &shapes {
+                assert_tables_bitwise(
+                    &run_query_parts(&parts, q, &ctx).unwrap(),
+                    &run_query(&t, q, &ctx).unwrap(),
+                );
+            }
+        }
+        let none = run_query_parts(&[], &shapes[0], &QueryCtx::none());
+        assert!(matches!(none, Err(StorageError::Internal(_))));
     }
 
     #[test]

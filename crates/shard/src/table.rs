@@ -6,6 +6,10 @@
 //! second copy. An unsharded table is the one-shard case of the same
 //! type — [`ShardedTable::from_arc`] then keeps the registered
 //! `Arc<Table>` itself, so registering without sharding copies nothing.
+//! Shard boundaries carry no meaning for execution: the executor lays
+//! its morsel grid over the shards (`explore_exec::run_query_parts`),
+//! not the other way round, so this crate imports none of its morsel
+//! math.
 //! Whole-table consumers (samples, synopses, SeeDB, facets, cubes) read
 //! [`ShardSnapshot::to_table`]: shard 0's `Arc` when there is one shard,
 //! a concatenation of one consistent cut otherwise.
@@ -43,9 +47,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use explore_cracking::ConcurrentCracker;
-use explore_exec::morsel_rows_for;
 use explore_fault::CancelToken;
-use explore_storage::{Result, StorageError, Table, Value};
+use explore_storage::{Result, StorageError, Table, Value, MORSEL_ROWS};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::policy::{ShardConfig, ShardPolicy};
@@ -219,27 +222,24 @@ pub struct ShardedTable {
 impl ShardedTable {
     /// Split a copy of `table` (registered as `name`) into shards per
     /// `config`. The split is contiguous and near-balanced: shard `i` of
-    /// `k` ends at `(i+1)*n/k`, **snapped to the executor's global morsel
-    /// grid** when every shard spans at least one morsel. Snapping is a
-    /// pure performance choice — any contiguous partition is
-    /// bit-identical by construction — but aligned boundaries mean no
-    /// global morsel straddles two shards, so the aggregate merge has no
-    /// serially rebuilt straddle morsels (see `explore_shard::fanout`).
+    /// `k` ends at `(i+1)*n/k`, rounded to the nearest multiple of
+    /// [`MORSEL_ROWS`] when every shard spans at least that many rows.
+    /// No answer depends on where the boundaries fall — any contiguous
+    /// partition is bit-identical, and a morsel that crosses one costs
+    /// an aggregate two range evaluations (see `explore_shard::fanout`).
+    /// The rounding is layout policy: it decides how many rows the last
+    /// shard holds, which is what a write copies while a reader holds a
+    /// snapshot (`ingest_under_read`: 53 392 rows rounded, 83 334 not).
     pub fn build(name: impl Into<String>, table: &Table, config: &ShardConfig) -> ShardedTable {
         let n = table.num_rows();
         let k = config.effective_count(n);
-        let rows_per = morsel_rows_for(n);
         let boundary = |i: usize| {
-            if i == 0 || i == k {
+            if i == 0 || i == k || n / k < MORSEL_ROWS {
                 return i * n / k;
             }
-            if n / k >= rows_per {
-                // Interior boundaries spaced ≥ one morsel apart stay
-                // strictly increasing after rounding to the grid.
-                ((i * n + k * rows_per / 2) / (k * rows_per)) * rows_per
-            } else {
-                i * n / k
-            }
+            // Interior boundaries spaced ≥ one block apart stay strictly
+            // increasing after rounding.
+            ((i * n + k * MORSEL_ROWS / 2) / (k * MORSEL_ROWS)) * MORSEL_ROWS
         };
         let shards = (0..k)
             .map(|i| {
@@ -503,6 +503,16 @@ mod tests {
             .collect();
         let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
         assert!(hi - lo <= 1, "{sizes:?}");
+    }
+
+    #[test]
+    fn boundaries_round_to_whole_blocks_once_shards_span_one() {
+        // 250 000 rows under the default config: three shards (the
+        // 65 536-row floor), cut at the multiples of MORSEL_ROWS nearest
+        // to thirds.
+        let st = ShardedTable::build("sales", &sales(250_000), &ShardConfig::default());
+        let starts: Vec<usize> = st.stats(|_| 0).iter().map(|s| s.start).collect();
+        assert_eq!(starts, [0, MORSEL_ROWS, 3 * MORSEL_ROWS]);
     }
 
     #[test]

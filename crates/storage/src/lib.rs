@@ -56,10 +56,11 @@ pub use column::Column;
 pub use error::{Result, StorageError};
 pub use join::hash_join;
 pub use predicate::{mask_to_sel, CmpOp, Predicate};
-pub use query::{
-    sort_table, Aggregate, GroupedAggState, MorselAggBatch, Query, SortOrder, WorkerAggState,
-    MORSEL_ROWS,
-};
+pub use query::{sort_table, Aggregate, Query, SortOrder, MORSEL_ROWS};
+/// The grouped-aggregation kernel of the morsel executor. `explore-exec`
+/// is its only consumer outside this crate; everything else aggregates
+/// through [`Query::run`] or `explore_exec::run_query`.
+pub use query::{AggColumns, GroupedAggState, MorselAggBatch, WorkerAggState};
 pub use rowstore::RowStore;
 pub use schema::{Field, Schema};
 pub use table::Table;

@@ -411,101 +411,95 @@ impl<'a> AggSrc<'a> {
     }
 }
 
-/// Resolve and validate the columns a grouped aggregation touches.
-fn validated_agg_cols<'a>(
-    table: &'a Table,
-    group_by: &[String],
-    aggs: &[Aggregate],
-) -> Result<(Vec<&'a Column>, Vec<&'a Column>)> {
-    let group_cols: Vec<&Column> = group_by
-        .iter()
-        .map(|n| table.column(n))
-        .collect::<Result<_>>()?;
-    let agg_cols: Vec<&Column> = aggs
-        .iter()
-        .map(|a| {
-            let c = table.column(&a.column)?;
-            if a.func != AggFunc::Count && !c.data_type().is_numeric() {
-                return Err(StorageError::TypeMismatch {
-                    column: a.column.clone(),
-                    expected: "numeric",
-                    found: c.data_type().name(),
-                });
-            }
-            Ok(c)
-        })
-        .collect::<Result<_>>()?;
-    Ok((group_cols, agg_cols))
+/// The columns one grouped aggregation reads from one table — or from
+/// one *part* of a table stored as several row-range tables. Everything
+/// table-dependent about an aggregation lives here, so the states that
+/// consume it ([`GroupedAggState`], [`WorkerAggState`]) borrow no table
+/// and can be fed rows of several parts in turn.
+#[derive(Debug)]
+pub struct AggColumns<'t> {
+    group_cols: Vec<&'t Column>,
+    agg_srcs: Vec<AggSrc<'t>>,
 }
 
-/// Mergeable partial state of a grouped aggregation — the unit the
-/// morsel-driven executor computes per morsel and merges in morsel
-/// order. The serial path is the degenerate case: one state fed the
-/// whole selection vector.
+impl<'t> AggColumns<'t> {
+    /// Resolve and validate the referenced columns: every group and
+    /// aggregate column must exist, and every aggregate but COUNT needs
+    /// a numeric input.
+    pub fn resolve(table: &'t Table, group_by: &[String], aggs: &[Aggregate]) -> Result<Self> {
+        let group_cols = group_by
+            .iter()
+            .map(|n| table.column(n))
+            .collect::<Result<_>>()?;
+        let agg_srcs = aggs
+            .iter()
+            .map(|a| {
+                let c = table.column(&a.column)?;
+                if a.func != AggFunc::Count && !c.data_type().is_numeric() {
+                    return Err(StorageError::TypeMismatch {
+                        column: a.column.clone(),
+                        expected: "numeric",
+                        found: c.data_type().name(),
+                    });
+                }
+                Ok(AggSrc::of(a.func, c))
+            })
+            .collect::<Result<_>>()?;
+        Ok(AggColumns {
+            group_cols,
+            agg_srcs,
+        })
+    }
+}
+
+/// Final state of a grouped aggregation: the group keys in
+/// first-appearance order and one accumulator row per group. Fed either
+/// row by row ([`GroupedAggState::update`], the serial `Query::run`
+/// path) or one per-morsel partial at a time
+/// ([`GroupedAggState::absorb_batch`], the morsel-driven executor).
 ///
-/// Group output order is first-appearance order over the update/merge
-/// sequence, so merging per-morsel states in morsel order reproduces
+/// Group output order is first-appearance order over the update/absorb
+/// sequence, so absorbing per-morsel batches in morsel order reproduces
 /// the serial row-order exactly.
 #[derive(Debug)]
-pub struct GroupedAggState<'a> {
-    table: &'a Table,
-    group_by: &'a [String],
-    aggs: &'a [Aggregate],
-    group_cols: Vec<&'a Column>,
-    agg_srcs: Vec<AggSrc<'a>>,
+pub struct GroupedAggState<'q> {
+    group_by: &'q [String],
+    aggs: &'q [Aggregate],
+    key_types: Vec<DataType>,
     index: GroupIndex,
     accs: Vec<Accumulator>,
 }
 
-impl<'a> GroupedAggState<'a> {
-    /// Validate the referenced columns and build an empty state.
-    pub fn new(table: &'a Table, group_by: &'a [String], aggs: &'a [Aggregate]) -> Result<Self> {
-        let (group_cols, agg_cols) = validated_agg_cols(table, group_by, aggs)?;
-        let agg_srcs = aggs
+impl<'q> GroupedAggState<'q> {
+    /// An empty state for a query over tables of `schema`, which
+    /// supplies the group columns' types. Aggregate inputs are validated
+    /// where they are read, by [`AggColumns::resolve`].
+    pub fn new(schema: &Schema, group_by: &'q [String], aggs: &'q [Aggregate]) -> Result<Self> {
+        let key_types = group_by
             .iter()
-            .zip(&agg_cols)
-            .map(|(a, c)| AggSrc::of(a.func, c))
-            .collect();
+            .map(|n| schema.data_type(n))
+            .collect::<Result<_>>()?;
         Ok(GroupedAggState {
-            table,
             group_by,
             aggs,
-            group_cols,
-            agg_srcs,
+            key_types,
             index: GroupIndex::default(),
             accs: Vec::new(),
         })
     }
 
-    /// Fold the rows of a selection vector in.
-    pub fn update(&mut self, sel: &[u32]) {
+    /// Fold the rows `sel` of the table `cols` was resolved on in.
+    pub fn update(&mut self, cols: &AggColumns, sel: &[u32]) {
         let n_aggs = self.aggs.len();
         for &row in sel {
             let row = row as usize;
-            let (slot, is_new) = self.index.slot_of_row(&self.group_cols, row);
+            let (slot, is_new) = self.index.slot_of_row(&cols.group_cols, row);
             if is_new {
                 self.accs
                     .resize(self.accs.len() + n_aggs, Accumulator::new());
             }
-            for (i, src) in self.agg_srcs.iter().enumerate() {
+            for (i, src) in cols.agg_srcs.iter().enumerate() {
                 self.accs[slot * n_aggs + i].update(src.at(row));
-            }
-        }
-    }
-
-    /// Merge another partial (over the same table and query) into this
-    /// one. Groups first seen in `other` are appended in `other`'s order.
-    pub fn merge(&mut self, other: GroupedAggState<'a>) {
-        let n_aggs = self.aggs.len();
-        for (other_slot, key) in other.index.keys.iter().enumerate() {
-            let (slot, is_new) = self.index.slot_of_key(key);
-            if is_new {
-                self.accs
-                    .resize(self.accs.len() + n_aggs, Accumulator::new());
-            }
-            for i in 0..n_aggs {
-                let partial = other.accs[other_slot * n_aggs + i];
-                self.accs[slot * n_aggs + i].merge(&partial);
             }
         }
     }
@@ -517,7 +511,7 @@ impl<'a> GroupedAggState<'a> {
     /// batches in morsel order performs the exact `Accumulator::merge`
     /// sequence of the historical per-morsel merge chain — bit-identical
     /// results under every steal schedule.
-    pub fn absorb_batch(&mut self, worker: &WorkerAggState<'a>, batch: &MorselAggBatch) {
+    pub fn absorb_batch(&mut self, worker: &WorkerAggState, batch: &MorselAggBatch) {
         let n_aggs = self.aggs.len();
         for (local, &wslot) in batch.slots.iter().enumerate() {
             let key = &worker.index.keys[wslot as usize];
@@ -542,22 +536,15 @@ impl<'a> GroupedAggState<'a> {
         }
 
         let mut fields = Vec::new();
-        for name in self.group_by {
-            fields.push(Field::new(
-                name.clone(),
-                self.table.schema().data_type(name)?,
-            ));
+        for (name, data_type) in self.group_by.iter().zip(&self.key_types) {
+            fields.push(Field::new(name.clone(), *data_type));
         }
         for a in self.aggs {
             fields.push(Field::new(a.result_name(), DataType::Float64));
         }
         let schema = Schema::new(fields)?;
 
-        let mut columns: Vec<Column> = self
-            .group_by
-            .iter()
-            .map(|n| Column::empty(self.table.schema().data_type(n).expect("validated")))
-            .collect();
+        let mut columns: Vec<Column> = self.key_types.iter().map(|t| Column::empty(*t)).collect();
         for key in &self.index.keys {
             for (col, part) in columns.iter_mut().zip(key) {
                 col.push(part.to_value())?;
@@ -573,22 +560,23 @@ impl<'a> GroupedAggState<'a> {
     }
 }
 
-/// Per-worker aggregation state for the morsel-driven executor: a
-/// group-key interner that lives for all the morsels a worker runs,
-/// plus epoch-stamped scratch for building per-morsel partial batches
-/// without clearing anything between morsels.
+/// One pool participant's aggregation state: a group-key interner that
+/// lives for all the morsels the participant runs, plus epoch-stamped
+/// scratch for building per-morsel partial batches without clearing
+/// anything between morsels. It borrows no table: a morsel is
+/// [`begin`](Self::begin) → [`feed`](Self::feed) once per part the
+/// morsel's rows live in, in row order → [`end`](Self::end), which
+/// yields the morsel's one [`MorselAggBatch`].
 ///
-/// Splitting "which groups exist" (worker-lifetime, amortized across
-/// stolen morsels) from "this morsel's partial accumulators" (returned
-/// per morsel as a [`MorselAggBatch`]) is what lets workers keep state
-/// without giving up determinism: a batch depends only on the morsel's
-/// rows — never on which worker computed it or what it saw before — so
-/// batches absorbed in morsel order produce bit-identical results under
-/// every steal schedule.
-#[derive(Debug)]
-pub struct WorkerAggState<'a> {
-    group_cols: Vec<&'a Column>,
-    agg_srcs: Vec<AggSrc<'a>>,
+/// Splitting "which groups exist" (participant-lifetime, amortized
+/// across stolen morsels) from "this morsel's partial accumulators" is
+/// what lets workers keep state without giving up determinism: a batch
+/// depends only on the morsel's rows — never on which worker computed
+/// it, what it saw before, or how many parts the rows were fed from —
+/// so batches absorbed in morsel order produce bit-identical results
+/// under every steal schedule and every partition of the rows.
+#[derive(Debug, Default)]
+pub struct WorkerAggState {
     index: GroupIndex,
     /// Per worker-slot epoch stamp: equals `epoch` iff the slot already
     /// has a batch-local accumulator row in the current morsel.
@@ -596,48 +584,37 @@ pub struct WorkerAggState<'a> {
     /// Batch-local row of the slot, valid when the stamp matches.
     slot_local: Vec<u32>,
     epoch: u32,
+    /// The morsel in progress.
+    batch: MorselAggBatch,
 }
 
 /// One morsel's partial aggregation: worker-slot ids in first-touch
 /// order plus one accumulator row (`aggs.len()` accumulators) per
 /// touched group. Resolved back to group keys by
 /// [`GroupedAggState::absorb_batch`] via the worker state's interner.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct MorselAggBatch {
     slots: Vec<u32>,
     accs: Vec<Accumulator>,
 }
 
-impl<'a> WorkerAggState<'a> {
-    /// Validate the referenced columns and build an empty worker state.
-    /// Validation matches [`GroupedAggState::new`] exactly.
-    pub fn new(table: &'a Table, group_by: &'a [String], aggs: &'a [Aggregate]) -> Result<Self> {
-        let (group_cols, agg_cols) = validated_agg_cols(table, group_by, aggs)?;
-        let agg_srcs = aggs
-            .iter()
-            .zip(&agg_cols)
-            .map(|(a, c)| AggSrc::of(a.func, c))
-            .collect();
-        Ok(WorkerAggState {
-            group_cols,
-            agg_srcs,
-            index: GroupIndex::default(),
-            slot_stamp: Vec::new(),
-            slot_local: Vec::new(),
-            epoch: 0,
-        })
+impl WorkerAggState {
+    /// Start a morsel, discarding whatever an abandoned one left.
+    pub fn begin(&mut self) {
+        self.epoch += 1;
+        self.batch.slots.clear();
+        self.batch.accs.clear();
     }
 
-    /// Aggregate one morsel's selection into a fresh partial batch.
-    /// Group interning persists across calls; accumulators do not.
-    pub fn update_morsel(&mut self, sel: &[u32]) -> MorselAggBatch {
-        self.epoch += 1;
-        let n_aggs = self.agg_srcs.len();
-        let mut slots: Vec<u32> = Vec::new();
-        let mut accs: Vec<Accumulator> = Vec::new();
+    /// Fold the rows `sel` of the part `cols` was resolved on into the
+    /// morsel in progress. Group interning persists across morsels;
+    /// accumulators do not.
+    pub fn feed(&mut self, cols: &AggColumns, sel: &[u32]) {
+        let n_aggs = cols.agg_srcs.len();
+        let MorselAggBatch { slots, accs } = &mut self.batch;
         for &row in sel {
             let row = row as usize;
-            let (wslot, is_new) = self.index.slot_of_row(&self.group_cols, row);
+            let (wslot, is_new) = self.index.slot_of_row(&cols.group_cols, row);
             if is_new {
                 self.slot_stamp.push(0);
                 self.slot_local.push(0);
@@ -652,18 +629,23 @@ impl<'a> WorkerAggState<'a> {
                 accs.resize(accs.len() + n_aggs, Accumulator::new());
                 local
             };
-            for (i, src) in self.agg_srcs.iter().enumerate() {
+            for (i, src) in cols.agg_srcs.iter().enumerate() {
                 accs[local * n_aggs + i].update(src.at(row));
             }
         }
-        MorselAggBatch { slots, accs }
+    }
+
+    /// Finish the morsel in progress and hand out its partial batch.
+    pub fn end(&mut self) -> MorselAggBatch {
+        std::mem::take(&mut self.batch)
     }
 }
 
 /// Grouped aggregation over a selection vector.
 fn aggregate(table: &Table, sel: &[u32], group_by: &[String], aggs: &[Aggregate]) -> Result<Table> {
-    let mut state = GroupedAggState::new(table, group_by, aggs)?;
-    state.update(sel);
+    let cols = AggColumns::resolve(table, group_by, aggs)?;
+    let mut state = GroupedAggState::new(table.schema(), group_by, aggs)?;
+    state.update(&cols, sel);
     state.finish()
 }
 
@@ -867,23 +849,28 @@ mod tests {
         ];
         let morsels: Vec<Vec<u32>> = vec![vec![0, 1], vec![2, 3], vec![4], vec![]];
 
-        let mut reference = GroupedAggState::new(&t, &group_by, &aggs).unwrap();
+        let cols = AggColumns::resolve(&t, &group_by, &aggs).unwrap();
+        let mut reference = GroupedAggState::new(t.schema(), &group_by, &aggs).unwrap();
         for sel in &morsels {
-            reference.update(sel);
+            reference.update(&cols, sel);
         }
         let expected = reference.finish().unwrap();
 
         for assignment in [vec![0, 0, 0, 0], vec![0, 1, 1, 0], vec![1, 0, 1, 0]] {
-            let mut workers = [
-                WorkerAggState::new(&t, &group_by, &aggs).unwrap(),
-                WorkerAggState::new(&t, &group_by, &aggs).unwrap(),
-            ];
+            let mut workers = [WorkerAggState::default(), WorkerAggState::default()];
             let batches: Vec<(usize, MorselAggBatch)> = morsels
                 .iter()
                 .zip(&assignment)
-                .map(|(sel, &w)| (w, workers[w].update_morsel(sel)))
+                .map(|(sel, &w)| {
+                    // Feeding a morsel in two pieces is the same morsel.
+                    let (head, tail) = sel.split_at(sel.len() / 2);
+                    workers[w].begin();
+                    workers[w].feed(&cols, head);
+                    workers[w].feed(&cols, tail);
+                    (w, workers[w].end())
+                })
                 .collect();
-            let mut acc = GroupedAggState::new(&t, &group_by, &aggs).unwrap();
+            let mut acc = GroupedAggState::new(t.schema(), &group_by, &aggs).unwrap();
             for (w, batch) in &batches {
                 acc.absorb_batch(&workers[*w], batch);
             }

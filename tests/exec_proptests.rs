@@ -3,21 +3,24 @@
 //! Random `Query` values (random predicate trees, group-bys, aggregate
 //! lists, orderings, limits — valid *and* invalid) run under the serial
 //! and parallel policies; the two must either both succeed with
-//! bit-identical tables or both fail with the same error. A second set
-//! of properties pins cracked-range answers to full-scan equivalence on
-//! random crack sequences, serially and through the batched pool path.
+//! bit-identical tables or both fail with the same error. The same
+//! queries run over random partitions of a table (`run_query_parts`)
+//! must match the whole table the same way. A further property pins
+//! cracked-range answers to full-scan equivalence on random crack
+//! sequences.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use exploration::cracking::{ConcurrentCracker, CrackerColumn};
-use exploration::exec::{evaluate_selection, run_query, ExecPolicy, QueryCtx};
+use exploration::cracking::CrackerColumn;
+use exploration::exec::{evaluate_selection, run_query, run_query_parts, ExecPolicy, QueryCtx};
 use exploration::storage::gen::{sales_table, SalesConfig};
 use exploration::storage::{
     AggFunc, CmpOp, Column, DataType, Predicate, Query, Schema, SortOrder, Table, Value,
     MORSEL_ROWS,
 };
+use exploration::{FailPoints, Schedule};
 
 /// A shared multi-morsel table (built once; cases only read it).
 fn big_table() -> &'static Table {
@@ -229,6 +232,47 @@ fn adhoc_pred() -> BoxedStrategy<Predicate> {
         .boxed()
 }
 
+fn partition_table(idx: usize) -> &'static Table {
+    sized_tables().get(idx).unwrap_or_else(|| big_table())
+}
+
+/// The tables the partition property draws from, with random cut
+/// points partitioning each into parts: a handful of arbitrary
+/// (off-grid) cuts, optionally a dense run of adjacent cuts straddling
+/// the first morsel boundary (one-row parts, so one morsel spans many),
+/// optionally every cut twice (empty parts).
+fn table_and_cuts() -> BoxedStrategy<(usize, Vec<usize>)> {
+    (0usize..8)
+        .prop_flat_map(|idx| {
+            let rows = partition_table(idx).num_rows();
+            (
+                prop::collection::vec(0..=rows, 0..6),
+                0usize..6,
+                any::<bool>(),
+            )
+                .prop_map(move |(mut cuts, dense, repeat)| {
+                    if dense > 0 {
+                        let grid = MORSEL_ROWS.min(rows);
+                        cuts.extend(grid.saturating_sub(dense)..=(grid + dense).min(rows));
+                    }
+                    if repeat {
+                        cuts.extend(cuts.clone());
+                    }
+                    cuts.extend([0, rows]);
+                    cuts.sort_unstable();
+                    (idx, cuts)
+                })
+        })
+        .boxed()
+}
+
+/// `table` split at `cuts` (ascending, from 0 to its row count).
+fn split(table: &Table, cuts: &[usize]) -> Vec<Table> {
+    cuts.windows(2)
+        .map(|w| table.gather(&(w[0] as u32..w[1] as u32).collect::<Vec<u32>>()))
+        .collect()
+}
+
 fn brute_range_ids(base: &[i64], lo: i64, hi: i64) -> Vec<u32> {
     base.iter()
         .enumerate()
@@ -324,6 +368,51 @@ proptest! {
         }
     }
 
+    /// Any query over any partition of a table — off-grid cuts, one-row
+    /// parts, empty parts, a morsel spanning several parts — is the
+    /// query over the whole table: same bits, same group order, same
+    /// error text, under either policy and under seeded `exec.morsel` /
+    /// `exec.spawn` chaos.
+    #[test]
+    fn random_partitions_agree_with_the_whole_table(
+        table_cuts in table_and_cuts(),
+        pred in pred_tree(),
+        groups in group_cols(),
+        aggs in agg_list(),
+        order in 0i64..3,
+        chaos in (any::<u64>(), 0u64..4),
+    ) {
+        let q = build_query(pred, &groups, &aggs, order, None);
+        let (t, cuts) = (partition_table(table_cuts.0), table_cuts.1);
+        let owned = split(t, &cuts);
+        let parts: Vec<&Table> = owned.iter().collect();
+        let whole = run_query(t, &q, &QueryCtx::none());
+        for policy in [ExecPolicy::Serial, ExecPolicy::Parallel { workers: 4 }] {
+            // A quarter of the cases run fault-free.
+            let (seed, one_in) = chaos;
+            let faults = (one_in > 0).then(|| {
+                let faults = std::sync::Arc::new(FailPoints::new());
+                faults.arm("exec.morsel", Schedule::Seeded { seed, one_in });
+                faults.arm("exec.spawn", Schedule::Seeded { seed: !seed, one_in: one_in + 1 });
+                faults
+            });
+            let ctx = QueryCtx::new(policy).with_faults(faults);
+            match (&whole, run_query_parts(&parts, &q, &ctx)) {
+                (Ok(a), Ok(b)) => prop_assert!(
+                    tables_bitwise_equal(a, &b),
+                    "parts diverged on {q:?} (cuts {cuts:?}, {policy:?})"
+                ),
+                (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
+                (a, b) => prop_assert!(
+                    false,
+                    "one side errored: whole ok = {}, parts ok = {}",
+                    a.is_ok(),
+                    b.is_ok()
+                ),
+            }
+        }
+    }
+
     /// The vectorized bitmap predicate path agrees with the scalar mask
     /// reference on random data including NaN, infinities, signed zero,
     /// and extreme magnitudes — same selections, same errors.
@@ -372,8 +461,7 @@ proptest! {
     }
 
     /// Cracked range answers equal a full scan for every prefix of a
-    /// random crack sequence, and the batched pool path agrees with
-    /// both the serial batch and the brute-force counts.
+    /// random crack sequence.
     #[test]
     fn cracked_ranges_equal_full_scan(
         base in prop::collection::vec(-500i64..500, 1..400),
@@ -383,11 +471,6 @@ proptest! {
             .iter()
             .map(|&(a, b)| (a.min(b), a.max(b)))
             .collect();
-        let expected: Vec<usize> = ranges
-            .iter()
-            .map(|&(lo, hi)| brute_range_ids(&base, lo, hi).len())
-            .collect();
-
         // Sequential cracking: every intermediate index state must
         // answer exactly like a scan.
         let mut cracker = CrackerColumn::new(base.clone());
@@ -397,13 +480,5 @@ proptest! {
             prop_assert_eq!(got, brute_range_ids(&base, lo, hi));
             prop_assert!(cracker.check_invariants());
         }
-
-        // Batched concurrent cracking under both policies.
-        let serial =
-            ConcurrentCracker::new(base.clone()).query_counts_batch(&ranges, ExecPolicy::Serial);
-        let parallel = ConcurrentCracker::new(base.clone())
-            .query_counts_batch(&ranges, ExecPolicy::Parallel { workers: 4 });
-        prop_assert_eq!(&serial, &expected);
-        prop_assert_eq!(&parallel, &expected);
     }
 }

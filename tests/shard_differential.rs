@@ -684,4 +684,26 @@ fn forced_shard_degradation_is_bitwise_and_counted() {
         "merge degradation counted"
     );
     faults.disarm_all();
+
+    // A sharded aggregate is the executor's aggregate over the shards:
+    // it degrades through the executor's fail points, not the shard
+    // ones.
+    assert_eq!(snap.counter("fault.exec.serial_fallback"), 0);
+    db.set_exec_policy(ExecPolicy::parallel());
+    faults.arm("exec.morsel", Schedule::Always);
+    let (name, q) = query_shapes()
+        .into_iter()
+        .find(|(_, q)| !q.aggregates.is_empty())
+        .expect("an aggregate shape");
+    let got = db.query("sales", &q).unwrap();
+    assert_bitwise_eq(
+        &plain.query("sales", &q).unwrap(),
+        &got,
+        &format!("{name} with exec.morsel armed"),
+    );
+    assert!(
+        db.metrics_snapshot().counter("fault.exec.serial_fallback") > 0,
+        "a sharded aggregate passes the exec fail points"
+    );
+    faults.disarm_all();
 }
