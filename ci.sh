@@ -96,6 +96,29 @@ if grep -rnE 'straddle|morsel_rows_for' crates/shard/src/; then
     exit 1
 fi
 
+echo "==> one-executor lint (one scan arm, one aggregate arm, one morsel grid)"
+# The query pipeline exists once, in crates/storage/src/query.rs, next to
+# the aggregation states it drives (DESIGN.md §6); explore-exec
+# contributes a dispatcher, not a pipeline. A second file calling the
+# begin/feed/end/absorb protocol or gathering scan rows, a revived
+# Query::run_on_selection, or morsel math defined in the executor is a
+# second, ulp-different answer growing back.
+for call in 'absorb_batch(' '.feed(' 'scan_rows('; do
+    files=$(find crates/*/src src -name '*.rs' | while read -r f; do
+        # No `grep -q`: its early exit would SIGPIPE sed under pipefail.
+        sed '/#\[cfg(test)\]/q' "$f" | grep -F "$call" >/dev/null && echo "$f" || true
+    done)
+    if [[ "$files" != "crates/storage/src/query.rs" ]]; then
+        echo "error: '$call' must have call sites in crates/storage/src/query.rs only; found:" $files >&2
+        exit 1
+    fi
+done
+if grep -rnF '.run_on_selection(' --include='*.rs' crates/ ||
+    grep -nE 'fn morsel_' crates/exec/src/query.rs; then
+    echo "error: second executor; run queries through Query::run or explore_exec::run_query" >&2
+    exit 1
+fi
+
 echo "==> one-measurement-authority lint (the retired bench harness stays retired)"
 # benchmark/ is the only source of a cross-commit number. The Criterion
 # shim, the gate binary and their env knobs were deleted; a reference

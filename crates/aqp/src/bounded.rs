@@ -275,14 +275,15 @@ impl<'a> BoundedExecutor<'a> {
         }
         let mut acc = Accumulator::new();
         let mut masked = Accumulator::new();
-        let matches: std::collections::HashSet<u32> = sel.iter().copied().collect();
+        // `sel` is ascending: one cursor walks it beside the row loop.
+        let mut matches = sel.iter().peekable();
         for row in 0..t.num_rows() {
             let x = if func == AggFunc::Count {
                 1.0
             } else {
                 col.numeric_at(row).unwrap_or(0.0)
             };
-            if matches.contains(&(row as u32)) {
+            if matches.next_if(|&&m| m as usize == row).is_some() {
                 acc.update(x);
                 masked.update(x);
             } else {

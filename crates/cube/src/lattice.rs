@@ -85,7 +85,9 @@ impl DataCube {
             if let Some(first) = key.iter().next() {
                 q = q.order(first, SortOrder::Asc);
             }
-            let t = q.run(&self.table)?;
+            // One accumulation per cell over the whole table: the
+            // summation order the lattice's cells are pinned under.
+            let t = q.run_unsplit(&self.table)?;
             self.cache.insert(key.clone(), t);
             self.computed += 1;
         } else {

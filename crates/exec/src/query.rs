@@ -1,27 +1,32 @@
-//! Morsel-driven execution of [`Query`] plans.
+//! Morsel-driven execution of [`Query`] plans under a [`QueryCtx`].
 //!
-//! A table is split into morsels at the same offsets regardless of
-//! policy: [`MORSEL_ROWS`] rows each up to [`MAX_MORSELS`] units, then
-//! adaptively coarser (see [`morsel_rows_for`]) so huge scans stay a
-//! handful of work units. Each morsel independently evaluates the
-//! predicate over its row window (vectorized, see
-//! `Predicate::evaluate_range`) and either gathers its matching rows
-//! (scan queries) or folds them into its participant's aggregation
-//! state, which emits one partial batch per morsel (aggregate queries).
-//! Partial results are then merged **in morsel order**, so
-//! [`ExecPolicy::Serial`] and [`ExecPolicy::Parallel`] produce
-//! bit-identical tables by construction: the only difference is which
-//! thread computes each morsel, never what is computed or the order in
-//! which partials are combined.
+//! The morsel grid and the scan-and-aggregate pipeline are
+//! `explore-storage`'s (`explore_storage::query`): a table splits into
+//! morsels at the same offsets whoever runs them, each morsel evaluates
+//! the predicate over its row window and gathers its rows or emits one
+//! partial aggregate batch, and partials merge **in morsel order**. That
+//! pipeline is generic over *who runs a morsel* — the
+//! [`MorselDispatch`] seam — and this module is its context-carrying
+//! implementation: [`run_query`], [`run_query_parts`] and
+//! [`run_query_on_selection`] hand the pipeline a dispatcher that sends
+//! every fan-out through [`crate::fan_out`] via the private
+//! `run_morsels`, which adds what is the executor's own — a cancel check
+//! per morsel, the `exec.*` fault names, and the exec/morsel/worker
+//! spans. The grid functions are re-exported here under the paths they
+//! have always had.
 //!
-//! There is one pipeline. A table may be given as a list of row-range
-//! **parts** ([`run_query_parts`]; [`run_query`] is the one-part case):
-//! the morsel grid is the concatenation's, and a morsel whose rows live
-//! in several parts reads its fragments in place, in row order — so the
-//! partition is as invisible in the output as the policy. Every fan-out
-//! goes through [`crate::fan_out`] via the private `run_morsels`, which
-//! adds what is the executor's own: a cancel check per morsel, the
-//! `exec.*` fault names, and the exec/morsel/worker spans.
+//! The other implementation of the seam is the plain calling-thread loop
+//! behind [`Query::run`]. What a morsel computes and the order partials
+//! combine in belong to the pipeline, not the dispatcher, so
+//! [`ExecPolicy::Serial`], [`ExecPolicy::Parallel`] and `Query::run`
+//! produce bit-identical tables by construction: the only difference is
+//! which thread computes each morsel.
+//!
+//! A table may be given as a list of row-range **parts**
+//! ([`run_query_parts`]; [`run_query`] is the one-part case): the morsel
+//! grid is the concatenation's, and a morsel whose rows live in several
+//! parts reads its fragments in place, in row order — so the partition
+//! is as invisible in the output as the policy.
 //!
 //! Every entry point takes one [`QueryCtx`] carrying the execution
 //! policy, fail-point registry, cancellation tokens, and trace handle —
@@ -29,62 +34,17 @@
 //! ([`QueryCtx::none`]) gives plain serial execution with every hook
 //! disabled at the cost of a couple of `None` branches per morsel.
 //!
-//! Note the reference point: the serial policy here is the morsel
-//! pipeline run on one thread, which matches [`Query::run`] exactly for
-//! scans and for ordering/limits, while float aggregates can differ from
-//! `Query::run` in the last ulp (per-morsel Welford accumulators merged
-//! pairwise versus one long accumulation). Between the two policies the
-//! results are identical down to the bit.
-//!
 //! [`ExecPolicy::Serial`]: crate::ExecPolicy::Serial
 //! [`ExecPolicy::Parallel`]: crate::ExecPolicy::Parallel
 
-use std::borrow::Cow;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use explore_obs::{SpanKind, ROOT_SPAN};
-use explore_storage::{
-    AggColumns, GroupedAggState, Predicate, Query, Result, StorageError, Table, WorkerAggState,
-    MORSEL_ROWS,
-};
+pub use explore_storage::query::{morsel_count, morsel_range, morsel_rows_for, MAX_MORSELS};
+use explore_storage::{MorselDispatch, Predicate, Query, Result, Table};
 
 use crate::ctx::QueryCtx;
 use crate::fanout::{fan_out, FanOutSite};
-
-/// Cap on how many morsels one fan-out produces. Above
-/// `MAX_MORSELS × MORSEL_ROWS` rows, morsels grow (in whole multiples
-/// of [`MORSEL_ROWS`]) instead of multiplying, so a huge scan stays a
-/// handful of coarse work units rather than hundreds of tiny tasks
-/// whose per-morsel overhead (dispatch, span, partial merge) eats the
-/// parallel win.
-pub const MAX_MORSELS: usize = 64;
-
-/// Adaptive morsel size for a table of `n_rows` rows: the fixed
-/// [`MORSEL_ROWS`] granularity until the table would decompose into
-/// more than [`MAX_MORSELS`] units, then scaled up so it doesn't.
-/// The size depends *only* on the row count — never on the policy or
-/// worker count — because serial and parallel execution must share the
-/// decomposition for bit-identity, and selection replay must cut at
-/// the same offsets.
-pub fn morsel_rows_for(n_rows: usize) -> usize {
-    let units = n_rows.div_ceil(MORSEL_ROWS).max(1);
-    MORSEL_ROWS * units.div_ceil(MAX_MORSELS)
-}
-
-/// The half-open row window of morsel `m` in a table of `n_rows` rows.
-pub fn morsel_range(m: usize, n_rows: usize) -> Range<usize> {
-    let rows = morsel_rows_for(n_rows);
-    let start = m * rows;
-    start..n_rows.min(start + rows)
-}
-
-/// How many morsels a table of `n_rows` rows decomposes into. Always at
-/// least one, so validation (unknown columns, type mismatches) runs even
-/// on empty tables and both policies surface identical errors.
-pub fn morsel_count(n_rows: usize) -> usize {
-    n_rows.div_ceil(morsel_rows_for(n_rows)).max(1)
-}
 
 /// Evaluate `predicate` over the whole table under `ctx`, returning
 /// global row ids in ascending order — the same selection vector
@@ -124,174 +84,55 @@ pub fn run_query(table: &Table, query: &Query, ctx: &QueryCtx) -> Result<Table> 
 
 /// Execute `query` against the table whose rows are the rows of `parts`
 /// (at least one, all of one schema) concatenated in order, without
-/// materializing it. The morsel grid is the whole table's — computed
-/// from the total row count, wherever the part boundaries fall — and a
-/// morsel that covers rows of several parts evaluates the predicate on
-/// each fragment and consumes the fragments in row order, so the result
-/// is bit-identical to [`run_query`] on the concatenation (and errors
-/// are the same errors) for every partition of the rows.
+/// materializing it: [`Query::run_parts`] under `ctx`. The result is
+/// bit-identical to [`run_query`] on the concatenation (and errors are
+/// the same errors) for every partition of the rows.
 pub fn run_query_parts(parts: &[&Table], query: &Query, ctx: &QueryCtx) -> Result<Table> {
-    let n = parts.iter().map(|t| t.num_rows()).sum();
-    let stage = if query.aggregates.is_empty() {
-        "scan"
-    } else {
-        "aggregate"
-    };
-    run_selected(ctx, parts, query, morsel_count(n), stage, |m| {
-        fragments(parts, morsel_range(m, n)).map(|(p, rows)| {
-            let sel = query.predicate.evaluate_range(parts[p], rows)?;
-            Ok((p, Cow::Owned(sel)))
-        })
-    })
+    query.run_parts(parts, &Morsels(ctx))
 }
 
 /// Execute the post-filter part of `query` on a precomputed selection
 /// vector of **ascending global row ids**, preserving the base table's
-/// morsel decomposition: morsel `m` processes exactly the slice of
-/// `sel` falling inside its row window, and partials merge in morsel
-/// order, as in [`run_query`]. The exec span is staged `"replay"` so
-/// traces distinguish cache-subsumption replays from base-table scans.
-///
-/// The payoff is bit-exactness: if `sel` is what `query.predicate`
-/// selects on `table`, the output is bit-identical to
-/// `run_query(table, query, ctx)` — per-morsel float accumulation
-/// sees the same values in the same order, and empty slices merge as
-/// exact no-ops. The semantic result cache leans on this to answer a
-/// contained range query from a cached superset without perturbing a
-/// single ulp.
+/// morsel decomposition: [`Query::replay_selection`] under `ctx`. If
+/// `sel` is what `query.predicate` selects on `table`, the output is
+/// bit-identical to `run_query(table, query, ctx)`; the exec span is
+/// staged `"replay"`.
 pub fn run_query_on_selection(
     table: &Table,
     query: &Query,
     sel: &[u32],
     ctx: &QueryCtx,
 ) -> Result<Table> {
-    let n = table.num_rows();
-    let n_morsels = morsel_count(n);
-    // `sel` is ascending, so each morsel's share is one contiguous
-    // slice; cut at the same row offsets `run_query` scans at.
-    let rows_per_morsel = morsel_rows_for(n);
-    let bounds: Vec<usize> = (0..=n_morsels)
-        .map(|m| sel.partition_point(|&row| (row as usize) < m * rows_per_morsel))
-        .collect();
-    run_selected(ctx, &[table], query, n_morsels, "replay", |m| {
-        std::iter::once(Ok((0, Cow::Borrowed(&sel[bounds[m]..bounds[m + 1]]))))
-    })
+    query.replay_selection(table, sel, &Morsels(ctx))
 }
 
-/// The pieces of global row window `rows` that live in each of `parts`,
-/// in row order, as `(part index, part-local row window)`. An empty
-/// window (the one morsel of an empty table) still yields part 0, so
-/// validation runs and every partition surfaces identical errors.
-fn fragments<'p>(
-    parts: &'p [&'p Table],
-    rows: Range<usize>,
-) -> impl Iterator<Item = (usize, Range<usize>)> + 'p {
-    let mut start = 0;
-    parts.iter().enumerate().filter_map(move |(p, part)| {
-        let end = start + part.num_rows();
-        let (a, b) = (rows.start.max(start), rows.end.min(end));
-        let fragment = (a < b || (rows.is_empty() && p == 0)).then(|| (p, a - start..b - start));
-        start = end;
-        fragment
-    })
-}
+/// The pipeline's dispatcher under a [`QueryCtx`]: morsels through
+/// [`run_morsels`], the merge under a [`SpanKind::Merge`] span.
+struct Morsels<'a, 't>(&'a QueryCtx<'t>);
 
-/// The post-filter pipeline every entry point shares. `selected(m)`
-/// yields morsel `m`'s fragments in row order — the part each lives in
-/// and the part-local rows the predicate selected there (evaluated
-/// lazily for direct runs, a precomputed slice for cache replays).
-///
-/// A scan gathers each fragment's rows from the projected columns and
-/// concatenates morsels in order. An aggregate keeps one
-/// [`WorkerAggState`] per pool participant (the group-key interner
-/// amortizes across stolen morsels), feeds it a morsel's fragments to
-/// get one [`MorselAggBatch`], and absorbs the batches into the final
-/// state **in morsel order** — a batch's content depends only on its
-/// morsel's rows, never on the worker that ran it or the parts they
-/// came from, so the result is bit-identical across policies, worker
-/// counts, steal schedules and partitions.
-fn run_selected<'s, I>(
-    ctx: &QueryCtx,
-    parts: &[&Table],
-    query: &Query,
-    n_morsels: usize,
-    stage: &'static str,
-    selected: impl Fn(usize) -> I + Sync,
-) -> Result<Table>
-where
-    I: Iterator<Item = Result<(usize, Cow<'s, [u32]>)>>,
-{
-    let first = *parts
-        .first()
-        .ok_or_else(|| StorageError::Internal("a query needs at least one part".into()))?;
-    let merged = if query.aggregates.is_empty() {
-        // Validate the projection before any predicate runs.
-        query.check_projection(first)?;
-        let (pieces, _) = run_morsels(
-            ctx,
-            n_morsels,
-            stage,
-            || (),
-            |_, _, m| {
-                let mut piece: Option<Table> = None;
-                for fragment in selected(m) {
-                    let (p, sel) = fragment?;
-                    let rows = query.scan_rows(parts[p], &sel)?;
-                    match &mut piece {
-                        None => piece = Some(rows),
-                        Some(piece) => piece.append(&rows)?,
-                    }
-                }
-                Ok(piece.expect("every morsel has a fragment"))
-            },
-        )?;
-        merge_traced(ctx, || {
-            let mut iter = pieces.into_iter();
-            let mut out = iter.next().expect("at least one morsel");
-            for piece in iter {
-                out.append(&piece)?;
-            }
-            Ok(out)
-        })?
-    } else {
-        let (group_by, aggs) = (&query.group_by, &query.aggregates);
-        // Resolved once per part, consulted only after a fragment's
-        // selection exists: within a morsel a predicate error wins over
-        // an aggregate-validation error.
-        let cols: Result<Vec<AggColumns>> = parts
-            .iter()
-            .map(|part| AggColumns::resolve(part, group_by, aggs))
-            .collect();
-        let (batches, workers) = run_morsels(
-            ctx,
-            n_morsels,
-            stage,
-            WorkerAggState::default,
-            |worker, w, m| {
-                worker.begin();
-                for fragment in selected(m) {
-                    let (p, sel) = fragment?;
-                    let cols = cols.as_ref().map_err(StorageError::clone)?;
-                    worker.feed(&cols[p], &sel);
-                }
-                Ok((w, worker.end()))
-            },
-        )?;
-        if let Some(t) = ctx.trace {
-            let merged_states = (0..workers.len())
-                .filter(|w| batches.iter().any(|(ran_by, _)| ran_by == w))
-                .count();
-            t.metrics().inc("exec.worker_merge", merged_states as u64);
+impl MorselDispatch for Morsels<'_, '_> {
+    fn run<S: Send, T: Send>(
+        &self,
+        n_morsels: usize,
+        stage: &'static str,
+        init: impl Fn() -> S + Sync,
+        job: impl Fn(&mut S, usize, usize) -> Result<T> + Sync,
+    ) -> Result<(Vec<T>, Vec<S>)> {
+        run_morsels(self.0, n_morsels, stage, init, job)
+    }
+
+    fn merge<T>(&self, worker_states: usize, f: impl FnOnce() -> Result<T>) -> Result<T> {
+        let Some(t) = self.0.trace else {
+            return f();
+        };
+        if worker_states > 0 {
+            t.metrics().inc("exec.worker_merge", worker_states as u64);
         }
-        merge_traced(ctx, || {
-            let mut acc = GroupedAggState::new(first.schema(), group_by, aggs)?;
-            for (w, batch) in &batches {
-                acc.absorb_batch(&workers[*w], batch);
-            }
-            acc.finish()
-        })?
-    };
-    query.apply_order_limit(merged)
+        let start = t.now_ns();
+        let out = f();
+        t.record(ROOT_SPAN, SpanKind::Merge, start, t.now_ns());
+        out
+    }
 }
 
 /// What [`run_morsels`] reports a degradation under.
@@ -383,25 +224,11 @@ fn run_morsels<S: Send, T: Send>(
     Ok((out.results?, out.states))
 }
 
-/// Run the morsel-order merge step `f`, wrapped in a [`SpanKind::Merge`]
-/// span when the context carries a trace.
-fn merge_traced<T>(ctx: &QueryCtx, f: impl FnOnce() -> Result<T>) -> Result<T> {
-    match ctx.trace {
-        Some(t) => {
-            let start = t.now_ns();
-            let out = f();
-            t.record(ROOT_SPAN, SpanKind::Merge, start, t.now_ns());
-            out
-        }
-        None => f(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ExecPolicy;
-    use explore_storage::{gen, AggFunc, CmpOp, SortOrder, Value};
+    use explore_storage::{gen, AggFunc, CmpOp, SortOrder, StorageError, Value, MORSEL_ROWS};
 
     fn table() -> Table {
         gen::sales_table(&gen::SalesConfig {
@@ -428,51 +255,6 @@ mod tests {
                     (x, y) => assert_eq!(x, y, "{}[{row}]", field.name()),
                 }
             }
-        }
-    }
-
-    #[test]
-    fn morsel_geometry() {
-        assert_eq!(morsel_count(0), 1);
-        assert_eq!(morsel_count(1), 1);
-        assert_eq!(morsel_count(MORSEL_ROWS), 1);
-        assert_eq!(morsel_count(MORSEL_ROWS + 1), 2);
-        assert_eq!(morsel_range(0, 10), 0..10);
-        assert_eq!(
-            morsel_range(1, MORSEL_ROWS + 5),
-            MORSEL_ROWS..MORSEL_ROWS + 5
-        );
-    }
-
-    #[test]
-    fn adaptive_morsel_sizing() {
-        // Fixed granularity up to MAX_MORSELS units…
-        assert_eq!(morsel_rows_for(0), MORSEL_ROWS);
-        assert_eq!(morsel_rows_for(MORSEL_ROWS * MAX_MORSELS), MORSEL_ROWS);
-        assert_eq!(morsel_count(MORSEL_ROWS * MAX_MORSELS), MAX_MORSELS);
-        // …then morsels coarsen instead of multiplying.
-        assert_eq!(
-            morsel_rows_for(MORSEL_ROWS * MAX_MORSELS + 1),
-            2 * MORSEL_ROWS
-        );
-        for n in [
-            MORSEL_ROWS * MAX_MORSELS + 1,
-            3 * MORSEL_ROWS * MAX_MORSELS + 17,
-            10 * MORSEL_ROWS * MAX_MORSELS,
-            100 * MORSEL_ROWS * MAX_MORSELS + 99,
-        ] {
-            let count = morsel_count(n);
-            assert!(count <= MAX_MORSELS, "{n} rows → {count} morsels");
-            assert_eq!(morsel_rows_for(n) % MORSEL_ROWS, 0, "{n}");
-            // Windows tile the table exactly.
-            let mut covered = 0;
-            for m in 0..count {
-                let r = morsel_range(m, n);
-                assert_eq!(r.start, covered, "{n} morsel {m}");
-                assert!(r.end > r.start, "{n} morsel {m} empty");
-                covered = r.end;
-            }
-            assert_eq!(covered, n);
         }
     }
 
@@ -515,13 +297,14 @@ mod tests {
             .agg(AggFunc::Sum, "price")
             .agg(AggFunc::Avg, "qty")
             .order("sum(price)", SortOrder::Desc);
-        let serial = run_query(&t, &q, &QueryCtx::none()).unwrap();
-        let parallel =
-            run_query(&t, &q, &QueryCtx::new(ExecPolicy::Parallel { workers: 4 })).unwrap();
-        assert_tables_bitwise(&serial, &parallel);
-        // Same groups and counts as the single-accumulator reference.
+        // One pipeline: the calling-thread walk is the reference.
         let reference = q.run(&t).unwrap();
-        assert_eq!(serial.num_rows(), reference.num_rows());
+        for policy in [ExecPolicy::Serial, ExecPolicy::Parallel { workers: 4 }] {
+            assert_tables_bitwise(
+                &run_query(&t, &q, &QueryCtx::new(policy)).unwrap(),
+                &reference,
+            );
+        }
     }
 
     #[test]
@@ -578,24 +361,6 @@ mod tests {
         // Empty selection still yields the canonical aggregate shape.
         let empty = run_query_on_selection(&t, &q, &[], &QueryCtx::none()).unwrap();
         assert_eq!(empty.num_rows(), 0);
-    }
-
-    #[test]
-    fn fragments_tile_a_window_across_parts() {
-        let t = table();
-        let a = t.gather(&[0, 1, 2]);
-        let none = t.gather(&[]);
-        let b = t.gather(&[3, 4, 5, 6]);
-        let parts = [&a, &none, &b];
-        let of = |rows| fragments(&parts, rows).collect::<Vec<_>>();
-        assert_eq!(of(0..7), [(0, 0..3), (2, 0..4)]);
-        assert_eq!(of(1..4), [(0, 1..3), (2, 0..1)]);
-        assert_eq!(of(3..5), [(2, 0..2)]);
-        // The one morsel of an empty table still visits a part.
-        assert_eq!(
-            fragments(&[&none, &none], 0..0).collect::<Vec<_>>(),
-            [(0, 0..0)]
-        );
     }
 
     #[test]

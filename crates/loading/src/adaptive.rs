@@ -17,7 +17,7 @@
 
 use std::sync::Arc;
 
-use explore_exec::QueryCtx;
+use explore_exec::{run_query, QueryCtx};
 use explore_fault::FailPoints;
 use explore_storage::csv::push_parsed;
 use explore_storage::{Column, Field, Query, Result, Schema, StorageError, Table, Value};
@@ -268,18 +268,25 @@ impl AdaptiveLoader {
     }
 
     /// Run a query directly against the raw file, loading exactly the
-    /// referenced columns first. The context's cancellation tokens are
-    /// checked before each column load — the loader's unit of work — so
-    /// a deadline stops invisible loading between columns, leaving the
+    /// referenced columns first, then executing on the loaded view with
+    /// the engine's executor under `ctx` — the answer a registered copy
+    /// of the file would give, bit for bit. The context's cancellation
+    /// tokens are checked before each column load and each morsel, so a
+    /// deadline stops invisible loading between columns, leaving the
     /// cache and positional map valid for the next query.
     pub fn query(&mut self, query: &Query, ctx: &QueryCtx) -> Result<Table> {
-        let needed: Vec<String> = query
-            .referenced_columns()
-            .into_iter()
-            .map(str::to_owned)
-            .collect();
+        // A scan with no projection returns every column, in schema
+        // order, whatever its predicate mentions.
+        let names: Vec<String> = if query.aggregates.is_empty() && query.projection.is_empty() {
+            self.raw.schema().names()
+        } else {
+            query.referenced_columns()
+        }
+        .into_iter()
+        .map(str::to_owned)
+        .collect();
         let mut any_loaded = false;
-        for name in &needed {
+        for name in &names {
             ctx.check_cancel()?;
             any_loaded |= self.ensure_column(name)?;
         }
@@ -288,16 +295,6 @@ impl AdaptiveLoader {
         }
         // Build a view table of the needed columns only (clones Column
         // handles once per query; the underlying data moved at load time).
-        let names: Vec<String> = if needed.is_empty() {
-            self.raw
-                .schema()
-                .names()
-                .iter()
-                .map(|s| s.to_string())
-                .collect()
-        } else {
-            needed
-        };
         if !self.view_cache.contains_key(&names) {
             let mut fields = Vec::with_capacity(names.len());
             let mut cols = Vec::with_capacity(names.len());
@@ -333,7 +330,7 @@ impl AdaptiveLoader {
             .view_cache
             .get(&names)
             .ok_or_else(|| StorageError::Internal("view cache lost freshly built view".into()))?;
-        query.run(view)
+        run_query(view, query, ctx)
     }
 }
 

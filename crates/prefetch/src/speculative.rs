@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use explore_cache::{cached_query_at_epoch, Fingerprint, ResultCache};
-use explore_exec::QueryCtx;
+use explore_exec::{run_query, QueryCtx};
 use explore_fault::CancelToken;
 use explore_obs::MetricsRegistry;
 use explore_storage::{AggFunc, Query, Result, StorageError, Table};
@@ -269,7 +269,7 @@ impl SpeculativeExecutor {
             Some(s) => {
                 cached_query_at_epoch(&s.cache, &self.table, &s.table_name, &query, &ctx, s.epoch)?
             }
-            None => query.run(&self.table)?,
+            None => run_query(&self.table, &query, &ctx)?,
         };
         let name = format!("{}({})", req.func, req.measure);
         let col = result

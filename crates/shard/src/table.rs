@@ -390,8 +390,8 @@ impl ShardedTable {
     /// order within each shard, not ascending.
     ///
     /// Returns `(ids, reorganized)` where `reorganized` lists the shards
-    /// whose piece count grew — the caller bumps exactly those shards'
-    /// epochs. The cancel token is checked between crack steps; a
+    /// whose piece count grew (an observation, not a mutation: a cracker
+    /// reorganizes its own copy of the column). The cancel token is checked between crack steps; a
     /// cancelled call leaves every shard's index well-formed.
     pub fn cracked_range(
         &self,

@@ -13,7 +13,8 @@
 //! * [`Column`] — typed contiguous vectors; hot loops run on raw slices.
 //! * [`Table`] — a schema plus equal-length columns.
 //! * [`Predicate`] — filter ASTs with vectorized evaluation.
-//! * [`Query`] — filter → group/aggregate → order → limit.
+//! * [`Query`] — filter → group/aggregate → order → limit, and the one
+//!   morsel pipeline that executes it ([`Query::run`] is its serial walk).
 //! * [`RowStore`] — the row-major mirror used by adaptive storage.
 //! * [`Catalog`] — named tables; [`hash_join`] for cross-table exploration.
 //! * [`rng`] / [`gen`] — deterministic randomness and synthetic workloads
@@ -56,11 +57,12 @@ pub use column::Column;
 pub use error::{Result, StorageError};
 pub use join::hash_join;
 pub use predicate::{mask_to_sel, CmpOp, Predicate};
+/// The morsel grid and the dispatch seam of the one query pipeline
+/// (see [`query`]). `explore-exec` implements the seam with cancellation,
+/// fail points, spans and the pool; everything else runs queries through
+/// [`Query::run`] or `explore_exec::run_query`, which return the same bits.
+pub use query::{morsel_count, morsel_range, morsel_rows_for, MorselDispatch, MAX_MORSELS};
 pub use query::{sort_table, Aggregate, Query, SortOrder, MORSEL_ROWS};
-/// The grouped-aggregation kernel of the morsel executor. `explore-exec`
-/// is its only consumer outside this crate; everything else aggregates
-/// through [`Query::run`] or `explore_exec::run_query`.
-pub use query::{AggColumns, GroupedAggState, MorselAggBatch, WorkerAggState};
 pub use rowstore::RowStore;
 pub use schema::{Field, Schema};
 pub use table::Table;

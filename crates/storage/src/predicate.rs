@@ -172,10 +172,9 @@ impl Predicate {
     }
 
     /// Evaluate against a table, returning the qualifying row ids in
-    /// ascending order.
+    /// ascending order: [`Predicate::evaluate_range`] over every row.
     pub fn evaluate(&self, table: &Table) -> Result<Vec<u32>> {
-        let mask = self.evaluate_mask(table)?;
-        Ok(mask_to_sel(&mask))
+        self.evaluate_range(table, 0..table.num_rows())
     }
 
     /// Evaluate to a dense boolean mask (one bool per row).
@@ -184,8 +183,8 @@ impl Predicate {
     }
 
     /// Evaluate on the row window `rows`, returning qualifying *global*
-    /// row ids in ascending order. The morsel-driven executor fans this
-    /// out: each worker scans one window and the per-window selections
+    /// row ids in ascending order. The query pipeline fans this out:
+    /// each morsel scans one window and the per-window selections
     /// concatenate, in window order, to exactly [`Predicate::evaluate`].
     ///
     /// This is the vectorized hot path: each node fills a `u64` bitmap

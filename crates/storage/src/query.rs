@@ -1,12 +1,39 @@
-//! A small declarative query layer: filter → group/aggregate → order → limit.
+//! A small declarative query layer: filter → group/aggregate → order → limit
+//! — and the one pipeline that executes it.
 //!
 //! This is the engine every higher layer drives: the AQP middleware runs the
 //! same [`Query`] against samples, SeeDB runs batches of them with shared
 //! scans, and the exploration front-ends translate user interactions into
 //! them. It intentionally covers single-table select/aggregate queries —
 //! the query shape of every experiment in the surveyed papers.
+//!
+//! # One executor
+//!
+//! This module owns the **morsel grid** ([`MORSEL_ROWS`], [`MAX_MORSELS`],
+//! [`morsel_rows_for`], [`morsel_range`], [`morsel_count`]) and the
+//! **pipeline** that walks it: each morsel evaluates the predicate over
+//! its row window with the bitmap kernels and either gathers its matching
+//! rows (scans) or folds them into one partial batch (aggregates);
+//! partials merge **in morsel order**. The aggregation states and their
+//! begin → feed → end → absorb-in-morsel-order protocol are private to it.
+//!
+//! *Who runs a morsel* is the only thing the pipeline leaves open, behind
+//! [`MorselDispatch`]: `run` executes one job per morsel and `merge` the
+//! morsel-order combine. There are exactly two implementations. The one
+//! here is a plain loop on the calling thread — [`Query::run`]. The other
+//! is `explore-exec`'s, which adds a cancel check per morsel, the `exec.*`
+//! fail points, spans, and the pool under `ExecPolicy::Parallel`
+//! (`run_query` and friends). What a morsel computes and the order
+//! partials combine in never depend on the dispatcher, so `Query::run`
+//! and `run_query` under either policy return the same bits by
+//! construction: there is one exact answer. (The one retained exception
+//! is a *grid*, not a second pipeline: [`Query::run_unsplit`] walks the
+//! whole table as one morsel for the data-cube lattice, whose cells the
+//! repo benchmark pins in that summation order.)
 
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::ops::Range;
 
 use crate::agg::{Accumulator, AggFunc};
 use crate::column::Column;
@@ -16,12 +43,97 @@ use crate::schema::{Field, Schema};
 use crate::table::Table;
 use crate::value::{DataType, Value};
 
-/// Rows per morsel: the unit of work the parallel executor hands to its
-/// workers, and the partial-aggregation granularity both execution
-/// policies share. Serial and parallel execution split a table at the
-/// same multiples of `MORSEL_ROWS`, which is what makes their outputs
-/// bit-identical (see `explore-exec`).
+/// Rows per morsel: the unit of work a dispatcher hands out, and the
+/// partial-aggregation granularity every execution shares. Every
+/// dispatcher splits a table at the same multiples of `MORSEL_ROWS`,
+/// which is what makes their outputs bit-identical.
 pub const MORSEL_ROWS: usize = 1 << 16;
+
+/// Cap on how many morsels one fan-out produces. Above
+/// `MAX_MORSELS × MORSEL_ROWS` rows, morsels grow (in whole multiples
+/// of [`MORSEL_ROWS`]) instead of multiplying, so a huge scan stays a
+/// handful of coarse work units rather than hundreds of tiny tasks
+/// whose per-morsel overhead (dispatch, span, partial merge) eats the
+/// parallel win.
+pub const MAX_MORSELS: usize = 64;
+
+/// Adaptive morsel size for a table of `n_rows` rows: the fixed
+/// [`MORSEL_ROWS`] granularity until the table would decompose into
+/// more than [`MAX_MORSELS`] units, then scaled up so it doesn't.
+/// The size depends *only* on the row count — never on the dispatcher,
+/// policy or worker count — because every execution must share the
+/// decomposition for bit-identity, and selection replay must cut at
+/// the same offsets.
+pub fn morsel_rows_for(n_rows: usize) -> usize {
+    let units = n_rows.div_ceil(MORSEL_ROWS).max(1);
+    MORSEL_ROWS * units.div_ceil(MAX_MORSELS)
+}
+
+/// The half-open row window of morsel `m` in a table of `n_rows` rows.
+pub fn morsel_range(m: usize, n_rows: usize) -> Range<usize> {
+    let rows = morsel_rows_for(n_rows);
+    let start = m * rows;
+    start..n_rows.min(start + rows)
+}
+
+/// How many morsels a table of `n_rows` rows decomposes into. Always at
+/// least one, so validation (unknown columns, type mismatches) runs even
+/// on empty tables and every dispatcher surfaces identical errors.
+pub fn morsel_count(n_rows: usize) -> usize {
+    n_rows.div_ceil(morsel_rows_for(n_rows)).max(1)
+}
+
+/// Who runs the pipeline's morsels: the one thing an execution of a
+/// [`Query`] may vary. Implemented twice — the calling-thread loop
+/// behind [`Query::run`], and `explore-exec`'s context-carrying
+/// dispatcher (cancellation, fail points, spans, the pool).
+///
+/// The contract is the executor's bit-identity contract: `run` returns
+/// each job's result at its morsel index, whichever thread ran it, and
+/// the error of the lowest-indexed failing morsel; a job's result
+/// depends only on its index, never on its state's history.
+pub trait MorselDispatch {
+    /// Run `job(state, participant, morsel)` once per morsel in
+    /// `0..n_morsels` and return the results in morsel order plus the
+    /// per-participant states (`participant` indexes them), each built
+    /// by `init` and owned by one participant for the whole fan-out.
+    /// `stage` labels the fan-out for whoever records it.
+    fn run<S: Send, T: Send>(
+        &self,
+        n_morsels: usize,
+        stage: &'static str,
+        init: impl Fn() -> S + Sync,
+        job: impl Fn(&mut S, usize, usize) -> Result<T> + Sync,
+    ) -> Result<(Vec<T>, Vec<S>)>;
+
+    /// Run the morsel-order merge step `f`, which combines the partials
+    /// of `worker_states` participant states (0 for a scan).
+    fn merge<T>(&self, worker_states: usize, f: impl FnOnce() -> Result<T>) -> Result<T>;
+}
+
+/// The serial walk: every morsel in order on the calling thread, one
+/// state, nothing recorded.
+struct CallingThread;
+
+impl MorselDispatch for CallingThread {
+    fn run<S: Send, T: Send>(
+        &self,
+        n_morsels: usize,
+        _stage: &'static str,
+        init: impl Fn() -> S + Sync,
+        job: impl Fn(&mut S, usize, usize) -> Result<T> + Sync,
+    ) -> Result<(Vec<T>, Vec<S>)> {
+        let mut state = init();
+        let results = (0..n_morsels)
+            .map(|m| job(&mut state, 0, m))
+            .collect::<Result<_>>()?;
+        Ok((results, vec![state]))
+    }
+
+    fn merge<T>(&self, _worker_states: usize, f: impl FnOnce() -> Result<T>) -> Result<T> {
+        f()
+    }
+}
 
 /// One aggregate expression: `func(column)`. For `Count` the column may
 /// be any column of the table (count ignores its values).
@@ -177,27 +289,180 @@ impl Query {
         out
     }
 
-    /// Execute against a table.
+    /// Execute against a table: the pipeline's serial walk, every
+    /// morsel in order on the calling thread. Bit-identical to
+    /// `explore_exec::run_query` under either policy.
     pub fn run(&self, table: &Table) -> Result<Table> {
-        let sel = self.predicate.evaluate(table)?;
-        self.run_on_selection(table, &sel)
+        self.run_parts(&[table], &CallingThread)
+    }
+
+    /// Execute against the table whose rows are the rows of `parts` (at
+    /// least one, all of one schema) concatenated in order, without
+    /// materializing it, running the morsels through `dispatch`. The
+    /// morsel grid is the whole table's — computed from the total row
+    /// count, wherever the part boundaries fall — and a morsel that
+    /// covers rows of several parts evaluates the predicate on each
+    /// fragment and consumes the fragments in row order, so the result
+    /// is bit-identical to a run on the concatenation (and errors are
+    /// the same errors) for every partition of the rows.
+    pub fn run_parts<D: MorselDispatch>(&self, parts: &[&Table], dispatch: &D) -> Result<Table> {
+        let n = parts.iter().map(|t| t.num_rows()).sum();
+        let stage = if self.aggregates.is_empty() {
+            "scan"
+        } else {
+            "aggregate"
+        };
+        self.run_selected(dispatch, parts, morsel_count(n), stage, |m| {
+            fragments(parts, morsel_range(m, n)).map(|(p, rows)| {
+                let sel = self.predicate.evaluate_range(parts[p], rows)?;
+                Ok((p, Cow::Owned(sel)))
+            })
+        })
+    }
+
+    /// Execute with the whole table as **one morsel**: the same pipeline
+    /// on the calling thread, but each group's aggregate is a single
+    /// accumulation over all its rows instead of per-morsel partials
+    /// merged in order. On a table of at most [`MORSEL_ROWS`] rows this
+    /// *is* [`Query::run`]; above that, float aggregates may differ from
+    /// it in the last ulp. It exists for the one consumer whose answers
+    /// are pinned in that summation order — the data-cube lattice, whose
+    /// cell digests `benchmark/`'s `middleware_insight` workload fixes —
+    /// and goes when that pin is re-taken; everything else runs
+    /// [`Query::run`] or `explore_exec::run_query`.
+    pub fn run_unsplit(&self, table: &Table) -> Result<Table> {
+        self.run_selected(&CallingThread, &[table], 1, "unsplit", |_| {
+            let sel = self.predicate.evaluate(table);
+            std::iter::once(sel.map(|sel| (0, Cow::Owned(sel))))
+        })
     }
 
     /// Execute the post-filter part of the query on a precomputed
-    /// selection vector. The adaptive-indexing layer uses this to combine
-    /// cracker-produced selections with the shared aggregation machinery.
-    pub fn run_on_selection(&self, table: &Table, sel: &[u32]) -> Result<Table> {
-        let result = if self.aggregates.is_empty() {
-            self.scan_rows(table, sel)?
-        } else {
-            aggregate(table, sel, &self.group_by, &self.aggregates)?
-        };
-        self.apply_order_limit(result)
+    /// selection vector of **ascending global row ids**, preserving the
+    /// base table's morsel decomposition: morsel `m` processes exactly
+    /// the slice of `sel` falling inside its row window, and partials
+    /// merge in morsel order, as in [`Query::run_parts`]. The fan-out is
+    /// staged `"replay"` so traces distinguish cache-subsumption replays
+    /// from base-table scans.
+    ///
+    /// The payoff is bit-exactness: if `sel` is what the predicate
+    /// selects on `table`, the output is bit-identical to a direct run —
+    /// per-morsel float accumulation sees the same values in the same
+    /// order, and empty slices merge as exact no-ops. The semantic
+    /// result cache leans on this to answer a contained range query from
+    /// a cached superset without perturbing a single ulp.
+    pub fn replay_selection<D: MorselDispatch>(
+        &self,
+        table: &Table,
+        sel: &[u32],
+        dispatch: &D,
+    ) -> Result<Table> {
+        let n = table.num_rows();
+        let n_morsels = morsel_count(n);
+        // `sel` is ascending, so each morsel's share is one contiguous
+        // slice; cut at the same row offsets a direct run scans at.
+        let rows_per_morsel = morsel_rows_for(n);
+        let bounds: Vec<usize> = (0..=n_morsels)
+            .map(|m| sel.partition_point(|&row| (row as usize) < m * rows_per_morsel))
+            .collect();
+        self.run_selected(dispatch, &[table], n_morsels, "replay", |m| {
+            std::iter::once(Ok((0, Cow::Borrowed(&sel[bounds[m]..bounds[m + 1]]))))
+        })
     }
 
-    /// Fail unless every projected column exists in `table`. Executors
-    /// call this before the predicate runs, so a bad projection wins over
-    /// a bad predicate whichever path computes the answer.
+    /// The post-filter pipeline every entry point shares. `selected(m)`
+    /// yields morsel `m`'s fragments in row order — the part each lives
+    /// in and the part-local rows the predicate selected there
+    /// (evaluated lazily for direct runs, a precomputed slice for
+    /// replays).
+    ///
+    /// A scan gathers each fragment's rows from the projected columns
+    /// and concatenates morsels in order. An aggregate keeps one
+    /// [`WorkerAggState`] per participant (the group-key interner
+    /// amortizes across stolen morsels), feeds it a morsel's fragments
+    /// to get one [`MorselAggBatch`], and absorbs the batches into the
+    /// final state **in morsel order** — a batch's content depends only
+    /// on its morsel's rows, never on the participant that ran it or the
+    /// parts they came from, so the result is bit-identical across
+    /// dispatchers, worker counts, steal schedules and partitions.
+    fn run_selected<'s, D: MorselDispatch, I>(
+        &self,
+        dispatch: &D,
+        parts: &[&Table],
+        n_morsels: usize,
+        stage: &'static str,
+        selected: impl Fn(usize) -> I + Sync,
+    ) -> Result<Table>
+    where
+        I: Iterator<Item = Result<(usize, Cow<'s, [u32]>)>>,
+    {
+        let first = *parts
+            .first()
+            .ok_or_else(|| StorageError::Internal("a query needs at least one part".into()))?;
+        let merged = if self.aggregates.is_empty() {
+            // Validate the projection before any predicate runs.
+            self.check_projection(first)?;
+            let (pieces, _) = dispatch.run(
+                n_morsels,
+                stage,
+                || (),
+                |_, _, m| {
+                    let mut piece: Option<Table> = None;
+                    for fragment in selected(m) {
+                        let (p, sel) = fragment?;
+                        let rows = self.scan_rows(parts[p], &sel)?;
+                        match &mut piece {
+                            None => piece = Some(rows),
+                            Some(piece) => piece.append(&rows)?,
+                        }
+                    }
+                    Ok(piece.expect("every morsel has a fragment"))
+                },
+            )?;
+            dispatch.merge(0, || {
+                let mut iter = pieces.into_iter();
+                let mut out = iter.next().expect("at least one morsel");
+                for piece in iter {
+                    out.append(&piece)?;
+                }
+                Ok(out)
+            })?
+        } else {
+            let (group_by, aggs) = (&self.group_by, &self.aggregates);
+            // Resolved once per part, consulted only after a fragment's
+            // selection exists: within a morsel a predicate error wins
+            // over an aggregate-validation error.
+            let cols: Result<Vec<AggColumns>> = parts
+                .iter()
+                .map(|part| AggColumns::resolve(part, group_by, aggs))
+                .collect();
+            let (batches, workers) =
+                dispatch.run(n_morsels, stage, WorkerAggState::default, |worker, w, m| {
+                    worker.begin();
+                    for fragment in selected(m) {
+                        let (p, sel) = fragment?;
+                        let cols = cols.as_ref().map_err(StorageError::clone)?;
+                        worker.feed(&cols[p], &sel);
+                    }
+                    Ok((w, worker.end()))
+                })?;
+            let merged_states = (0..workers.len())
+                .filter(|w| batches.iter().any(|(ran_by, _)| ran_by == w))
+                .count();
+            dispatch.merge(merged_states, || {
+                let mut acc = GroupedAggState::new(first.schema(), group_by, aggs)?;
+                for (w, batch) in &batches {
+                    acc.absorb_batch(&workers[*w], batch);
+                }
+                acc.finish()
+            })?
+        };
+        self.apply_order_limit(merged)
+    }
+
+    /// Fail unless every projected column exists in `table`. The
+    /// pipeline calls this before the predicate runs, so a bad projection
+    /// wins over a bad predicate whichever dispatcher runs the morsels.
     pub fn check_projection(&self, table: &Table) -> Result<()> {
         let names: Vec<&str> = self.projection.iter().map(String::as_str).collect();
         table.schema().project(&names).map(drop)
@@ -215,8 +480,7 @@ impl Query {
     }
 
     /// Apply the query's ORDER BY and LIMIT clauses to an already
-    /// filtered/aggregated result. Shared by the serial path above and
-    /// the morsel-driven executor, which sorts only after merging.
+    /// filtered/aggregated result: the pipeline sorts only after merging.
     pub fn apply_order_limit(&self, mut result: Table) -> Result<Table> {
         if let Some((col, order)) = &self.order_by {
             result = sort_table(&result, col, *order)?;
@@ -229,6 +493,24 @@ impl Query {
         }
         Ok(result)
     }
+}
+
+/// The pieces of global row window `rows` that live in each of `parts`,
+/// in row order, as `(part index, part-local row window)`. An empty
+/// window (the one morsel of an empty table) still yields part 0, so
+/// validation runs and every partition surfaces identical errors.
+fn fragments<'p>(
+    parts: &'p [&'p Table],
+    rows: Range<usize>,
+) -> impl Iterator<Item = (usize, Range<usize>)> + 'p {
+    let mut start = 0;
+    parts.iter().enumerate().filter_map(move |(p, part)| {
+        let end = start + part.num_rows();
+        let (a, b) = (rows.start.max(start), rows.end.min(end));
+        let fragment = (a < b || (rows.is_empty() && p == 0)).then(|| (p, a - start..b - start));
+        start = end;
+        fragment
+    })
 }
 
 /// A hashable group key: strings are stored as-is, ints directly, floats
@@ -375,49 +657,33 @@ impl GroupIndex {
 }
 
 /// Pre-resolved aggregate input: what value feeds the accumulator for a
-/// given row. Hoists the per-row column-type dispatch of the old
-/// `numeric_at` path out of the loop.
+/// given row, with the column-type dispatch hoisted out of the row loop.
 #[derive(Debug, Clone, Copy)]
 enum AggSrc<'a> {
     /// COUNT ignores the column and always contributes 1.
     Count,
     Int(&'a [i64]),
     Float(&'a [f64]),
-    /// Non-numeric input (only reachable for COUNT-validated shapes);
-    /// preserves the historical `unwrap_or(0.0)` value.
-    Zero,
 }
 
-impl<'a> AggSrc<'a> {
-    fn of(func: AggFunc, col: &'a Column) -> AggSrc<'a> {
-        if func == AggFunc::Count {
-            return AggSrc::Count;
-        }
-        match col {
-            Column::Int64(v) => AggSrc::Int(v),
-            Column::Float64(v) => AggSrc::Float(v),
-            Column::Utf8(_) => AggSrc::Zero,
-        }
-    }
-
+impl AggSrc<'_> {
     #[inline]
     fn at(self, row: usize) -> f64 {
         match self {
             AggSrc::Count => 1.0,
             AggSrc::Int(v) => v[row] as f64,
             AggSrc::Float(v) => v[row],
-            AggSrc::Zero => 0.0,
         }
     }
 }
 
 /// The columns one grouped aggregation reads from one table — or from
 /// one *part* of a table stored as several row-range tables. Everything
-/// table-dependent about an aggregation lives here, so the states that
-/// consume it ([`GroupedAggState`], [`WorkerAggState`]) borrow no table
-/// and can be fed rows of several parts in turn.
+/// table-dependent about an aggregation lives here, so the state that
+/// consumes it ([`WorkerAggState`]) borrows no table and can be fed rows
+/// of several parts in turn.
 #[derive(Debug)]
-pub struct AggColumns<'t> {
+struct AggColumns<'t> {
     group_cols: Vec<&'t Column>,
     agg_srcs: Vec<AggSrc<'t>>,
 }
@@ -426,23 +692,22 @@ impl<'t> AggColumns<'t> {
     /// Resolve and validate the referenced columns: every group and
     /// aggregate column must exist, and every aggregate but COUNT needs
     /// a numeric input.
-    pub fn resolve(table: &'t Table, group_by: &[String], aggs: &[Aggregate]) -> Result<Self> {
+    fn resolve(table: &'t Table, group_by: &[String], aggs: &[Aggregate]) -> Result<Self> {
         let group_cols = group_by
             .iter()
             .map(|n| table.column(n))
             .collect::<Result<_>>()?;
         let agg_srcs = aggs
             .iter()
-            .map(|a| {
-                let c = table.column(&a.column)?;
-                if a.func != AggFunc::Count && !c.data_type().is_numeric() {
-                    return Err(StorageError::TypeMismatch {
-                        column: a.column.clone(),
-                        expected: "numeric",
-                        found: c.data_type().name(),
-                    });
-                }
-                Ok(AggSrc::of(a.func, c))
+            .map(|a| match (a.func, table.column(&a.column)?) {
+                (AggFunc::Count, _) => Ok(AggSrc::Count),
+                (_, Column::Int64(v)) => Ok(AggSrc::Int(v)),
+                (_, Column::Float64(v)) => Ok(AggSrc::Float(v)),
+                (_, c @ Column::Utf8(_)) => Err(StorageError::TypeMismatch {
+                    column: a.column.clone(),
+                    expected: "numeric",
+                    found: c.data_type().name(),
+                }),
             })
             .collect::<Result<_>>()?;
         Ok(AggColumns {
@@ -453,16 +718,14 @@ impl<'t> AggColumns<'t> {
 }
 
 /// Final state of a grouped aggregation: the group keys in
-/// first-appearance order and one accumulator row per group. Fed either
-/// row by row ([`GroupedAggState::update`], the serial `Query::run`
-/// path) or one per-morsel partial at a time
-/// ([`GroupedAggState::absorb_batch`], the morsel-driven executor).
+/// first-appearance order and one accumulator row per group, fed one
+/// per-morsel partial at a time ([`GroupedAggState::absorb_batch`]).
 ///
-/// Group output order is first-appearance order over the update/absorb
+/// Group output order is first-appearance order over the absorb
 /// sequence, so absorbing per-morsel batches in morsel order reproduces
-/// the serial row-order exactly.
+/// row order exactly.
 #[derive(Debug)]
-pub struct GroupedAggState<'q> {
+struct GroupedAggState<'q> {
     group_by: &'q [String],
     aggs: &'q [Aggregate],
     key_types: Vec<DataType>,
@@ -474,7 +737,7 @@ impl<'q> GroupedAggState<'q> {
     /// An empty state for a query over tables of `schema`, which
     /// supplies the group columns' types. Aggregate inputs are validated
     /// where they are read, by [`AggColumns::resolve`].
-    pub fn new(schema: &Schema, group_by: &'q [String], aggs: &'q [Aggregate]) -> Result<Self> {
+    fn new(schema: &Schema, group_by: &'q [String], aggs: &'q [Aggregate]) -> Result<Self> {
         let key_types = group_by
             .iter()
             .map(|n| schema.data_type(n))
@@ -488,30 +751,13 @@ impl<'q> GroupedAggState<'q> {
         })
     }
 
-    /// Fold the rows `sel` of the table `cols` was resolved on in.
-    pub fn update(&mut self, cols: &AggColumns, sel: &[u32]) {
-        let n_aggs = self.aggs.len();
-        for &row in sel {
-            let row = row as usize;
-            let (slot, is_new) = self.index.slot_of_row(&cols.group_cols, row);
-            if is_new {
-                self.accs
-                    .resize(self.accs.len() + n_aggs, Accumulator::new());
-            }
-            for (i, src) in cols.agg_srcs.iter().enumerate() {
-                self.accs[slot * n_aggs + i].update(src.at(row));
-            }
-        }
-    }
-
     /// Merge one morsel's partial batch, resolving the batch's
     /// worker-local slot ids through the worker state that produced it.
     /// Groups first seen in this batch append in the batch's first-touch
     /// order and every accumulator merges exactly once, so absorbing
-    /// batches in morsel order performs the exact `Accumulator::merge`
-    /// sequence of the historical per-morsel merge chain — bit-identical
-    /// results under every steal schedule.
-    pub fn absorb_batch(&mut self, worker: &WorkerAggState, batch: &MorselAggBatch) {
+    /// batches in morsel order performs one fixed `Accumulator::merge`
+    /// sequence — bit-identical results under every steal schedule.
+    fn absorb_batch(&mut self, worker: &WorkerAggState, batch: &MorselAggBatch) {
         let n_aggs = self.aggs.len();
         for (local, &wslot) in batch.slots.iter().enumerate() {
             let key = &worker.index.keys[wslot as usize];
@@ -528,7 +774,7 @@ impl<'q> GroupedAggState<'q> {
 
     /// Assemble the result table: group columns then aggregate columns.
     /// Global aggregation with no groups always yields exactly one row.
-    pub fn finish(mut self) -> Result<Table> {
+    fn finish(mut self) -> Result<Table> {
         let n_aggs = self.aggs.len();
         if self.group_by.is_empty() && self.index.keys.is_empty() {
             self.index.keys.push(Vec::new());
@@ -560,7 +806,7 @@ impl<'q> GroupedAggState<'q> {
     }
 }
 
-/// One pool participant's aggregation state: a group-key interner that
+/// One participant's aggregation state: a group-key interner that
 /// lives for all the morsels the participant runs, plus epoch-stamped
 /// scratch for building per-morsel partial batches without clearing
 /// anything between morsels. It borrows no table: a morsel is
@@ -576,7 +822,7 @@ impl<'q> GroupedAggState<'q> {
 /// so batches absorbed in morsel order produce bit-identical results
 /// under every steal schedule and every partition of the rows.
 #[derive(Debug, Default)]
-pub struct WorkerAggState {
+struct WorkerAggState {
     index: GroupIndex,
     /// Per worker-slot epoch stamp: equals `epoch` iff the slot already
     /// has a batch-local accumulator row in the current morsel.
@@ -593,14 +839,14 @@ pub struct WorkerAggState {
 /// touched group. Resolved back to group keys by
 /// [`GroupedAggState::absorb_batch`] via the worker state's interner.
 #[derive(Debug, Default)]
-pub struct MorselAggBatch {
+struct MorselAggBatch {
     slots: Vec<u32>,
     accs: Vec<Accumulator>,
 }
 
 impl WorkerAggState {
     /// Start a morsel, discarding whatever an abandoned one left.
-    pub fn begin(&mut self) {
+    fn begin(&mut self) {
         self.epoch += 1;
         self.batch.slots.clear();
         self.batch.accs.clear();
@@ -609,7 +855,7 @@ impl WorkerAggState {
     /// Fold the rows `sel` of the part `cols` was resolved on into the
     /// morsel in progress. Group interning persists across morsels;
     /// accumulators do not.
-    pub fn feed(&mut self, cols: &AggColumns, sel: &[u32]) {
+    fn feed(&mut self, cols: &AggColumns, sel: &[u32]) {
         let n_aggs = cols.agg_srcs.len();
         let MorselAggBatch { slots, accs } = &mut self.batch;
         for &row in sel {
@@ -636,17 +882,9 @@ impl WorkerAggState {
     }
 
     /// Finish the morsel in progress and hand out its partial batch.
-    pub fn end(&mut self) -> MorselAggBatch {
+    fn end(&mut self) -> MorselAggBatch {
         std::mem::take(&mut self.batch)
     }
-}
-
-/// Grouped aggregation over a selection vector.
-fn aggregate(table: &Table, sel: &[u32], group_by: &[String], aggs: &[Aggregate]) -> Result<Table> {
-    let cols = AggColumns::resolve(table, group_by, aggs)?;
-    let mut state = GroupedAggState::new(table.schema(), group_by, aggs)?;
-    state.update(&cols, sel);
-    state.finish()
 }
 
 /// Stable sort of a table by one column.
@@ -834,12 +1072,75 @@ mod tests {
         assert_eq!(r.column("sum(v)").unwrap().as_f64().unwrap(), &[3.0, 3.0]);
     }
 
-    /// Worker batches absorbed in morsel order must be bit-identical to
-    /// the single-state reference — regardless of which worker state
-    /// computed which morsel (here: one worker for all, and a deliberately
-    /// skewed two-worker split).
     #[test]
-    fn worker_batches_absorb_to_reference_state() {
+    fn morsel_geometry() {
+        assert_eq!(morsel_count(0), 1);
+        assert_eq!(morsel_count(1), 1);
+        assert_eq!(morsel_count(MORSEL_ROWS), 1);
+        assert_eq!(morsel_count(MORSEL_ROWS + 1), 2);
+        assert_eq!(morsel_range(0, 10), 0..10);
+        assert_eq!(
+            morsel_range(1, MORSEL_ROWS + 5),
+            MORSEL_ROWS..MORSEL_ROWS + 5
+        );
+    }
+
+    #[test]
+    fn adaptive_morsel_sizing() {
+        // Fixed granularity up to MAX_MORSELS units…
+        assert_eq!(morsel_rows_for(0), MORSEL_ROWS);
+        assert_eq!(morsel_rows_for(MORSEL_ROWS * MAX_MORSELS), MORSEL_ROWS);
+        assert_eq!(morsel_count(MORSEL_ROWS * MAX_MORSELS), MAX_MORSELS);
+        // …then morsels coarsen instead of multiplying.
+        assert_eq!(
+            morsel_rows_for(MORSEL_ROWS * MAX_MORSELS + 1),
+            2 * MORSEL_ROWS
+        );
+        for n in [
+            MORSEL_ROWS * MAX_MORSELS + 1,
+            3 * MORSEL_ROWS * MAX_MORSELS + 17,
+            10 * MORSEL_ROWS * MAX_MORSELS,
+            100 * MORSEL_ROWS * MAX_MORSELS + 99,
+        ] {
+            let count = morsel_count(n);
+            assert!(count <= MAX_MORSELS, "{n} rows → {count} morsels");
+            assert_eq!(morsel_rows_for(n) % MORSEL_ROWS, 0, "{n}");
+            // Windows tile the table exactly.
+            let mut covered = 0;
+            for m in 0..count {
+                let r = morsel_range(m, n);
+                assert_eq!(r.start, covered, "{n} morsel {m}");
+                assert!(r.end > r.start, "{n} morsel {m} empty");
+                covered = r.end;
+            }
+            assert_eq!(covered, n);
+        }
+    }
+
+    #[test]
+    fn fragments_tile_a_window_across_parts() {
+        let t = sales();
+        let a = t.gather(&[0, 1, 2]);
+        let none = t.gather(&[]);
+        let b = t.gather(&[3, 4, 0, 1]);
+        let parts = [&a, &none, &b];
+        let of = |rows| fragments(&parts, rows).collect::<Vec<_>>();
+        assert_eq!(of(0..7), [(0, 0..3), (2, 0..4)]);
+        assert_eq!(of(1..4), [(0, 1..3), (2, 0..1)]);
+        assert_eq!(of(3..5), [(2, 0..2)]);
+        // The one morsel of an empty table still visits a part.
+        assert_eq!(
+            fragments(&[&none, &none], 0..0).collect::<Vec<_>>(),
+            [(0, 0..0)]
+        );
+    }
+
+    /// Worker batches absorbed in morsel order give the same bits
+    /// whichever worker state computed which morsel (one worker for all,
+    /// and two deliberately skewed two-worker splits), and feeding a
+    /// morsel in two pieces is the same morsel.
+    #[test]
+    fn worker_batches_absorb_independently_of_assignment() {
         let t = sales();
         let group_by = vec!["region".to_string()];
         let aggs = vec![
@@ -848,46 +1149,53 @@ mod tests {
             Aggregate::new(AggFunc::Count, "product"),
         ];
         let morsels: Vec<Vec<u32>> = vec![vec![0, 1], vec![2, 3], vec![4], vec![]];
-
         let cols = AggColumns::resolve(&t, &group_by, &aggs).unwrap();
-        let mut reference = GroupedAggState::new(t.schema(), &group_by, &aggs).unwrap();
-        for sel in &morsels {
-            reference.update(&cols, sel);
-        }
-        let expected = reference.finish().unwrap();
 
-        for assignment in [vec![0, 0, 0, 0], vec![0, 1, 1, 0], vec![1, 0, 1, 0]] {
-            let mut workers = [WorkerAggState::default(), WorkerAggState::default()];
-            let batches: Vec<(usize, MorselAggBatch)> = morsels
-                .iter()
-                .zip(&assignment)
-                .map(|(sel, &w)| {
-                    // Feeding a morsel in two pieces is the same morsel.
-                    let (head, tail) = sel.split_at(sel.len() / 2);
-                    workers[w].begin();
-                    workers[w].feed(&cols, head);
-                    workers[w].feed(&cols, tail);
-                    (w, workers[w].end())
-                })
-                .collect();
-            let mut acc = GroupedAggState::new(t.schema(), &group_by, &aggs).unwrap();
-            for (w, batch) in &batches {
-                acc.absorb_batch(&workers[*w], batch);
-            }
-            let got = acc.finish().unwrap();
-            assert_eq!(got.num_rows(), expected.num_rows());
-            for field in expected.schema().fields() {
-                let a = expected.column(field.name()).unwrap();
-                let b = got.column(field.name()).unwrap();
-                for row in 0..expected.num_rows() {
-                    let (x, y) = (a.value(row).unwrap(), b.value(row).unwrap());
-                    match (x, y) {
-                        (Value::Float(x), Value::Float(y)) => {
-                            assert_eq!(x.to_bits(), y.to_bits());
-                        }
-                        (x, y) => assert_eq!(x, y),
-                    }
+        let results: Vec<Table> = [vec![0, 0, 0, 0], vec![0, 1, 1, 0], vec![1, 0, 1, 0]]
+            .iter()
+            .map(|assignment| {
+                let mut workers = [WorkerAggState::default(), WorkerAggState::default()];
+                let batches: Vec<(usize, MorselAggBatch)> = morsels
+                    .iter()
+                    .zip(assignment)
+                    .map(|(sel, &w)| {
+                        let (head, tail) = sel.split_at(sel.len() / 2);
+                        workers[w].begin();
+                        workers[w].feed(&cols, head);
+                        workers[w].feed(&cols, tail);
+                        (w, workers[w].end())
+                    })
+                    .collect();
+                let mut acc = GroupedAggState::new(t.schema(), &group_by, &aggs).unwrap();
+                for (w, batch) in &batches {
+                    acc.absorb_batch(&workers[*w], batch);
                 }
+                acc.finish().unwrap()
+            })
+            .collect();
+        let f64s = |t: &Table, name: &str| t.column(name).unwrap().as_f64().unwrap().to_vec();
+        let expected = &results[0];
+        assert_eq!(
+            expected.column("region").unwrap().as_utf8().unwrap(),
+            ["east", "west"]
+        );
+        assert_eq!(f64s(expected, "sum(amount)"), [90.0, 60.0]);
+        assert_eq!(f64s(expected, "avg(qty)"), [3.0, 3.0]);
+        assert_eq!(f64s(expected, "count(product)"), [3.0, 2.0]);
+        for got in &results[1..] {
+            assert_eq!(got.schema(), expected.schema());
+            assert_eq!(
+                got.column("region").unwrap(),
+                expected.column("region").unwrap()
+            );
+            for name in ["sum(amount)", "avg(qty)", "count(product)"] {
+                let bits = |t| {
+                    f64s(t, name)
+                        .into_iter()
+                        .map(f64::to_bits)
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(bits(got), bits(expected), "{name}");
             }
         }
     }

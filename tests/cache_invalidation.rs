@@ -1,22 +1,19 @@
 //! Epoch-invalidation correctness for the semantic result cache.
 //!
 //! Every mutation channel — row append, bulk append, in-place update,
-//! table re-registration, adaptive-index reorganization — must bump the
-//! table's epoch, and a warm cache must never serve a pre-mutation
+//! table re-registration — must bump the table's epoch (cracking is not
+//! one: it reorganizes an index copy and must leave the epoch and every
+//! warm entry alone), and a warm cache must never serve a pre-mutation
 //! result: after each mutation the cached engine's answers are compared
 //! bit-for-bit against a cache-less engine over the same mutated data.
 
 use exploration::cache::{CacheConfig, CachePolicy};
 use exploration::storage::gen::{sales_table, SalesConfig};
-use exploration::storage::{AggFunc, CmpOp, Predicate, Query, Table, Value};
+use exploration::storage::{AggFunc, CmpOp, Predicate, Query, Value};
 use exploration::{ExploreDb, Schedule};
 
-fn sales(rows: usize) -> Table {
-    sales_table(&SalesConfig {
-        rows,
-        ..SalesConfig::default()
-    })
-}
+mod common;
+use common::{assert_bitwise_eq, sales};
 
 /// The probe workload: a scan, an aggregate, and a narrow range that
 /// exercises the subsumption path.
@@ -40,37 +37,6 @@ fn probes() -> Vec<(&'static str, Query)> {
                 .agg(AggFunc::Sum, "qty"),
         ),
     ]
-}
-
-/// Assert bitwise equality (floats via `to_bits`).
-fn assert_bitwise_eq(a: &Table, b: &Table, context: &str) {
-    assert_eq!(a.schema(), b.schema(), "{context}: schema");
-    assert_eq!(a.num_rows(), b.num_rows(), "{context}: row count");
-    for field in a.schema().fields() {
-        let ca = a.column(field.name()).unwrap_or_else(|e| {
-            panic!("{context}: left table lost column {:?}: {e}", field.name())
-        });
-        let cb = b.column(field.name()).unwrap_or_else(|e| {
-            panic!("{context}: right table lost column {:?}: {e}", field.name())
-        });
-        for row in 0..a.num_rows() {
-            let va = ca
-                .value(row)
-                .unwrap_or_else(|e| panic!("{context}: {}[{row}] unreadable: {e}", field.name()));
-            let vb = cb
-                .value(row)
-                .unwrap_or_else(|e| panic!("{context}: {}[{row}] unreadable: {e}", field.name()));
-            match (va, vb) {
-                (Value::Float(x), Value::Float(y)) => assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "{context}: {}[{row}] {x} vs {y}",
-                    field.name()
-                ),
-                (x, y) => assert_eq!(x, y, "{context}: {}[{row}]", field.name()),
-            }
-        }
-    }
 }
 
 /// Run the probe workload on the warm cached engine and pin every answer
@@ -199,24 +165,32 @@ fn reregistering_a_table_invalidates_its_entries() {
 }
 
 #[test]
-fn cracking_reorganization_is_an_epoch_event() {
+fn cracking_is_not_a_mutation() {
     let mut db = ExploreDb::with_cache_policy(CachePolicy::on());
     db.register("sales", sales(10_000));
     warm(&mut db);
     let e0 = db.table_epoch("sales");
 
-    // First crack reorganizes the index: conservative epoch bump.
+    // The first crack reorganizes the index — a private copy of the
+    // column, never the table's rows — so no epoch moves…
     db.cracked_range("sales", "qty", 3, 7).unwrap();
-    let e1 = db.table_epoch("sales");
-    assert!(e1 > e0, "reorganization bumps the epoch");
+    assert!(
+        db.index_pieces("sales", "qty").unwrap() > 1,
+        "index cracked"
+    );
+    assert_eq!(db.table_epoch("sales"), e0, "cracking leaves the epoch");
 
-    // Cracking never touches the base table, so answers still equal an
-    // uncached rerun (the bump is purely conservative).
+    // …every warm entry is still an exact hit…
+    let before = db.cache_stats();
+    for (_, q) in probes() {
+        db.query("sales", &q).unwrap();
+    }
+    let after = db.cache_stats();
+    assert_eq!(after.hits - before.hits, probes().len() as u64);
+    assert_eq!(after.misses, before.misses, "no entry was purged");
+
+    // …and the answers still equal an uncached rerun.
     assert_matches_uncached(&mut db, "after crack");
-
-    // A repeat of the same range adds no pieces and no epoch.
-    db.cracked_range("sales", "qty", 3, 7).unwrap();
-    assert_eq!(db.table_epoch("sales"), e1);
 }
 
 #[test]

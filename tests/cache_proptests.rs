@@ -31,32 +31,15 @@ use exploration::storage::gen::{sales_table, SalesConfig};
 use exploration::storage::{AggFunc, CmpOp, Predicate, Query, Table, Value};
 use exploration::ExploreDb;
 
+mod common;
+use common::tables_bitwise_equal;
+
 fn base_table() -> &'static Table {
     static TABLE: OnceLock<Table> = OnceLock::new();
     TABLE.get_or_init(|| {
         sales_table(&SalesConfig {
             rows: 6_000,
             ..SalesConfig::default()
-        })
-    })
-}
-
-/// Compare two tables bit-for-bit (floats via `to_bits`).
-fn tables_bitwise_equal(a: &Table, b: &Table) -> bool {
-    if a.schema() != b.schema() || a.num_rows() != b.num_rows() {
-        return false;
-    }
-    a.schema().fields().iter().all(|field| {
-        let ca = a.column(field.name()).expect("schema-listed column");
-        let cb = b.column(field.name()).expect("schema-listed column");
-        (0..a.num_rows()).all(|row| {
-            match (
-                ca.value(row).expect("in-range row"),
-                cb.value(row).expect("in-range row"),
-            ) {
-                (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
-                (x, y) => x == y,
-            }
         })
     })
 }

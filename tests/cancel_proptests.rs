@@ -20,11 +20,16 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use exploration::cracking::CrackerColumn;
-use exploration::exec::ExecPolicy;
+use exploration::exec::{morsel_count, ExecPolicy};
+use exploration::loading::RawCsv;
 use exploration::obs::ObsPolicy;
+use exploration::storage::csv::write_csv;
 use exploration::storage::gen::{sales_table, uniform_i64, SalesConfig};
-use exploration::storage::{AggFunc, Predicate, Query, StorageError, Table, Value, MORSEL_ROWS};
+use exploration::storage::{AggFunc, Predicate, Query, StorageError, Table, MORSEL_ROWS};
 use exploration::{CancelToken, ExploreDb, SessionCtx};
+
+mod common;
+use common::tables_bitwise_equal;
 
 /// A three-morsel table, so there are real boundaries to cancel at.
 fn big_table() -> &'static Table {
@@ -65,20 +70,6 @@ fn expired_deadline() -> SessionCtx {
     SessionCtx::default().with_deadline(Some(Duration::ZERO))
 }
 
-/// Bit-level table equality (floats by `to_bits`).
-fn tables_bit_equal(a: &Table, b: &Table) -> bool {
-    if a.schema() != b.schema() || a.num_rows() != b.num_rows() {
-        return false;
-    }
-    a.schema().fields().iter().all(|f| {
-        let (ca, cb) = (a.column(f.name()).unwrap(), b.column(f.name()).unwrap());
-        (0..a.num_rows()).all(|r| match (ca.value(r).unwrap(), cb.value(r).unwrap()) {
-            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
-            (x, y) => x == y,
-        })
-    })
-}
-
 proptest! {
     /// Cancel a query after a random number of morsel-boundary checks,
     /// under either policy: the run either completes bit-identically or
@@ -99,7 +90,7 @@ proptest! {
         db.register("sales", big_table().clone());
         match db.with_session(&cancel_after(budget), |db| db.query("sales", &prop_query())) {
             Ok(got) => prop_assert!(
-                tables_bit_equal(truth(), &got),
+                tables_bitwise_equal(truth(), &got),
                 "completed run diverged (budget {budget})"
             ),
             Err(StorageError::Cancelled) => {}
@@ -108,7 +99,7 @@ proptest! {
         // The engine must be unharmed either way; outside the overlay
         // no token applies.
         let after = db.query("sales", &prop_query()).unwrap();
-        prop_assert!(tables_bit_equal(truth(), &after), "post-cancel state corrupted");
+        prop_assert!(tables_bitwise_equal(truth(), &after), "post-cancel state corrupted");
     }
 
     /// Cancel mid-crack-reorganization at the column level: the cracker
@@ -201,7 +192,45 @@ fn cancellation_lands_within_one_morsel_of_work() {
 
     // The engine serves bit-identical results afterwards.
     let after = db.query("sales", &prop_query()).unwrap();
-    assert!(tables_bit_equal(truth(), &after));
+    assert!(tables_bitwise_equal(truth(), &after));
+}
+
+/// A raw table's query is cancellable at every morsel, not only between
+/// column loads: the token is checked once per referenced column and
+/// then once per morsel, every budget short of that is the typed
+/// `Cancelled`, and whether the cancel landed in a cold column load or
+/// in a morsel the loader serves truth afterwards.
+#[test]
+fn raw_table_query_cancels_at_every_morsel() {
+    let q = prop_query();
+    let csv = write_csv(big_table());
+    let morsels = morsel_count(big_table().num_rows());
+    assert!(morsels >= 3);
+    let mut budget = 0;
+    loop {
+        let db = ExploreDb::with_exec_policy(ExecPolicy::Serial);
+        let raw = RawCsv::new(csv.clone(), big_table().schema().clone()).unwrap();
+        db.attach_raw("raw", raw);
+        let run = db.with_session(&cancel_after(budget), |db| db.query("raw", &q));
+        let after = db.query("raw", &q).unwrap();
+        assert!(
+            tables_bitwise_equal(truth(), &after),
+            "budget {budget}: loader diverged"
+        );
+        match run {
+            Err(StorageError::Cancelled) => budget += 1,
+            Err(e) => panic!("budget {budget}: non-typed error: {e}"),
+            Ok(got) => {
+                assert!(tables_bitwise_equal(truth(), &got));
+                break;
+            }
+        }
+    }
+    let checks = q.referenced_columns().len() + morsels;
+    assert!(
+        budget as usize >= checks,
+        "a raw query survived {budget} checks; columns + morsels is {checks}"
+    );
 }
 
 /// A zero-length deadline trips before any morsel executes and is
@@ -225,7 +254,7 @@ fn expired_deadline_returns_typed_error_and_clean_state() {
     assert_eq!(db.metrics_snapshot().counter("cancel.deadline_exceeded"), 1);
 
     let after = db.query("sales", &prop_query()).unwrap();
-    assert!(tables_bit_equal(truth(), &after));
+    assert!(tables_bitwise_equal(truth(), &after));
 }
 
 /// Deadlines thread through the cache path too: with caching on, an
@@ -243,8 +272,8 @@ fn deadline_with_cache_on_is_typed_and_recoverable() {
     );
     let cold = db.query("sales", &prop_query()).unwrap();
     let warm = db.query("sales", &prop_query()).unwrap();
-    assert!(tables_bit_equal(truth(), &cold));
-    assert!(tables_bit_equal(truth(), &warm));
+    assert!(tables_bitwise_equal(truth(), &cold));
+    assert!(tables_bitwise_equal(truth(), &warm));
     assert!(db.cache_stats().hits >= 1, "cache fully recovered");
 }
 
@@ -295,7 +324,7 @@ fn cancelled_recommend_views_leaves_engine_serving_truth() {
         .unwrap_err();
     assert_eq!(err, StorageError::Cancelled);
     let after = db.query("sales", &prop_query()).unwrap();
-    assert!(tables_bit_equal(truth(), &after));
+    assert!(tables_bitwise_equal(truth(), &after));
     // And the uncancelled recommendation itself still works.
     let views = db
         .recommend_views("sales", &Predicate::eq("product", "product0"), 3)

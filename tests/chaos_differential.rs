@@ -21,137 +21,12 @@ use std::time::Duration;
 use exploration::cache::CachePolicy;
 use exploration::exec::ExecPolicy;
 use exploration::serve::{ServeConfig, ServeEngine};
-use exploration::storage::gen::{sales_table, SalesConfig};
 use exploration::storage::rng::SplitMix64;
-use exploration::storage::{
-    AggFunc, CmpOp, Predicate, Query, SortOrder, StorageError, Table, Value, MORSEL_ROWS,
-};
+use exploration::storage::{AggFunc, Predicate, Query, SortOrder, StorageError, Table};
 use exploration::{CancelToken, ExploreDb, Schedule, SessionCtx};
 
-/// A table spanning several morsels plus a ragged tail, so parallel
-/// merge order and serial-fallback re-runs actually matter.
-fn chaos_table() -> Table {
-    sales_table(&SalesConfig {
-        rows: 2 * MORSEL_ROWS + 4321,
-        ..SalesConfig::default()
-    })
-}
-
-/// Assert two tables are identical down to the float bit patterns.
-fn assert_bitwise_eq(a: &Table, b: &Table, context: &str) {
-    assert_eq!(a.schema(), b.schema(), "{context}: schema");
-    assert_eq!(a.num_rows(), b.num_rows(), "{context}: row count");
-    for field in a.schema().fields() {
-        let ca = a.column(field.name()).unwrap();
-        let cb = b.column(field.name()).unwrap();
-        for row in 0..a.num_rows() {
-            let va = ca.value(row).unwrap();
-            let vb = cb.value(row).unwrap();
-            match (va, vb) {
-                (Value::Float(x), Value::Float(y)) => assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "{context}: {}[{row}] {x} vs {y}",
-                    field.name()
-                ),
-                (x, y) => assert_eq!(x, y, "{context}: {}[{row}]", field.name()),
-            }
-        }
-    }
-}
-
-/// The executor's supported query shapes (mirrors the serial/parallel
-/// differential suite).
-fn query_shapes() -> Vec<(&'static str, Query)> {
-    vec![
-        ("full_scan", Query::new()),
-        (
-            "filter_scan",
-            Query::new().filter(Predicate::range("price", 100.0, 600.0)),
-        ),
-        (
-            "projection",
-            Query::new()
-                .filter(Predicate::cmp("qty", CmpOp::Ge, 5.0))
-                .select(&["region", "price"]),
-        ),
-        (
-            "order_limit",
-            Query::new()
-                .filter(Predicate::range("price", 50.0, 900.0))
-                .select(&["product", "price"])
-                .order("price", SortOrder::Desc)
-                .take(123),
-        ),
-        (
-            "global_aggregates",
-            Query::new()
-                .agg(AggFunc::Count, "qty")
-                .agg(AggFunc::Sum, "price")
-                .agg(AggFunc::Avg, "price")
-                .agg(AggFunc::Min, "discount")
-                .agg(AggFunc::Max, "discount")
-                .agg(AggFunc::Var, "price")
-                .agg(AggFunc::Std, "price"),
-        ),
-        (
-            "filtered_global_aggregate",
-            Query::new()
-                .filter(Predicate::eq("channel", "channel1"))
-                .agg(AggFunc::Avg, "price"),
-        ),
-        (
-            "group_by",
-            Query::new()
-                .group("region")
-                .agg(AggFunc::Count, "qty")
-                .agg(AggFunc::Sum, "price"),
-        ),
-        (
-            "multi_column_group_by",
-            Query::new()
-                .group("region")
-                .group("channel")
-                .agg(AggFunc::Avg, "price")
-                .agg(AggFunc::Var, "discount"),
-        ),
-        (
-            "full_pipeline",
-            Query::new()
-                .filter(Predicate::range("price", 50.0, 800.0).and(Predicate::cmp(
-                    "qty",
-                    CmpOp::Ge,
-                    2.0,
-                )))
-                .group("product")
-                .agg(AggFunc::Sum, "price")
-                .agg(AggFunc::Avg, "qty")
-                .order("sum(price)", SortOrder::Desc)
-                .take(7),
-        ),
-        (
-            "compound_predicate",
-            Query::new().filter(
-                Predicate::eq("region", "region0")
-                    .or(Predicate::range("price", 0.0, 120.0))
-                    .and(Predicate::cmp("qty", CmpOp::Lt, 8.0).not()),
-            ),
-        ),
-        (
-            "empty_result_filter",
-            Query::new()
-                .filter(Predicate::cmp("price", CmpOp::Lt, -1.0))
-                .group("region")
-                .agg(AggFunc::Sum, "price"),
-        ),
-        (
-            "string_predicate_scan",
-            Query::new()
-                .filter(Predicate::eq("channel", "channel0"))
-                .select(&["channel", "qty"]),
-        ),
-    ]
-}
+mod common;
+use common::{assert_bitwise_eq, multi_morsel_table, query_shapes, sales};
 
 /// Fail points reachable through `ExploreDb::query`.
 const POINTS: &[&str] = &[
@@ -191,7 +66,7 @@ fn random_schedule(rng: &mut SplitMix64) -> Schedule {
 /// clean typed error — then disarms and proves the engine undamaged.
 #[test]
 fn seeded_fault_schedules_never_corrupt_results() {
-    let table = chaos_table();
+    let table = multi_morsel_table();
     let shapes = query_shapes();
     // Fault-free truth per shape, computed once on a pristine engine.
     let truths: Vec<Table> = {
@@ -276,13 +151,13 @@ fn seeded_fault_schedules_never_corrupt_results() {
 /// serial re-run with identical results, and the event is counted.
 #[test]
 fn injected_worker_panic_falls_back_to_serial() {
-    let table = chaos_table();
+    let table = multi_morsel_table();
     let db = ExploreDb::with_exec_policy(ExecPolicy::Parallel { workers: 4 });
     db.register("sales", table);
     let q = Query::new().group("region").agg(AggFunc::Sum, "price");
     let truth = {
         let serial = ExploreDb::with_exec_policy(ExecPolicy::Serial);
-        serial.register("sales", chaos_table());
+        serial.register("sales", multi_morsel_table());
         serial.query("sales", &q).unwrap()
     };
 
@@ -306,7 +181,7 @@ fn injected_worker_panic_falls_back_to_serial() {
 /// execution with identical results.
 #[test]
 fn spawn_failure_degrades_to_inline_serial() {
-    let table = chaos_table();
+    let table = multi_morsel_table();
     let db = ExploreDb::with_exec_policy(ExecPolicy::Parallel { workers: 4 });
     db.register("sales", table.clone());
     let q = Query::new()
@@ -325,7 +200,7 @@ fn spawn_failure_degrades_to_inline_serial() {
 /// compute path — correct answers, zero insertions.
 #[test]
 fn admission_failure_serves_through_compute() {
-    let table = chaos_table();
+    let table = multi_morsel_table();
     let db = ExploreDb::with_cache_policy(CachePolicy::on());
     db.register("sales", table);
     let faults = db.fail_points();
@@ -350,7 +225,7 @@ fn admission_failure_serves_through_compute() {
 /// bit-identical, and the warm cache is still intact after disarming.
 #[test]
 fn lookup_failure_forces_recompute() {
-    let table = chaos_table();
+    let table = multi_morsel_table();
     let db = ExploreDb::with_cache_policy(CachePolicy::on());
     db.register("sales", table);
     let q = Query::new()
@@ -376,7 +251,7 @@ fn lookup_failure_forces_recompute() {
 #[test]
 fn crack_reorg_failure_degrades_to_scan() {
     let db = ExploreDb::new();
-    db.register("sales", chaos_table());
+    db.register("sales", multi_morsel_table());
     let mut truth = db.cracked_range("sales", "qty", 3, 7).unwrap();
     truth.sort_unstable();
     let pieces = db.index_pieces("sales", "qty").unwrap();
@@ -412,7 +287,7 @@ fn crack_reorg_failure_degrades_to_scan() {
 /// and the engine keeps serving truth afterwards.
 #[test]
 fn seeded_chaos_over_diversified_topk_is_exact_or_typed() {
-    let table = chaos_table();
+    let table = multi_morsel_table();
     let pred = Predicate::range("price", 50.0, 800.0);
     let features = ["qty", "discount"];
     let truth = {
@@ -472,7 +347,7 @@ fn seeded_chaos_over_diversified_topk_is_exact_or_typed() {
 /// path restored (truth re-served) after disarming.
 #[test]
 fn serve_admit_fault_degrades_to_inline_execution() {
-    let table = chaos_table();
+    let table = multi_morsel_table();
     let q = Query::new().group("region").agg(AggFunc::Sum, "price");
     let truth = {
         let db = ExploreDb::new();
@@ -505,7 +380,7 @@ fn serve_admit_fault_degrades_to_inline_execution() {
 /// scheduling, bit-identical answers — and the skip is noted.
 #[test]
 fn serve_yield_fault_skips_yields_without_corruption() {
-    let table = chaos_table();
+    let table = multi_morsel_table();
     let q = Query::new()
         .filter(Predicate::range("price", 50.0, 800.0))
         .group("product")
@@ -542,7 +417,7 @@ fn serve_yield_fault_skips_yields_without_corruption() {
 /// error — and after disarming, the same facade re-serves truth.
 #[test]
 fn seeded_serve_chaos_is_exact_or_typed() {
-    let table = chaos_table();
+    let table = multi_morsel_table();
     let shapes = query_shapes();
     let truths: Vec<Table> = {
         let db = ExploreDb::with_exec_policy(ExecPolicy::Serial);
@@ -620,10 +495,7 @@ fn raw_parse_faults_follow_error_policy() {
     use exploration::loading::{ErrorPolicy, RawCsv};
     use exploration::storage::csv::write_csv;
 
-    let t = sales_table(&SalesConfig {
-        rows: 500,
-        ..SalesConfig::default()
-    });
+    let t = sales(500);
     let q = Query::new().agg(AggFunc::Count, "qty");
 
     // Abort (default): the injected malformed row fails the query with

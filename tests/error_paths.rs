@@ -1,11 +1,14 @@
 //! Error-path coverage: malformed queries must return `Err` — never
 //! panic, never return garbage — and must fail **identically** under
-//! the serial and parallel execution policies. A parallel executor that
-//! panics a worker thread on a bad column name would poison the pool;
-//! these tests pin the contract that validation errors surface as
-//! ordinary `Result`s on the submitting thread under every policy.
+//! the serial and parallel execution policies, through `Query::run` and
+//! on a raw table. A parallel executor that panics a worker thread on a
+//! bad column name would poison the pool; these tests pin the contract
+//! that validation errors surface as ordinary `Result`s on the
+//! submitting thread under every policy.
 
 use exploration::exec::{evaluate_selection, run_query, ExecPolicy, QueryCtx};
+use exploration::loading::RawCsv;
+use exploration::storage::csv::write_csv;
 use exploration::storage::gen::{sales_table, SalesConfig};
 use exploration::storage::{
     AggFunc, CmpOp, Predicate, Query, SortOrder, StorageError, Table, MORSEL_ROWS,
@@ -30,16 +33,33 @@ fn tables() -> Vec<(&'static str, Table)> {
     ]
 }
 
-/// Run `q` against every table under every policy; all runs must return
-/// `Err`, and for a given table the error must not depend on the policy.
+/// Run `q` against every table through every way a query reaches the
+/// pipeline — `run_query` under every policy, `Query::run`, and the same
+/// rows attached as a raw file; all runs must return `Err`, and for a
+/// given table the error must not depend on the route.
 fn assert_errs_everywhere(q: &Query, context: &str) {
     for (tname, t) in &tables() {
+        let db = ExploreDb::new();
+        db.attach_raw(
+            "raw",
+            RawCsv::new(write_csv(t), t.schema().clone()).unwrap(),
+        );
+        let runs = POLICIES
+            .iter()
+            .map(|&policy| {
+                (
+                    format!("{policy:?}"),
+                    run_query(t, q, &QueryCtx::new(policy)),
+                )
+            })
+            .chain([("Query::run".to_string(), q.run(t))])
+            .chain([("raw table".to_string(), db.query("raw", q))]);
         let mut errors = Vec::new();
-        for policy in POLICIES {
-            let err = match run_query(t, q, &QueryCtx::new(policy)) {
+        for (route, run) in runs {
+            let err = match run {
                 Err(e) => e,
                 Ok(got) => panic!(
-                    "{context} on {tname} under {policy:?} must err, got {} rows",
+                    "{context} on {tname} through {route} must err, got {} rows",
                     got.num_rows()
                 ),
             };
@@ -47,7 +67,7 @@ fn assert_errs_everywhere(q: &Query, context: &str) {
         }
         assert!(
             errors.windows(2).all(|w| w[0] == w[1]),
-            "{context} on {tname}: policies disagree: {errors:?}"
+            "{context} on {tname}: routes disagree: {errors:?}"
         );
     }
 }

@@ -5,9 +5,10 @@
 //! and parallel policies; the two must either both succeed with
 //! bit-identical tables or both fail with the same error. The same
 //! queries run over random partitions of a table (`run_query_parts`)
-//! must match the whole table the same way. A further property pins
-//! cracked-range answers to full-scan equivalence on random crack
-//! sequences.
+//! must match the whole table the same way, and every query must agree
+//! with the independent oracle (`tests/common/oracle.rs`). A further
+//! property pins cracked-range answers to full-scan equivalence on
+//! random crack sequences.
 
 use std::sync::OnceLock;
 
@@ -15,22 +16,19 @@ use proptest::prelude::*;
 
 use exploration::cracking::CrackerColumn;
 use exploration::exec::{evaluate_selection, run_query, run_query_parts, ExecPolicy, QueryCtx};
-use exploration::storage::gen::{sales_table, SalesConfig};
 use exploration::storage::{
-    AggFunc, CmpOp, Column, DataType, Predicate, Query, Schema, SortOrder, Table, Value,
+    mask_to_sel, AggFunc, CmpOp, Column, DataType, Predicate, Query, Schema, SortOrder, Table,
     MORSEL_ROWS,
 };
 use exploration::{FailPoints, Schedule};
 
+mod common;
+use common::{oracle, sales, tables_bitwise_equal};
+
 /// A shared multi-morsel table (built once; cases only read it).
 fn big_table() -> &'static Table {
     static TABLE: OnceLock<Table> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        sales_table(&SalesConfig {
-            rows: MORSEL_ROWS + 2048,
-            ..SalesConfig::default()
-        })
-    })
+    TABLE.get_or_init(|| sales(MORSEL_ROWS + 2048))
 }
 
 /// A predicate leaf: valid comparisons, plus occasional unknown columns
@@ -130,23 +128,6 @@ fn build_query(
     q
 }
 
-/// Compare two tables bit-for-bit (floats via `to_bits`).
-fn tables_bitwise_equal(a: &Table, b: &Table) -> bool {
-    if a.schema() != b.schema() || a.num_rows() != b.num_rows() {
-        return false;
-    }
-    a.schema().fields().iter().all(|field| {
-        let ca = a.column(field.name()).unwrap();
-        let cb = b.column(field.name()).unwrap();
-        (0..a.num_rows()).all(
-            |row| match (ca.value(row).unwrap(), cb.value(row).unwrap()) {
-                (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
-                (x, y) => x == y,
-            },
-        )
-    })
-}
-
 /// Tables of assorted sizes around the morsel boundaries (built once),
 /// so worker-count sweeps hit sub-morsel, exact-boundary, and
 /// multi-morsel decompositions.
@@ -163,12 +144,7 @@ fn sized_tables() -> &'static Vec<Table> {
             MORSEL_ROWS + 1,
         ]
         .iter()
-        .map(|&rows| {
-            sales_table(&SalesConfig {
-                rows,
-                ..SalesConfig::default()
-            })
-        })
+        .map(|&rows| sales(rows))
         .collect()
     })
 }
@@ -315,7 +291,7 @@ proptest! {
     }
 
     /// Random predicate trees produce the same selection vector under
-    /// both policies — and match the single-pass reference evaluator.
+    /// both policies — and match the scalar mask reference evaluator.
     #[test]
     fn random_selections_agree_across_policies(pred in pred_tree()) {
         let t = big_table();
@@ -324,7 +300,7 @@ proptest! {
         match (serial, parallel) {
             (Ok(a), Ok(b)) => {
                 prop_assert_eq!(&a, &b);
-                prop_assert_eq!(a, pred.evaluate(t).unwrap());
+                prop_assert_eq!(a, mask_to_sel(&pred.evaluate_mask(t).unwrap()));
             }
             (Err(a), Err(b)) => prop_assert_eq!(a, b),
             (a, b) => prop_assert!(
@@ -364,6 +340,34 @@ proptest! {
                 "one policy errored: serial ok = {}, parallel ok = {}",
                 a.is_ok(),
                 b.is_ok()
+            ),
+        }
+    }
+
+    /// Any query — valid or not — agrees with the independent
+    /// row-at-a-time oracle: an error exactly when the oracle finds the
+    /// query invalid, else the oracle's rows in the oracle's order (SUM /
+    /// AVG / VAR / STD to rounding, everything else exact).
+    #[test]
+    fn random_queries_agree_with_the_oracle(
+        table_idx in 0usize..7,
+        pred in pred_tree(),
+        groups in group_cols(),
+        aggs in agg_list(),
+        order in 0i64..3,
+        limit_raw in 0i64..400,
+    ) {
+        let limit = (limit_raw >= 100).then_some(limit_raw as usize);
+        let q = build_query(pred, &groups, &aggs, order, limit);
+        let t = &sized_tables()[table_idx];
+        match (run_query(t, &q, &QueryCtx::none()), oracle::run(t, &q)) {
+            (Ok(got), Some(want)) => oracle::assert_matches(&got, &want, &q, &format!("{q:?}")),
+            (Err(_), None) => {}
+            (got, want) => prop_assert!(
+                false,
+                "engine ok = {}, oracle valid = {} on {q:?}",
+                got.is_ok(),
+                want.is_some()
             ),
         }
     }

@@ -7,67 +7,36 @@
 //! morsel decomposition and merge partials in morsel order, so the only
 //! thing parallelism changes is which thread computes a morsel.
 //!
+//! The executor-identity cases extend that to every way a query reaches
+//! the pipeline — `Query::run`, a raw table, a private speculator — and
+//! hold the one answer against an independent oracle; a cuboid, which
+//! runs the pipeline unsplit, is held to it up to float rounding.
+//!
 //! The second half stress-tests the pool: many concurrent sessions
 //! submitting queries at once (exercising the busy-pool inline fallback
 //! and the work-stealing deques), and concurrent batched cracker queries.
 
 use std::sync::Arc;
 
+use exploration::cache::CachePolicy;
 use exploration::cracking::ConcurrentCracker;
+use exploration::cube::DataCube;
 use exploration::exec::{evaluate_selection, run_query, ExecPolicy, QueryCtx};
+use exploration::loading::RawCsv;
+use exploration::prefetch::RangeRequest;
+use exploration::storage::csv::write_csv;
 use exploration::storage::gen::{sales_table, uniform_i64, SalesConfig};
 use exploration::storage::{
-    AggFunc, CmpOp, Column, DataType, Predicate, Query, Schema, SortOrder, Table, Value,
-    MORSEL_ROWS,
+    AggFunc, CmpOp, Column, DataType, Predicate, Query, Schema, SortOrder, Table, MORSEL_ROWS,
 };
 use exploration::{ExploreDb, Schedule};
 
-/// A table spanning several morsels plus a ragged tail, so the morsel
-/// merge order actually matters.
-fn multi_morsel_table() -> Table {
-    sales_table(&SalesConfig {
-        rows: 2 * MORSEL_ROWS + 4321,
-        ..SalesConfig::default()
-    })
-}
+mod common;
+use common::{assert_bitwise_eq, multi_morsel_table, oracle, query_shapes, sales};
 
 /// A table smaller than one morsel (degenerate decomposition).
 fn small_table() -> Table {
-    sales_table(&SalesConfig {
-        rows: 777,
-        ..SalesConfig::default()
-    })
-}
-
-/// Assert two tables are identical down to the float bit patterns.
-fn assert_bitwise_eq(a: &Table, b: &Table, context: &str) {
-    assert_eq!(a.schema(), b.schema(), "{context}: schema");
-    assert_eq!(a.num_rows(), b.num_rows(), "{context}: row count");
-    for field in a.schema().fields() {
-        let ca = a.column(field.name()).unwrap_or_else(|e| {
-            panic!("{context}: left table lost column {:?}: {e}", field.name())
-        });
-        let cb = b.column(field.name()).unwrap_or_else(|e| {
-            panic!("{context}: right table lost column {:?}: {e}", field.name())
-        });
-        for row in 0..a.num_rows() {
-            let va = ca
-                .value(row)
-                .unwrap_or_else(|e| panic!("{context}: {}[{row}] unreadable: {e}", field.name()));
-            let vb = cb
-                .value(row)
-                .unwrap_or_else(|e| panic!("{context}: {}[{row}] unreadable: {e}", field.name()));
-            match (va, vb) {
-                (Value::Float(x), Value::Float(y)) => assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "{context}: {}[{row}] {x} vs {y}",
-                    field.name()
-                ),
-                (x, y) => assert_eq!(x, y, "{context}: {}[{row}]", field.name()),
-            }
-        }
-    }
+    sales(777)
 }
 
 /// Run a query under serial and 4-worker-parallel policies and require
@@ -76,99 +45,6 @@ fn assert_policies_agree(t: &Table, q: &Query, context: &str) {
     let serial = run_query(t, q, &QueryCtx::none()).unwrap();
     let parallel = run_query(t, q, &QueryCtx::new(ExecPolicy::Parallel { workers: 4 })).unwrap();
     assert_bitwise_eq(&serial, &parallel, context);
-}
-
-/// Every supported query shape, over both a multi-morsel and a
-/// sub-morsel table.
-fn query_shapes() -> Vec<(&'static str, Query)> {
-    vec![
-        ("full_scan", Query::new()),
-        (
-            "filter_scan",
-            Query::new().filter(Predicate::range("price", 100.0, 600.0)),
-        ),
-        (
-            "projection",
-            Query::new()
-                .filter(Predicate::cmp("qty", CmpOp::Ge, 5.0))
-                .select(&["region", "price"]),
-        ),
-        (
-            "order_limit",
-            Query::new()
-                .filter(Predicate::range("price", 50.0, 900.0))
-                .select(&["product", "price"])
-                .order("price", SortOrder::Desc)
-                .take(123),
-        ),
-        (
-            "global_aggregates",
-            Query::new()
-                .agg(AggFunc::Count, "qty")
-                .agg(AggFunc::Sum, "price")
-                .agg(AggFunc::Avg, "price")
-                .agg(AggFunc::Min, "discount")
-                .agg(AggFunc::Max, "discount")
-                .agg(AggFunc::Var, "price")
-                .agg(AggFunc::Std, "price"),
-        ),
-        (
-            "filtered_global_aggregate",
-            Query::new()
-                .filter(Predicate::eq("channel", "channel1"))
-                .agg(AggFunc::Avg, "price"),
-        ),
-        (
-            "group_by",
-            Query::new()
-                .group("region")
-                .agg(AggFunc::Count, "qty")
-                .agg(AggFunc::Sum, "price"),
-        ),
-        (
-            "multi_column_group_by",
-            Query::new()
-                .group("region")
-                .group("channel")
-                .agg(AggFunc::Avg, "price")
-                .agg(AggFunc::Var, "discount"),
-        ),
-        (
-            "full_pipeline",
-            Query::new()
-                .filter(Predicate::range("price", 50.0, 800.0).and(Predicate::cmp(
-                    "qty",
-                    CmpOp::Ge,
-                    2.0,
-                )))
-                .group("product")
-                .agg(AggFunc::Sum, "price")
-                .agg(AggFunc::Avg, "qty")
-                .order("sum(price)", SortOrder::Desc)
-                .take(7),
-        ),
-        (
-            "compound_predicate",
-            Query::new().filter(
-                Predicate::eq("region", "region0")
-                    .or(Predicate::range("price", 0.0, 120.0))
-                    .and(Predicate::cmp("qty", CmpOp::Lt, 8.0).not()),
-            ),
-        ),
-        (
-            "empty_result_filter",
-            Query::new()
-                .filter(Predicate::cmp("price", CmpOp::Lt, -1.0))
-                .group("region")
-                .agg(AggFunc::Sum, "price"),
-        ),
-        (
-            "string_predicate_scan",
-            Query::new()
-                .filter(Predicate::eq("channel", "channel0"))
-                .select(&["channel", "qty"]),
-        ),
-    ]
 }
 
 #[test]
@@ -183,10 +59,7 @@ fn every_query_shape_is_bit_identical_across_policies() {
 
 #[test]
 fn empty_table_agrees_across_policies() {
-    let empty = sales_table(&SalesConfig {
-        rows: 0,
-        ..SalesConfig::default()
-    });
+    let empty = sales(0);
     for (name, q) in query_shapes() {
         assert_policies_agree(&empty, &q, &format!("{name} (empty table)"));
     }
@@ -227,19 +100,119 @@ fn selection_vectors_are_identical_across_policies() {
     }
 }
 
+/// Three morsels and a ragged tail: the table the executor-identity
+/// cases below share.
+fn identity_table() -> Table {
+    sales(3 * MORSEL_ROWS + 1234)
+}
+
+/// There is one executor: `Query::run` is the morsel pipeline walked on
+/// the calling thread, so for every shape — float aggregates included —
+/// it equals `run_query` under either policy down to the bit. And the
+/// one answer is the right one: it matches the independent oracle.
 #[test]
-fn parallel_equals_reference_executor_for_scans() {
-    // For non-aggregate shapes the morsel pipeline must equal
-    // `Query::run` bitwise too (gather order is row order either way).
-    let t = multi_morsel_table();
+fn query_run_equals_run_query_under_either_policy() {
+    let t = identity_table();
     for (name, q) in query_shapes() {
-        if !q.aggregates.is_empty() {
-            continue;
-        }
         let reference = q.run(&t).unwrap();
-        let parallel =
-            run_query(&t, &q, &QueryCtx::new(ExecPolicy::Parallel { workers: 4 })).unwrap();
-        assert_bitwise_eq(&reference, &parallel, name);
+        for policy in [ExecPolicy::Serial, ExecPolicy::Parallel { workers: 4 }] {
+            let got = run_query(&t, &q, &QueryCtx::new(policy)).unwrap();
+            assert_bitwise_eq(&reference, &got, &format!("{name} ({policy:?})"));
+        }
+        let truth = oracle::run(&t, &q).expect("every shape is a valid query");
+        oracle::assert_matches(&reference, &truth, &q, name);
+    }
+}
+
+/// A raw file answers as if it had been loaded: the same table attached
+/// raw and registered gives the same bits, on the loader's first touch
+/// (cold) and from its column cache (warm).
+#[test]
+fn raw_table_equals_registered_table() {
+    let t = identity_table();
+    let db = ExploreDb::new();
+    db.register("mem", t.clone());
+    let raw = RawCsv::new(write_csv(&t), t.schema().clone()).unwrap();
+    db.attach_raw("raw", raw);
+    for (name, q) in query_shapes() {
+        let mem = db.query("mem", &q).unwrap();
+        for pass in ["cold", "warm"] {
+            let got = db.query("raw", &q).unwrap();
+            assert_bitwise_eq(&mem, &got, &format!("{name} ({pass} loader)"));
+        }
+    }
+}
+
+/// A speculator answers with the same bits whether or not the engine's
+/// cache policy routes it through the shared result cache.
+#[test]
+fn speculator_answers_do_not_depend_on_cache_policy() {
+    let t = identity_table();
+    let answers = |policy: CachePolicy| -> Vec<u64> {
+        let db = ExploreDb::with_cache_policy(policy);
+        db.register("sales", t.clone());
+        let spec = db.speculator("sales", 2).unwrap();
+        [AggFunc::Avg, AggFunc::Sum, AggFunc::Var, AggFunc::Count]
+            .into_iter()
+            .flat_map(|func| [(1, 9), (3, 6)].map(|(low, high)| (func, low, high)))
+            .map(|(func, low, high)| {
+                let req = RangeRequest {
+                    column: "qty".into(),
+                    low,
+                    high,
+                    func,
+                    measure: "price".into(),
+                };
+                spec.execute(&req).unwrap().to_bits()
+            })
+            .collect()
+    };
+    assert_eq!(answers(CachePolicy::Off), answers(CachePolicy::on()));
+}
+
+/// A cuboid of the data-cube lattice is the grouped query the engine
+/// answers: the same cells in the same order, bit for bit on a table of
+/// one morsel. The lattice runs the pipeline with the whole table as one
+/// morsel (`Query::run_unsplit` — the summation order its cells are
+/// pinned under by `benchmark/`), so above one morsel it is held to the
+/// engine's answer like the oracle is: exact but for float rounding.
+#[test]
+fn cuboid_equals_the_grouped_query() {
+    for (t, bitwise) in [(sales(MORSEL_ROWS), true), (identity_table(), false)] {
+        cuboids_match_grouped_queries(t, bitwise);
+    }
+}
+
+fn cuboids_match_grouped_queries(t: Table, bitwise: bool) {
+    let db = ExploreDb::new();
+    db.register("sales", t.clone());
+    let same = |cuboid: &Table, queried: &Table, q: &Query, context: &str| match bitwise {
+        true => assert_bitwise_eq(cuboid, queried, context),
+        false => oracle::assert_matches(cuboid, queried, q, context),
+    };
+    for func in [AggFunc::Sum, AggFunc::Avg, AggFunc::Std] {
+        let mut cube = DataCube::new(t.clone(), &["region", "channel"], "price", func).unwrap();
+        // Cuboids group in sorted dimension order, ordered by the first.
+        let q = Query::new()
+            .group("channel")
+            .group("region")
+            .agg(func, "price")
+            .order("channel", SortOrder::Asc);
+        let cuboid = cube.cuboid(&["region", "channel"]).unwrap();
+        same(
+            cuboid,
+            &db.query("sales", &q).unwrap(),
+            &q,
+            &format!("{func} cuboid"),
+        );
+        let q = Query::new().agg(func, "price");
+        let total = cube.cuboid(&[]).unwrap();
+        same(
+            total,
+            &db.query("sales", &q).unwrap(),
+            &q,
+            &format!("{func} grand total"),
+        );
     }
 }
 

@@ -15,16 +15,15 @@
 use std::time::Instant;
 
 use exploration::exec::{morsel_count, run_query, ExecPolicy, QueryCtx, MAX_MORSELS};
-use exploration::storage::gen::{sales_table, SalesConfig};
-use exploration::storage::{AggFunc, Predicate, Query, Table, Value};
+use exploration::storage::{AggFunc, Predicate, Query, Table};
+
+mod common;
+use common::{assert_bitwise_eq, sales};
 
 const ROWS: usize = 1_000_000;
 
 fn table_1m() -> Table {
-    sales_table(&SalesConfig {
-        rows: ROWS,
-        ..SalesConfig::default()
-    })
+    sales(ROWS)
 }
 
 fn filtered_group_by() -> Query {
@@ -41,24 +40,6 @@ fn iters() -> usize {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(3)
-}
-
-/// Bit-for-bit table equality (floats by `to_bits`).
-fn assert_bitwise_eq(a: &Table, b: &Table) {
-    assert_eq!(a.schema(), b.schema());
-    assert_eq!(a.num_rows(), b.num_rows());
-    for field in a.schema().fields() {
-        let ca = a.column(field.name()).unwrap();
-        let cb = b.column(field.name()).unwrap();
-        for row in 0..a.num_rows() {
-            match (ca.value(row).unwrap(), cb.value(row).unwrap()) {
-                (Value::Float(x), Value::Float(y)) => {
-                    assert_eq!(x.to_bits(), y.to_bits(), "{}[{row}]", field.name());
-                }
-                (x, y) => assert_eq!(x, y, "{}[{row}]", field.name()),
-            }
-        }
-    }
 }
 
 /// Best-of-N wall time for one policy.
@@ -96,7 +77,7 @@ fn parallel_4_speedup_on_1m_row_filtered_group_by() {
     let serial_result = run_query(&t, &q, &QueryCtx::none()).unwrap();
     let parallel_result =
         run_query(&t, &q, &QueryCtx::new(ExecPolicy::Parallel { workers: 4 })).unwrap();
-    assert_bitwise_eq(&serial_result, &parallel_result);
+    assert_bitwise_eq(&serial_result, &parallel_result, "serial vs parallel");
 
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())

@@ -13,136 +13,17 @@
 use exploration::cache::CachePolicy;
 use exploration::exec::ExecPolicy;
 use exploration::serve::{ServeConfig, ServeEngine};
-use exploration::storage::gen::{sales_table, SalesConfig};
-use exploration::storage::{
-    AggFunc, CmpOp, Predicate, Query, SortOrder, Table, Value, MORSEL_ROWS,
-};
+use exploration::storage::{AggFunc, Predicate, Query, Table, MORSEL_ROWS};
 use exploration::workload::{DriveMode, WorkloadConfig, WorkloadRunner};
 use exploration::ExploreDb;
+
+mod common;
+use common::{assert_bitwise_eq, query_shapes, sales};
 
 /// A table spanning several morsels plus a ragged tail, so parallel
 /// merge order matters (mirrors the other differential suites).
 fn serve_table() -> Table {
-    sales_table(&SalesConfig {
-        rows: MORSEL_ROWS + 4321,
-        ..SalesConfig::default()
-    })
-}
-
-/// Assert two tables are identical down to the float bit patterns.
-fn assert_bitwise_eq(a: &Table, b: &Table, context: &str) {
-    assert_eq!(a.schema(), b.schema(), "{context}: schema");
-    assert_eq!(a.num_rows(), b.num_rows(), "{context}: row count");
-    for field in a.schema().fields() {
-        let ca = a.column(field.name()).unwrap();
-        let cb = b.column(field.name()).unwrap();
-        for row in 0..a.num_rows() {
-            let va = ca.value(row).unwrap();
-            let vb = cb.value(row).unwrap();
-            match (va, vb) {
-                (Value::Float(x), Value::Float(y)) => assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "{context}: {}[{row}] {x} vs {y}",
-                    field.name()
-                ),
-                (x, y) => assert_eq!(x, y, "{context}: {}[{row}]", field.name()),
-            }
-        }
-    }
-}
-
-/// The executor's supported query shapes (mirrors the serial/parallel
-/// and chaos differential suites).
-fn query_shapes() -> Vec<(&'static str, Query)> {
-    vec![
-        ("full_scan", Query::new()),
-        (
-            "filter_scan",
-            Query::new().filter(Predicate::range("price", 100.0, 600.0)),
-        ),
-        (
-            "projection",
-            Query::new()
-                .filter(Predicate::cmp("qty", CmpOp::Ge, 5.0))
-                .select(&["region", "price"]),
-        ),
-        (
-            "order_limit",
-            Query::new()
-                .filter(Predicate::range("price", 50.0, 900.0))
-                .select(&["product", "price"])
-                .order("price", SortOrder::Desc)
-                .take(123),
-        ),
-        (
-            "global_aggregates",
-            Query::new()
-                .agg(AggFunc::Count, "qty")
-                .agg(AggFunc::Sum, "price")
-                .agg(AggFunc::Avg, "price")
-                .agg(AggFunc::Min, "discount")
-                .agg(AggFunc::Max, "discount")
-                .agg(AggFunc::Var, "price")
-                .agg(AggFunc::Std, "price"),
-        ),
-        (
-            "filtered_global_aggregate",
-            Query::new()
-                .filter(Predicate::eq("channel", "channel1"))
-                .agg(AggFunc::Avg, "price"),
-        ),
-        (
-            "group_by",
-            Query::new()
-                .group("region")
-                .agg(AggFunc::Count, "qty")
-                .agg(AggFunc::Sum, "price"),
-        ),
-        (
-            "multi_column_group_by",
-            Query::new()
-                .group("region")
-                .group("channel")
-                .agg(AggFunc::Avg, "price")
-                .agg(AggFunc::Var, "discount"),
-        ),
-        (
-            "full_pipeline",
-            Query::new()
-                .filter(Predicate::range("price", 50.0, 800.0).and(Predicate::cmp(
-                    "qty",
-                    CmpOp::Ge,
-                    2.0,
-                )))
-                .group("product")
-                .agg(AggFunc::Sum, "price")
-                .agg(AggFunc::Avg, "qty")
-                .order("sum(price)", SortOrder::Desc)
-                .take(7),
-        ),
-        (
-            "compound_predicate",
-            Query::new().filter(
-                Predicate::eq("region", "region0")
-                    .or(Predicate::range("price", 0.0, 120.0))
-                    .and(Predicate::cmp("qty", CmpOp::Lt, 8.0).not()),
-            ),
-        ),
-        (
-            "empty_result_filter",
-            Query::new()
-                .filter(Predicate::cmp("price", CmpOp::Lt, -1.0))
-                .group("region")
-                .agg(AggFunc::Sum, "price"),
-        ),
-        (
-            "string_predicate_scan",
-            Query::new()
-                .filter(Predicate::eq("channel", "channel0"))
-                .select(&["channel", "qty"]),
-        ),
-    ]
+    sales(MORSEL_ROWS + 4321)
 }
 
 /// An engine with the probe table and the given policies.
@@ -191,10 +72,7 @@ fn session_facade_is_bitwise_identical_to_direct_engine() {
 #[test]
 fn thousand_plus_sessions_complete_on_four_workers_bit_identical() {
     const SESSIONS: usize = 1200;
-    let table = sales_table(&SalesConfig {
-        rows: 5_000,
-        ..SalesConfig::default()
-    });
+    let table = sales(5_000);
     let shapes = query_shapes();
     let truths: Vec<Table> = {
         let db = ExploreDb::with_exec_policy(ExecPolicy::Serial);

@@ -9,13 +9,14 @@
 use exploration::cache::{CacheConfig, CachePolicy, Fingerprint};
 use exploration::exec::ExecPolicy;
 use exploration::shard::{scoped_name, ShardConfig, ShardPolicy};
-use exploration::storage::gen::{sales_table, SalesConfig};
 use exploration::storage::rng::SplitMix64;
 use exploration::storage::{
-    AggFunc, CmpOp, Column, DataType, Predicate, Query, Schema, SortOrder, StorageError, Table,
-    Value, MORSEL_ROWS,
+    CmpOp, Column, DataType, Predicate, Query, Schema, StorageError, Table, Value, MORSEL_ROWS,
 };
 use exploration::{CancelToken, ExploreDb, Schedule, SessionCtx};
+
+mod common;
+use common::{assert_bitwise_eq, query_shapes, sales};
 
 /// The two table scales of the parallel differential suite: several
 /// morsels with a ragged tail (shard boundaries fall mid-morsel), and a
@@ -27,13 +28,6 @@ fn table_sizes() -> [usize; 2] {
 /// The shard counts under test: trivial, even, the default, and a prime
 /// that never divides the table evenly.
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
-
-fn sales(rows: usize) -> Table {
-    sales_table(&SalesConfig {
-        rows,
-        ..SalesConfig::default()
-    })
-}
 
 fn shard_policy(count: usize) -> ShardPolicy {
     ShardPolicy::On(ShardConfig {
@@ -49,121 +43,6 @@ fn roomy_policy() -> CachePolicy {
         byte_budget: 1 << 30,
         ..CacheConfig::default()
     })
-}
-
-/// Assert two tables are identical down to the float bit patterns.
-fn assert_bitwise_eq(a: &Table, b: &Table, context: &str) {
-    assert_eq!(a.schema(), b.schema(), "{context}: schema");
-    assert_eq!(a.num_rows(), b.num_rows(), "{context}: row count");
-    for field in a.schema().fields() {
-        let ca = a.column(field.name()).unwrap();
-        let cb = b.column(field.name()).unwrap();
-        for row in 0..a.num_rows() {
-            let va = ca.value(row).unwrap();
-            let vb = cb.value(row).unwrap();
-            match (va, vb) {
-                (Value::Float(x), Value::Float(y)) => assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "{context}: {}[{row}] {x} vs {y}",
-                    field.name()
-                ),
-                (x, y) => assert_eq!(x, y, "{context}: {}[{row}]", field.name()),
-            }
-        }
-    }
-}
-
-/// The twelve query shapes of the serial/parallel differential suite.
-fn query_shapes() -> Vec<(&'static str, Query)> {
-    vec![
-        ("full_scan", Query::new()),
-        (
-            "filter_scan",
-            Query::new().filter(Predicate::range("price", 100.0, 600.0)),
-        ),
-        (
-            "projection",
-            Query::new()
-                .filter(Predicate::cmp("qty", CmpOp::Ge, 5.0))
-                .select(&["region", "price"]),
-        ),
-        (
-            "order_limit",
-            Query::new()
-                .filter(Predicate::range("price", 50.0, 900.0))
-                .select(&["product", "price"])
-                .order("price", SortOrder::Desc)
-                .take(123),
-        ),
-        (
-            "global_aggregates",
-            Query::new()
-                .agg(AggFunc::Count, "qty")
-                .agg(AggFunc::Sum, "price")
-                .agg(AggFunc::Avg, "price")
-                .agg(AggFunc::Min, "discount")
-                .agg(AggFunc::Max, "discount")
-                .agg(AggFunc::Var, "price")
-                .agg(AggFunc::Std, "price"),
-        ),
-        (
-            "filtered_global_aggregate",
-            Query::new()
-                .filter(Predicate::eq("channel", "channel1"))
-                .agg(AggFunc::Avg, "price"),
-        ),
-        (
-            "group_by",
-            Query::new()
-                .group("region")
-                .agg(AggFunc::Count, "qty")
-                .agg(AggFunc::Sum, "price"),
-        ),
-        (
-            "multi_column_group_by",
-            Query::new()
-                .group("region")
-                .group("channel")
-                .agg(AggFunc::Avg, "price")
-                .agg(AggFunc::Var, "discount"),
-        ),
-        (
-            "full_pipeline",
-            Query::new()
-                .filter(Predicate::range("price", 50.0, 800.0).and(Predicate::cmp(
-                    "qty",
-                    CmpOp::Ge,
-                    2.0,
-                )))
-                .group("product")
-                .agg(AggFunc::Sum, "price")
-                .agg(AggFunc::Avg, "qty")
-                .order("sum(price)", SortOrder::Desc)
-                .take(7),
-        ),
-        (
-            "compound_predicate",
-            Query::new().filter(
-                Predicate::eq("region", "region0")
-                    .or(Predicate::range("price", 0.0, 120.0))
-                    .and(Predicate::cmp("qty", CmpOp::Lt, 8.0).not()),
-            ),
-        ),
-        (
-            "empty_result_filter",
-            Query::new()
-                .filter(Predicate::cmp("price", CmpOp::Lt, -1.0))
-                .group("region")
-                .agg(AggFunc::Sum, "price"),
-        ),
-        (
-            "string_predicate_scan",
-            Query::new()
-                .filter(Predicate::eq("channel", "channel0"))
-                .select(&["channel", "qty"]),
-        ),
-    ]
 }
 
 /// The exactness matrix: 12 shapes × {1, 2, 4, 7} shards ×
