@@ -119,6 +119,25 @@ if grep -rnF '.run_on_selection(' --include='*.rs' crates/ ||
     exit 1
 fi
 
+echo "==> one-walk lint (one seeded row walk, one group interner for the approximate layers)"
+# Online aggregation, ordered bars and SeeDB's pruned phases consume rows
+# in one seeded order, explore_aqp::SeededWalk (crates/aqp/src/walk.rs),
+# and every approximate layer groups on explore_storage::Dictionary codes
+# (DESIGN.md §4). A shuffle outside the walk, or a group map keyed on
+# strings, is a private row loop growing back.
+if find crates/aqp/src crates/viz/src -name '*.rs' -not -path crates/aqp/src/walk.rs |
+    while read -r f; do
+        sed '/#\[cfg(test)\]/q' "$f" | grep -nF '.shuffle(' | sed "s|^|$f:|" || true
+    done | grep .; then
+    echo "error: shuffle outside crates/aqp/src/walk.rs; walk rows with explore_aqp::SeededWalk" >&2
+    exit 1
+fi
+if grep -rnE 'HashMap<(String|&str), Accumulator>|HashMap<String, \[f64' \
+    crates/aqp/src crates/viz/src crates/sampling/src; then
+    echo "error: string-keyed group map; intern groups with explore_storage::Dictionary" >&2
+    exit 1
+fi
+
 echo "==> one-measurement-authority lint (the retired bench harness stays retired)"
 # benchmark/ is the only source of a cross-commit number. The Criterion
 # shim, the gate binary and their env knobs were deleted; a reference

@@ -10,15 +10,16 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use explore_cache::{predicate_key, Fingerprint, ResultCache};
+use explore_cache::{predicate_key, serve_or_compute, Fingerprint, ResultCache};
 use explore_exec::{evaluate_selection, QueryCtx};
 use explore_obs::MetricsRegistry;
 use explore_sampling::{SampleCatalog, UniformSample};
 use explore_storage::{
-    Accumulator, AggFunc, Column, DataType, Predicate, Result, Schema, StorageError, Table,
+    Accumulator, AggFunc, Column, DataType, Measure, Predicate, Result, Schema, StorageError, Table,
 };
 
-use crate::ci::{mean_interval, sum_interval, ConfidenceInterval};
+use crate::ci::ConfidenceInterval;
+use crate::online::RunningEstimate;
 
 /// What the user asked to bound.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -164,7 +165,23 @@ impl<'a> BoundedExecutor<'a> {
         ctx: &QueryCtx,
     ) -> Result<BoundedAnswer> {
         let started = self.metrics.as_ref().map(|_| Instant::now());
-        let out = self.aggregate_dispatch(predicate, func, column, bound, ctx);
+        // Through the shared cache's serve protocol when one is wired.
+        let out = match &self.cache {
+            None => self.aggregate_uncached(predicate, func, column, bound, ctx),
+            Some((cache, table_name, epoch)) => {
+                let fp =
+                    Fingerprint::custom(table_name, answer_key(predicate, func, column, bound));
+                let compute = || {
+                    let ans = self.aggregate_uncached(predicate, func, column, bound, ctx)?;
+                    Ok((encode_answer(&ans)?, None))
+                };
+                serve_or_compute(cache, fp, *epoch, ctx, |_, _| None, compute).and_then(|t| {
+                    decode_answer(&t).ok_or_else(|| {
+                        StorageError::Internal("cached answer lost its shape".into())
+                    })
+                })
+            }
+        };
         if let (Some(metrics), Some(started)) = (&self.metrics, started) {
             metrics.inc("aqp.answers", 1);
             metrics.observe_ns("aqp.latency_ns", started.elapsed().as_nanos() as u64);
@@ -173,31 +190,6 @@ impl<'a> BoundedExecutor<'a> {
             }
         }
         out
-    }
-
-    /// Route through the shared cache when one is wired.
-    fn aggregate_dispatch(
-        &self,
-        predicate: &Predicate,
-        func: AggFunc,
-        column: &str,
-        bound: Bound,
-        ctx: &QueryCtx,
-    ) -> Result<BoundedAnswer> {
-        let Some((cache, table_name, epoch)) = &self.cache else {
-            return self.aggregate_uncached(predicate, func, column, bound, ctx);
-        };
-        let epoch = *epoch;
-        let fp = Fingerprint::custom(table_name, answer_key(predicate, func, column, bound));
-        if let Some(hit) = cache.get(&fp).and_then(|t| decode_answer(&t)) {
-            return Ok(hit);
-        }
-        cache.note_miss();
-        let started = Instant::now();
-        let ans = self.aggregate_uncached(predicate, func, column, bound, ctx)?;
-        let cost_ns = started.elapsed().as_nanos();
-        cache.insert(fp, Arc::new(encode_answer(&ans)?), None, cost_ns, epoch);
-        Ok(ans)
     }
 
     fn aggregate_uncached(
@@ -224,11 +216,11 @@ impl<'a> BoundedExecutor<'a> {
             Bound::RowBudget { rows } => {
                 // Largest sample fitting the budget.
                 let ladder = self.catalog.uniform_ladder();
-                let pick = ladder
+                match ladder
                     .iter()
                     .rev()
-                    .find(|(_, s)| s.table().num_rows() <= rows);
-                match pick {
+                    .find(|(_, s)| s.table().num_rows() <= rows)
+                {
                     Some(&(fraction, sample)) => self.run_on_sample(
                         sample,
                         fraction,
@@ -238,15 +230,12 @@ impl<'a> BoundedExecutor<'a> {
                         self.confidence_default,
                         ctx,
                     ),
-                    None => {
-                        if self.base.num_rows() <= rows {
-                            self.run_exact(predicate, func, column, ctx)
-                        } else {
-                            Err(StorageError::InvalidQuery(format!(
-                                "no sample fits a budget of {rows} rows"
-                            )))
-                        }
+                    None if self.base.num_rows() <= rows => {
+                        self.run_exact(predicate, func, column, ctx)
                     }
+                    None => Err(StorageError::InvalidQuery(format!(
+                        "no sample fits a budget of {rows} rows"
+                    ))),
                 }
             }
         }
@@ -265,64 +254,28 @@ impl<'a> BoundedExecutor<'a> {
     ) -> Result<BoundedAnswer> {
         let t = sample.table();
         let sel = evaluate_selection(t, predicate, ctx)?;
-        let col = t.column(column)?;
-        if func != AggFunc::Count && !col.data_type().is_numeric() {
-            return Err(StorageError::TypeMismatch {
-                column: column.to_owned(),
-                expected: "numeric",
-                found: col.data_type().name(),
-            });
-        }
-        let mut acc = Accumulator::new();
-        let mut masked = Accumulator::new();
-        // `sel` is ascending: one cursor walks it beside the row loop.
-        let mut matches = sel.iter().peekable();
-        for row in 0..t.num_rows() {
-            let x = if func == AggFunc::Count {
-                1.0
-            } else {
-                col.numeric_at(row).unwrap_or(0.0)
-            };
-            if matches.next_if(|&&m| m as usize == row).is_some() {
-                acc.update(x);
-                masked.update(x);
-            } else {
-                masked.update(0.0);
-            }
-        }
-        let n_sample = t.num_rows() as u64;
-        let total = sample.base_rows() as u64;
-        let interval = match func {
-            AggFunc::Avg => {
-                // Estimated matching population for the FPC.
-                let est_matching = if n_sample == 0 {
-                    total
-                } else {
-                    ((acc.count() as f64 / n_sample as f64) * total as f64).round() as u64
-                };
-                mean_interval(
-                    acc.mean(),
-                    acc.sample_variance(),
-                    acc.count(),
-                    est_matching.max(acc.count()),
-                    confidence,
-                )
-            }
-            AggFunc::Sum | AggFunc::Count => sum_interval(
-                masked.mean(),
-                masked.sample_variance(),
-                n_sample,
-                total,
-                confidence,
-            ),
+        let measure = Measure::resolve(t, func, column)?;
+        // COUNT is the SUM of the 0/1 match indicator here: its interval
+        // comes from the masked variable, like a filtered SUM's.
+        let func = match func {
+            AggFunc::Count => AggFunc::Sum,
+            AggFunc::Sum | AggFunc::Avg => func,
             other => {
                 return Err(StorageError::InvalidQuery(format!(
                     "bounded execution supports COUNT/SUM/AVG, not {other}"
                 )))
             }
         };
+        let mut estimate = RunningEstimate::default();
+        // `sel` is ascending: one cursor walks it beside the row loop.
+        let mut matches = sel.iter().peekable();
+        for row in 0..t.num_rows() {
+            let matched = matches.next_if(|&&m| m as usize == row).is_some();
+            estimate.update(matched, measure.at(row));
+        }
+        let (n_sample, total) = (t.num_rows() as u64, sample.base_rows() as u64);
         Ok(BoundedAnswer {
-            interval,
+            interval: estimate.interval(func, n_sample, total, confidence),
             fraction_used: fraction,
             rows_scanned: t.num_rows(),
             exact: false,
@@ -337,15 +290,10 @@ impl<'a> BoundedExecutor<'a> {
         ctx: &QueryCtx,
     ) -> Result<BoundedAnswer> {
         let sel = evaluate_selection(self.base, predicate, ctx)?;
-        let col = self.base.column(column)?;
+        let measure = Measure::resolve(self.base, func, column)?;
         let mut acc = Accumulator::new();
         for &row in &sel {
-            let x = if func == AggFunc::Count {
-                1.0
-            } else {
-                col.numeric_at(row as usize).unwrap_or(0.0)
-            };
-            acc.update(x);
+            acc.update(measure.at(row as usize));
         }
         Ok(BoundedAnswer {
             interval: ConfidenceInterval {

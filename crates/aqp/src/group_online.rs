@@ -10,13 +10,11 @@
 //! frequencies, exactly like the selectivity estimate in the scalar
 //! case.
 
-use std::collections::HashMap;
-
 use explore_fault::CancelToken;
-use explore_storage::rng::SplitMix64;
-use explore_storage::{Accumulator, Result, StorageError, Table};
+use explore_storage::{Accumulator, AggFunc, Dictionary, Measure, Result, Table};
 
 use crate::ci::{mean_interval, ConfidenceInterval};
+use crate::walk::SeededWalk;
 
 /// The running state of one group.
 #[derive(Debug, Clone)]
@@ -32,16 +30,13 @@ pub struct GroupEstimate {
 /// scalar machinery in [`crate::online`]).
 #[derive(Debug)]
 pub struct GroupedOnlineAggregation {
-    order: Vec<u32>,
-    cursor: usize,
-    labels: Vec<String>,
+    walk: SeededWalk,
+    groups: Dictionary,
     values: Vec<f64>,
     confidence: f64,
-    accs: HashMap<String, Accumulator>,
-    total_rows: u64,
-    seen: u64,
-    /// Cooperative cancellation token, checked once per batch.
-    cancel: Option<CancelToken>,
+    /// One accumulator per group code; a group no row has reached yet
+    /// has count 0 and is not reported.
+    accs: Vec<Accumulator>,
 }
 
 impl GroupedOnlineAggregation {
@@ -53,110 +48,79 @@ impl GroupedOnlineAggregation {
         confidence: f64,
         seed: u64,
     ) -> Result<Self> {
-        let dim = table.column(dimension)?;
-        let labels = dim
-            .as_utf8()
-            .ok_or_else(|| StorageError::TypeMismatch {
-                column: dimension.to_owned(),
-                expected: "Utf8",
-                found: dim.data_type().name(),
-            })?
-            .to_vec();
-        let mcol = table.column(measure)?;
-        let values: Vec<f64> = (0..table.num_rows())
-            .map(|i| {
-                mcol.numeric_at(i)
-                    .ok_or_else(|| StorageError::TypeMismatch {
-                        column: measure.to_owned(),
-                        expected: "numeric",
-                        found: mcol.data_type().name(),
-                    })
-            })
-            .collect::<Result<_>>()?;
-        let mut order: Vec<u32> = (0..table.num_rows() as u32).collect();
-        SplitMix64::new(seed).shuffle(&mut order);
+        let groups = Dictionary::encode(table, dimension)?;
+        let measure = Measure::resolve(table, AggFunc::Avg, measure)?;
+        let n = table.num_rows();
         Ok(GroupedOnlineAggregation {
-            order,
-            cursor: 0,
-            labels,
-            values,
+            walk: SeededWalk::new(n, seed),
+            values: (0..n).map(|row| measure.at(row)).collect(),
+            accs: vec![Accumulator::new(); groups.labels().len()],
+            groups,
             confidence,
-            accs: HashMap::new(),
-            total_rows: table.num_rows() as u64,
-            seen: 0,
-            cancel: None,
         })
     }
 
     /// Attach a cancellation token checked before every batch; see
     /// [`crate::online::OnlineAggregation::with_cancel`].
     pub fn with_cancel(mut self, cancel: Option<CancelToken>) -> Self {
-        self.cancel = cancel;
+        self.walk = self.walk.with_cancel(cancel);
         self
     }
 
-    /// Process up to `batch` more rows; `Ok(None)` once exhausted. An
-    /// attached cancel token is checked before the batch runs.
+    /// Process up to `batch` more rows (at least one); `Ok(None)` once
+    /// exhausted. An attached cancel token is checked before the batch
+    /// runs.
     pub fn step(&mut self, batch: usize) -> Result<Option<Vec<GroupEstimate>>> {
-        if self.cursor >= self.order.len() {
+        let Some(rows) = self.walk.next_batch(batch)? else {
             return Ok(None);
+        };
+        let codes = self.groups.codes();
+        for &row in rows {
+            let row = row as usize;
+            self.accs[codes[row] as usize].update(self.values[row]);
         }
-        if let Some(c) = &self.cancel {
-            c.check()?;
-        }
-        let end = (self.cursor + batch).min(self.order.len());
-        for &row in &self.order[self.cursor..end] {
-            let r = row as usize;
-            self.accs
-                .entry(self.labels[r].clone())
-                .or_default()
-                .update(self.values[r]);
-            self.seen += 1;
-        }
-        self.cursor = end;
         Ok(Some(self.snapshot()))
     }
 
-    /// Current per-group estimates, sorted by group label.
+    /// Current per-group estimates of the groups seen so far, sorted by
+    /// group label.
     pub fn snapshot(&self) -> Vec<GroupEstimate> {
-        let mut out: Vec<GroupEstimate> = self
-            .accs
-            .iter()
-            .map(|(g, acc)| {
+        let (seen, total) = (self.walk.seen(), self.walk.total());
+        let labels = self.groups.labels();
+        self.groups
+            .label_order()
+            .into_iter()
+            .filter_map(|code| {
+                let acc = &self.accs[code as usize];
+                if acc.count() == 0 {
+                    return None;
+                }
                 // Estimated group population: running frequency scaled to
                 // the table (collapses to exact size at 100% via FPC).
-                let est_pop = if self.seen == 0 {
-                    self.total_rows
-                } else {
-                    ((acc.count() as f64 / self.seen as f64) * self.total_rows as f64).round()
-                        as u64
-                }
-                .max(acc.count());
-                GroupEstimate {
-                    group: g.clone(),
+                let est_pop = ((acc.count() as f64 / seen as f64) * total as f64).round() as u64;
+                Some(GroupEstimate {
+                    group: labels[code as usize].clone(),
                     interval: mean_interval(
                         acc.mean(),
                         acc.sample_variance(),
                         acc.count(),
-                        est_pop,
+                        est_pop.max(acc.count()),
                         self.confidence,
                     ),
                     seen: acc.count(),
-                }
+                })
             })
-            .collect();
-        out.sort_by(|a, b| a.group.cmp(&b.group));
-        out
+            .collect()
     }
 
     /// True when every row has been processed.
     pub fn is_exhausted(&self) -> bool {
-        self.cursor >= self.order.len()
+        self.walk.is_exhausted()
     }
 
     /// Fraction of the table processed.
     pub fn fraction(&self) -> f64 {
-        self.seen as f64 / self.total_rows.max(1) as f64
+        self.walk.fraction()
     }
 
     /// Run until every group's *relative* CI half-width is at or below
@@ -181,6 +145,7 @@ mod tests {
     use super::*;
     use explore_storage::gen::{sales_table, SalesConfig};
     use explore_storage::{AggFunc, Predicate, Query, SortOrder};
+    use std::collections::HashMap;
 
     fn table() -> Table {
         sales_table(&SalesConfig {
@@ -271,6 +236,21 @@ mod tests {
             smallest.interval.half_width,
             biggest.interval.half_width
         );
+    }
+
+    #[test]
+    fn zero_batch_still_makes_progress() {
+        let t = sales_table(&SalesConfig {
+            rows: 10,
+            ..SalesConfig::default()
+        });
+        let mut g = GroupedOnlineAggregation::start(&t, "region", "price", 0.95, 7).unwrap();
+        for _ in 0..10 {
+            assert!(g.step(0).unwrap().is_some());
+        }
+        assert!(g.is_exhausted(), "each zero batch takes one row");
+        let seen: u64 = g.snapshot().iter().map(|e| e.seen).sum();
+        assert_eq!(seen, 10);
     }
 
     #[test]

@@ -8,9 +8,14 @@
 //! * [`online`] — online aggregation (CONTROL \[24\], Hellerstein et al.
 //!   \[25\]): running estimates whose intervals shrink as random-order
 //!   processing proceeds, with early stopping.
+//! * [`group_online`] — group-wise online aggregation: a live interval
+//!   per GROUP BY bar.
 //! * [`bounded`] — BlinkDB-style error- and time-bounded execution
 //!   \[6, 7\] over a pre-built sample catalog, escalating through the
 //!   sample ladder until the bound holds.
+//! * [`synopsis_exec`] — AQUA-style answering from precomputed synopses.
+//! * [`walk`] — the one seeded random-order row walk, shared with
+//!   `explore-viz`'s ordered bars and SeeDB pruning.
 //!
 //! ```
 //! use explore_aqp::{OnlineAggregation};
@@ -29,6 +34,7 @@ pub mod ci;
 pub mod group_online;
 pub mod online;
 pub mod synopsis_exec;
+pub mod walk;
 
 pub use bounded::{Bound, BoundedAnswer, BoundedExecutor};
 pub use ci::{
@@ -38,3 +44,4 @@ pub use ci::{
 pub use group_online::{GroupEstimate, GroupedOnlineAggregation};
 pub use online::{OnlineAggregation, Snapshot};
 pub use synopsis_exec::{AnsweredBy, SynopsisAnswer, SynopsisStore};
+pub use walk::SeededWalk;

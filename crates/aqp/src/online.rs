@@ -9,10 +9,10 @@
 //! approximate interfaces for exploration.
 
 use explore_fault::CancelToken;
-use explore_storage::rng::SplitMix64;
-use explore_storage::{Accumulator, AggFunc, Predicate, Result, StorageError, Table};
+use explore_storage::{Accumulator, AggFunc, Measure, Predicate, Result, Table};
 
 use crate::ci::{count_interval, mean_interval, sum_interval, ConfidenceInterval};
+use crate::walk::SeededWalk;
 
 /// One progress snapshot of a running online aggregation.
 #[derive(Debug, Clone, Copy)]
@@ -25,31 +25,90 @@ pub struct Snapshot {
     pub interval: ConfidenceInterval,
 }
 
+/// The running state behind a filtered scalar estimate, fed one row at a
+/// time in whatever order the caller scans: online aggregation walks a
+/// seeded permutation, bounded execution a sample in row order.
+#[derive(Debug, Default)]
+pub(crate) struct RunningEstimate {
+    /// Values of the matching rows.
+    acc: Accumulator,
+    /// The *masked* variable (value when the row matches, 0 otherwise)
+    /// over all seen rows — the i.i.d. variable whose CLT interval is
+    /// valid for filtered SUMs.
+    masked: Accumulator,
+}
+
+impl RunningEstimate {
+    /// Fold one seen row in.
+    #[inline]
+    pub(crate) fn update(&mut self, matches: bool, x: f64) {
+        if matches {
+            self.acc.update(x);
+            self.masked.update(x);
+        } else {
+            self.masked.update(0.0);
+        }
+    }
+
+    /// `func`'s estimate after `seen` of `total` rows.
+    pub(crate) fn interval(
+        &self,
+        func: AggFunc,
+        seen: u64,
+        total: u64,
+        confidence: f64,
+    ) -> ConfidenceInterval {
+        let n = self.acc.count();
+        match func {
+            AggFunc::Count => count_interval(n, seen, total, confidence),
+            AggFunc::Avg => {
+                // The population of *matching* rows is unknown mid-flight;
+                // estimate it from the running selectivity.
+                let matching = if seen == 0 {
+                    total
+                } else {
+                    ((n as f64 / seen as f64 * total as f64).round() as u64).max(n)
+                };
+                mean_interval(
+                    self.acc.mean(),
+                    self.acc.sample_variance(),
+                    n,
+                    matching,
+                    confidence,
+                )
+            }
+            // SUM over matching rows = mean over *all* rows of
+            // (value × 1[match]) scaled by the table size; the masked
+            // accumulator tracks exactly that i.i.d. variable.
+            AggFunc::Sum => sum_interval(
+                self.masked.mean(),
+                self.masked.sample_variance(),
+                seen,
+                total,
+                confidence,
+            ),
+            AggFunc::Min | AggFunc::Max | AggFunc::Var | AggFunc::Std => ConfidenceInterval {
+                // Extremes have no CLT interval; report the running value
+                // with unknown error (the CONTROL papers do the same).
+                estimate: self.acc.finish(func),
+                half_width: f64::INFINITY,
+                confidence,
+            },
+        }
+    }
+}
+
 /// An in-progress online aggregation over one table.
 #[derive(Debug)]
 pub struct OnlineAggregation {
-    /// Random visiting order of row ids.
-    order: Vec<u32>,
-    cursor: usize,
+    walk: SeededWalk,
     func: AggFunc,
     confidence: f64,
-    acc: Accumulator,
-    /// Accumulator of the *masked* variable (value when the row matches,
-    /// 0 otherwise) over all seen rows — the i.i.d. variable whose CLT
-    /// interval is valid for filtered SUMs.
-    masked_acc: Accumulator,
-    /// Rows seen (including filtered-out ones) — the denominator for
-    /// selectivity and COUNT estimates.
-    seen: u64,
-    total_rows: u64,
+    estimate: RunningEstimate,
     /// Pre-evaluated filter mask (evaluating per-batch would rescan).
     mask: Vec<bool>,
     /// Column values to aggregate, by row id.
     values: Vec<f64>,
-    /// Cooperative cancellation token, checked once per batch. Owned
-    /// (not borrowed) because the aggregation is a long-lived session
-    /// that outlives any single engine call.
-    cancel: Option<CancelToken>,
 }
 
 impl OnlineAggregation {
@@ -64,35 +123,15 @@ impl OnlineAggregation {
         confidence: f64,
         seed: u64,
     ) -> Result<Self> {
-        let col = table.column(column)?;
-        if func != AggFunc::Count && !col.data_type().is_numeric() {
-            return Err(StorageError::TypeMismatch {
-                column: column.to_owned(),
-                expected: "numeric",
-                found: col.data_type().name(),
-            });
-        }
+        let measure = Measure::resolve(table, func, column)?;
         let n = table.num_rows();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        SplitMix64::new(seed).shuffle(&mut order);
-        let mask = predicate.evaluate_mask(table)?;
-        let values = if func == AggFunc::Count {
-            vec![1.0; n]
-        } else {
-            (0..n).map(|i| col.numeric_at(i).unwrap_or(0.0)).collect()
-        };
         Ok(OnlineAggregation {
-            order,
-            cursor: 0,
+            walk: SeededWalk::new(n, seed),
             func,
             confidence,
-            acc: Accumulator::new(),
-            masked_acc: Accumulator::new(),
-            seen: 0,
-            total_rows: n as u64,
-            mask,
-            values,
-            cancel: None,
+            estimate: RunningEstimate::default(),
+            mask: predicate.evaluate_mask(table)?,
+            values: (0..n).map(|row| measure.at(row)).collect(),
         })
     }
 
@@ -101,75 +140,35 @@ impl OnlineAggregation {
     /// batch of work. The already-accumulated estimate stays valid and
     /// [`snapshot`](Self::snapshot) keeps serving it.
     pub fn with_cancel(mut self, cancel: Option<CancelToken>) -> Self {
-        self.cancel = cancel;
+        self.walk = self.walk.with_cancel(cancel);
         self
     }
 
-    /// Process up to `batch` more rows; returns the new snapshot, or
-    /// `Ok(None)` when the table is exhausted (the last snapshot before
-    /// exhaustion is exact). An attached cancel token is checked before
-    /// the batch runs; a triggered token surfaces as
+    /// Process up to `batch` more rows (at least one); returns the new
+    /// snapshot, or `Ok(None)` when the table is exhausted (the last
+    /// snapshot before exhaustion is exact). An attached cancel token is
+    /// checked before the batch runs; a triggered token surfaces as
     /// `Cancelled`/`DeadlineExceeded` without touching more rows.
     pub fn step(&mut self, batch: usize) -> Result<Option<Snapshot>> {
-        if self.cursor >= self.order.len() {
+        let Some(rows) = self.walk.next_batch(batch)? else {
             return Ok(None);
+        };
+        for &row in rows {
+            let row = row as usize;
+            self.estimate.update(self.mask[row], self.values[row]);
         }
-        if let Some(c) = &self.cancel {
-            c.check()?;
-        }
-        let end = (self.cursor + batch).min(self.order.len());
-        for &row in &self.order[self.cursor..end] {
-            self.seen += 1;
-            if self.mask[row as usize] {
-                self.acc.update(self.values[row as usize]);
-                self.masked_acc.update(self.values[row as usize]);
-            } else {
-                self.masked_acc.update(0.0);
-            }
-        }
-        self.cursor = end;
         Ok(Some(self.snapshot()))
     }
 
     /// The current snapshot without processing more rows.
     pub fn snapshot(&self) -> Snapshot {
-        let n = self.acc.count();
-        let s2 = self.acc.sample_variance();
-        let interval = match self.func {
-            AggFunc::Count => count_interval(n, self.seen, self.total_rows, self.confidence),
-            AggFunc::Avg => mean_interval(
-                self.acc.mean(),
-                s2,
-                n,
-                // The population of *matching* rows is unknown mid-flight;
-                // estimate it from the running selectivity.
-                self.estimated_matching(),
-                self.confidence,
-            ),
-            AggFunc::Sum => {
-                // SUM over matching rows = mean over *all* rows of
-                // (value × 1[match]) scaled by the table size; the masked
-                // accumulator tracks exactly that i.i.d. variable.
-                sum_interval(
-                    self.masked_acc.mean(),
-                    self.masked_acc.sample_variance(),
-                    self.seen,
-                    self.total_rows,
-                    self.confidence,
-                )
-            }
-            AggFunc::Min | AggFunc::Max | AggFunc::Var | AggFunc::Std => ConfidenceInterval {
-                // Extremes have no CLT interval; report the running value
-                // with unknown error (the CONTROL papers do the same).
-                estimate: self.acc.finish(self.func),
-                half_width: f64::INFINITY,
-                confidence: self.confidence,
-            },
-        };
+        let (seen, total) = (self.walk.seen(), self.walk.total());
         Snapshot {
-            processed: self.seen,
-            fraction: self.seen as f64 / self.total_rows.max(1) as f64,
-            interval,
+            processed: seen,
+            fraction: self.walk.fraction(),
+            interval: self
+                .estimate
+                .interval(self.func, seen, total, self.confidence),
         }
     }
 
@@ -191,19 +190,9 @@ impl OnlineAggregation {
         Ok(trace)
     }
 
-    /// Estimated number of rows matching the predicate, extrapolated
-    /// from the running selectivity.
-    fn estimated_matching(&self) -> u64 {
-        if self.seen == 0 {
-            return self.total_rows;
-        }
-        let sel = self.acc.count() as f64 / self.seen as f64;
-        ((self.total_rows as f64 * sel).round() as u64).max(self.acc.count())
-    }
-
     /// True when every row has been processed (estimate is exact).
     pub fn is_exhausted(&self) -> bool {
-        self.cursor >= self.order.len()
+        self.walk.is_exhausted()
     }
 }
 
@@ -311,6 +300,21 @@ mod tests {
     }
 
     #[test]
+    fn zero_batch_still_makes_progress() {
+        let t = sales_table(&SalesConfig {
+            rows: 10,
+            ..SalesConfig::default()
+        });
+        let mut oa =
+            OnlineAggregation::start(&t, &Predicate::True, AggFunc::Avg, "price", 0.95, 7).unwrap();
+        for _ in 0..10 {
+            assert!(oa.step(0).unwrap().is_some());
+        }
+        assert!(oa.is_exhausted(), "each zero batch takes one row");
+        assert!(oa.step(0).unwrap().is_none());
+    }
+
+    #[test]
     fn min_max_have_unknown_error() {
         let t = table();
         let mut oa =
@@ -333,6 +337,7 @@ mod tests {
 mod cancel_tests {
     use super::*;
     use explore_storage::gen::{sales_table, SalesConfig};
+    use explore_storage::StorageError;
 
     #[test]
     fn triggered_token_stops_within_one_batch() {

@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 
 use explore_storage::rng::SplitMix64;
-use explore_storage::{Result, Table};
+use explore_storage::{Dictionary, Result, Table};
 
 /// A sample stratified on one categorical column.
 #[derive(Debug, Clone)]
@@ -25,26 +25,19 @@ pub struct StratifiedSample {
 
 impl StratifiedSample {
     /// Build a sample over `base` stratified on `column` (must be Utf8),
-    /// keeping at most `cap` rows per distinct value.
+    /// keeping at most `cap` rows per distinct value. Strata draw from
+    /// one generator in first-seen order, so a seed fixes the sample.
     pub fn build(base: &Table, column: &str, cap: usize, seed: u64) -> Result<Self> {
         let cap = cap.max(1);
-        let col = base.column(column)?;
-        let labels = col
-            .as_utf8()
-            .ok_or_else(|| explore_storage::StorageError::TypeMismatch {
-                column: column.to_owned(),
-                expected: "Utf8",
-                found: col.data_type().name(),
-            })?;
-        // Group rows by label.
-        let mut groups: HashMap<&str, Vec<u32>> = HashMap::new();
-        for (i, label) in labels.iter().enumerate() {
-            groups.entry(label).or_default().push(i as u32);
+        let groups = Dictionary::encode(base, column)?;
+        let mut strata: Vec<Vec<u32>> = vec![Vec::new(); groups.labels().len()];
+        for (i, &code) in groups.codes().iter().enumerate() {
+            strata[code as usize].push(i as u32);
         }
         let mut rng = SplitMix64::new(seed);
         let mut sel: Vec<u32> = Vec::new();
-        let mut group_sizes = HashMap::with_capacity(groups.len());
-        for (label, rows) in groups {
+        let mut group_sizes = HashMap::with_capacity(groups.labels().len());
+        for (label, rows) in groups.labels().iter().zip(strata) {
             let take = rows.len().min(cap);
             if take == rows.len() {
                 sel.extend_from_slice(&rows);
@@ -52,7 +45,7 @@ impl StratifiedSample {
                 let idx = rng.sample_indices(rows.len(), take);
                 sel.extend(idx.into_iter().map(|i| rows[i]));
             }
-            group_sizes.insert(label.to_owned(), (rows.len(), take));
+            group_sizes.insert(label.clone(), (rows.len(), take));
         }
         sel.sort_unstable();
         Ok(StratifiedSample {
@@ -203,6 +196,19 @@ mod tests {
         let b = base();
         assert!(StratifiedSample::build(&b, "price", 10, 5).is_err());
         assert!(StratifiedSample::build(&b, "missing", 10, 5).is_err());
+    }
+
+    #[test]
+    fn same_seed_gives_the_same_sample() {
+        let b = sales_table(&SalesConfig {
+            rows: 50_000,
+            ..SalesConfig::default()
+        });
+        let first = StratifiedSample::build(&b, "region", 100, 8).unwrap();
+        for _ in 0..3 {
+            let again = StratifiedSample::build(&b, "region", 100, 8).unwrap();
+            assert_eq!(again.table(), first.table());
+        }
     }
 
     #[test]

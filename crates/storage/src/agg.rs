@@ -6,6 +6,10 @@
 
 use std::fmt;
 
+use crate::column::Column;
+use crate::error::{Result, StorageError};
+use crate::table::Table;
+
 /// Aggregate functions supported by the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggFunc {
@@ -38,6 +42,42 @@ impl AggFunc {
 impl fmt::Display for AggFunc {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+/// What one aggregate folds in per row, resolved once so the type check
+/// and dispatch stay out of the row loop. `COUNT` contributes `1.0`.
+#[derive(Debug, Clone, Copy)]
+pub enum Measure<'a> {
+    Count,
+    Int(&'a [i64]),
+    Float(&'a [f64]),
+}
+
+impl<'a> Measure<'a> {
+    /// The input of `func(column)`: the column must exist, and every
+    /// function but `COUNT` needs it numeric.
+    pub fn resolve(table: &'a Table, func: AggFunc, column: &str) -> Result<Self> {
+        match (func, table.column(column)?) {
+            (AggFunc::Count, _) => Ok(Measure::Count),
+            (_, Column::Int64(v)) => Ok(Measure::Int(v)),
+            (_, Column::Float64(v)) => Ok(Measure::Float(v)),
+            (_, c @ Column::Utf8(_)) => Err(StorageError::TypeMismatch {
+                column: column.to_owned(),
+                expected: "numeric",
+                found: c.data_type().name(),
+            }),
+        }
+    }
+
+    /// The value `row` contributes.
+    #[inline]
+    pub fn at(self, row: usize) -> f64 {
+        match self {
+            Measure::Count => 1.0,
+            Measure::Int(v) => v[row] as f64,
+            Measure::Float(v) => v[row],
+        }
     }
 }
 

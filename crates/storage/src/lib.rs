@@ -12,6 +12,8 @@
 //! * [`Schema`] / [`Field`] — named, typed columns.
 //! * [`Column`] — typed contiguous vectors; hot loops run on raw slices.
 //! * [`Table`] — a schema plus equal-length columns.
+//! * [`Dictionary`] / [`Measure`] — a Utf8 column as dense group codes;
+//!   an aggregate's input, type-checked once.
 //! * [`Predicate`] — filter ASTs with vectorized evaluation.
 //! * [`Query`] — filter → group/aggregate → order → limit, and the one
 //!   morsel pipeline that executes it ([`Query::run`] is its serial walk).
@@ -40,6 +42,7 @@ pub mod agg;
 pub mod catalog;
 pub mod column;
 pub mod csv;
+pub mod dict;
 pub mod error;
 pub mod gen;
 pub mod join;
@@ -51,9 +54,10 @@ pub mod schema;
 pub mod table;
 pub mod value;
 
-pub use agg::{Accumulator, AggFunc};
+pub use agg::{Accumulator, AggFunc, Measure};
 pub use catalog::Catalog;
 pub use column::Column;
+pub use dict::Dictionary;
 pub use error::{Result, StorageError};
 pub use join::hash_join;
 pub use predicate::{mask_to_sel, CmpOp, Predicate};

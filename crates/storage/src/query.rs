@@ -35,7 +35,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Range;
 
-use crate::agg::{Accumulator, AggFunc};
+use crate::agg::{Accumulator, AggFunc, Measure};
 use crate::column::Column;
 use crate::error::{Result, StorageError};
 use crate::predicate::Predicate;
@@ -656,27 +656,6 @@ impl GroupIndex {
     }
 }
 
-/// Pre-resolved aggregate input: what value feeds the accumulator for a
-/// given row, with the column-type dispatch hoisted out of the row loop.
-#[derive(Debug, Clone, Copy)]
-enum AggSrc<'a> {
-    /// COUNT ignores the column and always contributes 1.
-    Count,
-    Int(&'a [i64]),
-    Float(&'a [f64]),
-}
-
-impl AggSrc<'_> {
-    #[inline]
-    fn at(self, row: usize) -> f64 {
-        match self {
-            AggSrc::Count => 1.0,
-            AggSrc::Int(v) => v[row] as f64,
-            AggSrc::Float(v) => v[row],
-        }
-    }
-}
-
 /// The columns one grouped aggregation reads from one table — or from
 /// one *part* of a table stored as several row-range tables. Everything
 /// table-dependent about an aggregation lives here, so the state that
@@ -685,7 +664,7 @@ impl AggSrc<'_> {
 #[derive(Debug)]
 struct AggColumns<'t> {
     group_cols: Vec<&'t Column>,
-    agg_srcs: Vec<AggSrc<'t>>,
+    measures: Vec<Measure<'t>>,
 }
 
 impl<'t> AggColumns<'t> {
@@ -697,22 +676,13 @@ impl<'t> AggColumns<'t> {
             .iter()
             .map(|n| table.column(n))
             .collect::<Result<_>>()?;
-        let agg_srcs = aggs
+        let measures = aggs
             .iter()
-            .map(|a| match (a.func, table.column(&a.column)?) {
-                (AggFunc::Count, _) => Ok(AggSrc::Count),
-                (_, Column::Int64(v)) => Ok(AggSrc::Int(v)),
-                (_, Column::Float64(v)) => Ok(AggSrc::Float(v)),
-                (_, c @ Column::Utf8(_)) => Err(StorageError::TypeMismatch {
-                    column: a.column.clone(),
-                    expected: "numeric",
-                    found: c.data_type().name(),
-                }),
-            })
+            .map(|a| Measure::resolve(table, a.func, &a.column))
             .collect::<Result<_>>()?;
         Ok(AggColumns {
             group_cols,
-            agg_srcs,
+            measures,
         })
     }
 }
@@ -856,7 +826,7 @@ impl WorkerAggState {
     /// morsel in progress. Group interning persists across morsels;
     /// accumulators do not.
     fn feed(&mut self, cols: &AggColumns, sel: &[u32]) {
-        let n_aggs = cols.agg_srcs.len();
+        let n_aggs = cols.measures.len();
         let MorselAggBatch { slots, accs } = &mut self.batch;
         for &row in sel {
             let row = row as usize;
@@ -875,8 +845,8 @@ impl WorkerAggState {
                 accs.resize(accs.len() + n_aggs, Accumulator::new());
                 local
             };
-            for (i, src) in cols.agg_srcs.iter().enumerate() {
-                accs[local * n_aggs + i].update(src.at(row));
+            for (i, m) in cols.measures.iter().enumerate() {
+                accs[local * n_aggs + i].update(m.at(row));
             }
         }
     }

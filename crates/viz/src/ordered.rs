@@ -8,10 +8,9 @@
 //! stop when all pairwise confidence intervals are disjoint (or data is
 //! exhausted).
 
-use explore_storage::rng::SplitMix64;
-use explore_storage::{Accumulator, Result, StorageError, Table};
+use explore_storage::{Accumulator, AggFunc, Dictionary, Measure, Result, Table};
 
-use explore_aqp::z_for_confidence;
+use explore_aqp::{z_for_confidence, SeededWalk};
 
 /// The sampled bar chart: group labels with estimated heights, plus how
 /// much data was needed.
@@ -48,76 +47,53 @@ pub fn ordered_bars(
     batch: usize,
     seed: u64,
 ) -> Result<OrderedBars> {
-    let dim_col = table.column(dimension)?;
-    let labels = dim_col
-        .as_utf8()
-        .ok_or_else(|| StorageError::TypeMismatch {
-            column: dimension.to_owned(),
-            expected: "Utf8",
-            found: dim_col.data_type().name(),
-        })?;
-    let meas_col = table.column(measure)?;
-    let values: Vec<f64> = (0..table.num_rows())
-        .map(|i| {
-            meas_col
-                .numeric_at(i)
-                .ok_or_else(|| StorageError::TypeMismatch {
-                    column: measure.to_owned(),
-                    expected: "numeric",
-                    found: meas_col.data_type().name(),
-                })
-        })
-        .collect::<Result<_>>()?;
-
-    let n = table.num_rows();
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    SplitMix64::new(seed).shuffle(&mut order);
-
+    let groups = Dictionary::encode(table, dimension)?;
+    let measure = Measure::resolve(table, AggFunc::Avg, measure)?;
+    let codes = groups.codes();
     let z = z_for_confidence(confidence);
-    let mut accs: std::collections::HashMap<&str, Accumulator> = std::collections::HashMap::new();
-    let batch = batch.max(1);
-    let mut cursor = 0usize;
+    let mut accs = vec![Accumulator::new(); groups.labels().len()];
+    let mut walk = SeededWalk::new(table.num_rows(), seed);
     let mut early_stop = false;
-    while cursor < n {
-        let end = (cursor + batch).min(n);
-        for &row in &order[cursor..end] {
-            accs.entry(labels[row as usize].as_str())
-                .or_default()
-                .update(values[row as usize]);
+    while let Some(rows) = walk.next_batch(batch)? {
+        for &row in rows {
+            accs[codes[row as usize] as usize].update(measure.at(row as usize));
         }
-        cursor = end;
-        // Check pairwise separation: every pair of group mean CIs must
-        // be disjoint.
-        let stats: Vec<(&str, f64, f64)> = accs
+        // Check pairwise separation: every pair of seen groups' mean CIs
+        // must be disjoint.
+        let stats: Vec<(f64, f64)> = accs
             .iter()
-            .map(|(&l, a)| {
+            .filter(|a| a.count() > 0)
+            .map(|a| {
                 let half = if a.count() < 2 {
                     f64::INFINITY
                 } else {
                     z * (a.sample_variance() / a.count() as f64).sqrt()
                 };
-                (l, a.mean(), half)
+                (a.mean(), half)
             })
             .collect();
-        let separated = stats.iter().enumerate().all(|(i, &(_, m1, h1))| {
+        let separated = stats.iter().enumerate().all(|(i, &(m1, h1))| {
             stats[i + 1..]
                 .iter()
-                .all(|&(_, m2, h2)| (m1 - m2).abs() > h1 + h2)
+                .all(|&(m2, h2)| (m1 - m2).abs() > h1 + h2)
         });
         if separated && stats.len() > 1 {
             early_stop = true;
             break;
         }
     }
-    let mut bars: Vec<(String, f64)> = accs
-        .into_iter()
-        .map(|(l, a)| (l.to_owned(), a.mean()))
+    let mut bars: Vec<(String, f64)> = groups
+        .labels()
+        .iter()
+        .zip(&accs)
+        .filter(|(_, a)| a.count() > 0)
+        .map(|(l, a)| (l.clone(), a.mean()))
         .collect();
     bars.sort_by(|a, b| b.1.total_cmp(&a.1));
     Ok(OrderedBars {
         bars,
-        rows_sampled: cursor,
-        rows_total: n,
+        rows_sampled: walk.seen() as usize,
+        rows_total: table.num_rows(),
         early_stop,
     })
 }
@@ -125,6 +101,7 @@ pub fn ordered_bars(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use explore_storage::rng::SplitMix64;
     use explore_storage::{Column, DataType, Schema};
 
     /// Groups with well-separated means and modest noise.

@@ -15,11 +15,9 @@
 //!   interval separation), saving aggregation work at a small recall
 //!   cost.
 
-use std::collections::HashMap;
-
+use explore_aqp::SeededWalk;
 use explore_exec::QueryCtx;
-use explore_storage::rng::SplitMix64;
-use explore_storage::{AggFunc, Predicate, Result, StorageError, Table};
+use explore_storage::{AggFunc, Dictionary, Measure, Predicate, Result, StorageError, Table};
 
 /// How often the row loops consult the cancellation tokens: one check
 /// per this many rows keeps the disarmed cost negligible while bounding
@@ -103,17 +101,22 @@ pub fn kl_divergence(p: &[f64], q: &[f64]) -> f64 {
         .sum()
 }
 
-/// Internal per-view accumulation: per dimension value, (count, sum)
-/// for target and reference rows.
-#[derive(Default, Clone, Debug)]
-struct ViewAcc {
-    groups: HashMap<String, [f64; 4]>, // [t_count, t_sum, r_count, r_sum]
+/// One view's running accumulation over its resolved columns: per
+/// dimension code, (count, sum) for target and reference rows. Views
+/// sharing a (dimension, measure) pair can read one accumulator.
+#[derive(Clone, Debug)]
+struct ViewAcc<'p> {
+    spec: &'p ViewSpec,
+    dim: &'p Dictionary,
+    measure: Measure<'p>,
+    groups: Vec<[f64; 4]>, // [t_count, t_sum, r_count, r_sum]
 }
 
-impl ViewAcc {
+impl ViewAcc<'_> {
     #[inline]
-    fn update(&mut self, group: &str, target: bool, value: f64) {
-        let e = self.groups.entry(group.to_owned()).or_default();
+    fn update(&mut self, target: bool, row: usize) {
+        let value = self.measure.at(row);
+        let e = &mut self.groups[self.dim.codes()[row] as usize];
         if target {
             e[0] += 1.0;
             e[1] += value;
@@ -123,14 +126,21 @@ impl ViewAcc {
         }
     }
 
+    /// True when `view` reads this accumulator's (dimension, measure).
+    fn serves(&self, view: &ViewSpec) -> bool {
+        self.spec.dimension == view.dimension && self.spec.measure == view.measure
+    }
+
+    /// KL utility over the groups seen so far, in label order. A group no
+    /// row has reached yet is absent from both distributions.
     fn utility(&self, func: AggFunc) -> f64 {
         let mut p = Vec::with_capacity(self.groups.len());
         let mut q = Vec::with_capacity(self.groups.len());
-        // Deterministic group order.
-        let mut keys: Vec<&String> = self.groups.keys().collect();
-        keys.sort_unstable();
-        for k in keys {
-            let [tc, ts, rc, rs] = self.groups[k];
+        for code in self.dim.label_order() {
+            let [tc, ts, rc, rs] = self.groups[code as usize];
+            if tc == 0.0 && rc == 0.0 {
+                continue;
+            }
             let (tv, rv) = match func {
                 AggFunc::Count => (tc, rc),
                 AggFunc::Sum => (ts, rs),
@@ -145,34 +155,69 @@ impl ViewAcc {
         }
         kl_divergence(&p, &q)
     }
+
+    fn score(&self, view: &ViewSpec) -> ScoredView {
+        ScoredView {
+            spec: view.clone(),
+            utility: self.utility(view.func),
+        }
+    }
 }
 
-/// Context shared by the three strategies.
+/// Context shared by the three strategies: every view's columns, resolved
+/// once, and the target mask.
 struct Prepared<'a> {
-    dims: Vec<(&'a str, &'a [String])>,
-    measures: Vec<(&'a str, Vec<f64>)>,
+    dims: Vec<(&'a str, Dictionary)>,
+    measures: Vec<(&'a str, Measure<'a>)>,
     mask: Vec<bool>,
 }
 
-impl<'a> Prepared<'a> {
-    /// The prepared dimension labels for `name`; every view passed to
+impl Prepared<'_> {
+    /// A fresh accumulator over `view`'s columns. Every view passed to
     /// [`prepare`] has its columns resolved there, so a miss is an
     /// internal invariant violation, not a user error.
-    fn dim(&self, name: &str) -> Result<&'a [String]> {
-        self.dims
+    fn acc<'p>(&'p self, view: &'p ViewSpec) -> Result<ViewAcc<'p>> {
+        let lost =
+            |name: &str| StorageError::Internal(format!("prepared views lost column {name}"));
+        let (_, dim) = self
+            .dims
             .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| *v)
-            .ok_or_else(|| StorageError::Internal(format!("prepared dims lost column {name}")))
+            .find(|(n, _)| *n == view.dimension)
+            .ok_or_else(|| lost(&view.dimension))?;
+        let (_, measure) = self
+            .measures
+            .iter()
+            .find(|(n, _)| *n == view.measure)
+            .ok_or_else(|| lost(&view.measure))?;
+        Ok(ViewAcc {
+            spec: view,
+            dim,
+            measure: *measure,
+            groups: vec![[0.0; 4]; dim.labels().len()],
+        })
     }
 
-    /// The prepared measure values for `name`; see [`Prepared::dim`].
-    fn measure(&self, name: &str) -> Result<&[f64]> {
-        self.measures
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_slice())
-            .ok_or_else(|| StorageError::Internal(format!("prepared measures lost column {name}")))
+    /// One pass feeding `rows` into every accumulator of `accs` (one
+    /// aggregation op each), with the context's cancellation tokens
+    /// checked every `CANCEL_CHECK_ROWS` rows.
+    fn scan(
+        &self,
+        rows: impl Iterator<Item = usize>,
+        accs: &mut [ViewAcc],
+        stats: &mut SeedbStats,
+        ctx: &QueryCtx,
+    ) -> Result<()> {
+        for (i, row) in rows.enumerate() {
+            if i % CANCEL_CHECK_ROWS == 0 {
+                ctx.check_cancel()?;
+            }
+            for acc in accs.iter_mut() {
+                acc.update(self.mask[row], row);
+                stats.agg_ops += 1;
+            }
+        }
+        stats.scans += 1;
+        Ok(())
     }
 }
 
@@ -181,30 +226,17 @@ fn prepare<'a>(
     target: &Predicate,
     views: &'a [ViewSpec],
 ) -> Result<Prepared<'a>> {
-    let mut dims = Vec::new();
-    let mut measures: Vec<(&str, Vec<f64>)> = Vec::new();
+    let mut dims: Vec<(&str, Dictionary)> = Vec::new();
+    let mut measures = Vec::new();
     for v in views {
-        if !dims.iter().any(|(n, _)| *n == v.dimension.as_str()) {
-            let col = table.column(&v.dimension)?;
-            let vals = col.as_utf8().ok_or_else(|| StorageError::TypeMismatch {
-                column: v.dimension.clone(),
-                expected: "Utf8",
-                found: col.data_type().name(),
-            })?;
-            dims.push((v.dimension.as_str(), vals));
+        if !dims.iter().any(|(n, _)| *n == v.dimension) {
+            dims.push((&v.dimension, Dictionary::encode(table, &v.dimension)?));
         }
-        if !measures.iter().any(|(n, _)| *n == v.measure.as_str()) {
-            let col = table.column(&v.measure)?;
-            let vals: Vec<f64> = (0..table.num_rows())
-                .map(|i| {
-                    col.numeric_at(i).ok_or_else(|| StorageError::TypeMismatch {
-                        column: v.measure.clone(),
-                        expected: "numeric",
-                        found: col.data_type().name(),
-                    })
-                })
-                .collect::<Result<_>>()?;
-            measures.push((v.measure.as_str(), vals));
+        if !measures.iter().any(|(n, _)| *n == v.measure) {
+            // Every view accumulates the measure's SUM (COUNT and AVG
+            // derive from it), so the measure must be numeric.
+            let m = Measure::resolve(table, AggFunc::Sum, &v.measure)?;
+            measures.push((v.measure.as_str(), m));
         }
     }
     Ok(Prepared {
@@ -212,6 +244,13 @@ fn prepare<'a>(
         measures,
         mask: target.evaluate_mask(table)?,
     })
+}
+
+/// The `k` highest-utility views, best first (ties keep input order).
+fn top_k(mut scored: Vec<ScoredView>, k: usize) -> Vec<ScoredView> {
+    scored.sort_by(|a, b| b.utility.total_cmp(&a.utility));
+    scored.truncate(k);
+    scored
 }
 
 /// Naive strategy: one separate pass over the data per view. The
@@ -229,25 +268,11 @@ pub fn recommend_naive(
     let mut scored = Vec::with_capacity(views.len());
     for v in views {
         ctx.check_cancel()?;
-        let dim = prep.dim(&v.dimension)?;
-        let meas = prep.measure(&v.measure)?;
-        let mut acc = ViewAcc::default();
-        for row in 0..table.num_rows() {
-            if row % CANCEL_CHECK_ROWS == 0 {
-                ctx.check_cancel()?;
-            }
-            acc.update(&dim[row], prep.mask[row], meas[row]);
-            stats.agg_ops += 1;
-        }
-        stats.scans += 1;
-        scored.push(ScoredView {
-            spec: v.clone(),
-            utility: acc.utility(v.func),
-        });
+        let mut acc = [prep.acc(v)?];
+        prep.scan(0..table.num_rows(), &mut acc, stats, ctx)?;
+        scored.push(acc[0].score(v));
     }
-    scored.sort_by(|a, b| b.utility.total_cmp(&a.utility));
-    scored.truncate(k);
-    Ok(scored)
+    Ok(top_k(scored, k))
 }
 
 /// Shared-scan strategy: one pass computes every view. Cancellation is
@@ -261,43 +286,25 @@ pub fn recommend_shared(
     ctx: &QueryCtx,
 ) -> Result<Vec<ScoredView>> {
     let prep = prepare(table, target, views)?;
-    // One accumulator per (dimension, measure) pair; aggregates share
-    // it. Column lookups are hoisted out of the row loop.
-    type PairAcc<'a> = (&'a str, &'a str, &'a [String], &'a [f64], ViewAcc);
-    let mut pair_accs: Vec<PairAcc> = Vec::new();
+    // One accumulator per (dimension, measure) pair; aggregates share it.
+    let mut accs: Vec<ViewAcc> = Vec::new();
     for v in views {
-        let (d, m) = (v.dimension.as_str(), v.measure.as_str());
-        if !pair_accs.iter().any(|&(pd, pm, ..)| pd == d && pm == m) {
-            pair_accs.push((d, m, prep.dim(d)?, prep.measure(m)?, ViewAcc::default()));
+        if !accs.iter().any(|a| a.serves(v)) {
+            accs.push(prep.acc(v)?);
         }
     }
-    for row in 0..table.num_rows() {
-        if row % CANCEL_CHECK_ROWS == 0 {
-            ctx.check_cancel()?;
-        }
-        for (_, _, dim, meas, acc) in pair_accs.iter_mut() {
-            acc.update(&dim[row], prep.mask[row], meas[row]);
-            stats.agg_ops += 1;
-        }
-    }
-    stats.scans += 1;
-    let acc_for = |d: &str, m: &str| -> Result<&ViewAcc> {
-        pair_accs
-            .iter()
-            .find(|&&(pd, pm, ..)| pd == d && pm == m)
-            .map(|(.., acc)| acc)
-            .ok_or_else(|| StorageError::Internal(format!("shared scan lost pair ({d}, {m})")))
-    };
-    let mut scored = Vec::with_capacity(views.len());
-    for v in views {
-        scored.push(ScoredView {
-            spec: v.clone(),
-            utility: acc_for(v.dimension.as_str(), v.measure.as_str())?.utility(v.func),
-        });
-    }
-    scored.sort_by(|a, b| b.utility.total_cmp(&a.utility));
-    scored.truncate(k);
-    Ok(scored)
+    prep.scan(0..table.num_rows(), &mut accs, stats, ctx)?;
+    let scored = views
+        .iter()
+        .map(|v| match accs.iter().find(|a| a.serves(v)) {
+            Some(acc) => Ok(acc.score(v)),
+            None => Err(StorageError::Internal(format!(
+                "shared scan lost pair ({}, {})",
+                v.dimension, v.measure
+            ))),
+        })
+        .collect::<Result<_>>()?;
+    Ok(top_k(scored, k))
 }
 
 /// Shared + pruned strategy: the data is processed in `phases` shuffled
@@ -317,62 +324,38 @@ pub fn recommend_pruned(
     let phases = phases.max(1);
     let prep = prepare(table, target, views)?;
     let n = table.num_rows();
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    SplitMix64::new(seed).shuffle(&mut order);
-
-    // Resolve every view's columns once, up front.
-    let cols: Vec<(&[String], &[f64])> = views
-        .iter()
-        .map(|v| Ok((prep.dim(&v.dimension)?, prep.measure(&v.measure)?)))
-        .collect::<Result<_>>()?;
-    let mut alive: Vec<usize> = (0..views.len()).collect();
-    let mut accs: Vec<ViewAcc> = vec![ViewAcc::default(); views.len()];
+    let mut walk = SeededWalk::new(n, seed);
+    let mut alive: Vec<ViewAcc> = views.iter().map(|v| prep.acc(v)).collect::<Result<_>>()?;
     let phase_len = n.div_ceil(phases);
     for phase in 0..phases {
-        let slice = &order[phase * phase_len..((phase + 1) * phase_len).min(n)];
-        for (i, &row) in slice.iter().enumerate() {
-            if i % CANCEL_CHECK_ROWS == 0 {
-                ctx.check_cancel()?;
-            }
-            let row = row as usize;
-            for &vi in &alive {
-                let (dim, meas) = cols[vi];
-                accs[vi].update(&dim[row], prep.mask[row], meas[row]);
-                stats.agg_ops += 1;
-            }
-        }
-        stats.scans += 1; // one slice pass
+        let slice = walk.next_batch(phase_len)?.unwrap_or_default();
+        prep.scan(
+            slice.iter().map(|&row| row as usize),
+            &mut alive,
+            stats,
+            ctx,
+        )?;
         if phase + 1 == phases || alive.len() <= k {
             continue;
         }
         // Prune with a margin that shrinks as more data is seen (a
         // Hoeffding-style 1/√seen envelope on the KL estimate).
-        let seen = ((phase + 1) * phase_len).min(n) as f64;
-        let margin = 2.0 / seen.sqrt() * 10.0;
-        let mut utilities: Vec<(usize, f64)> = alive
-            .iter()
-            .map(|&vi| (vi, accs[vi].utility(views[vi].func)))
+        let margin = 2.0 / (walk.seen() as f64).sqrt() * 10.0;
+        let mut ranked: Vec<(f64, ViewAcc)> = alive
+            .into_iter()
+            .map(|a| (a.utility(a.spec.func), a))
             .collect();
-        utilities.sort_by(|a, b| b.1.total_cmp(&a.1));
-        let kth = utilities[k.min(utilities.len()) - 1].1;
-        let before = alive.len();
-        alive = utilities
-            .iter()
-            .filter(|&&(_, u)| u + margin >= kth - margin)
-            .map(|&(vi, _)| vi)
+        ranked.sort_by(|a, b| b.0.total_cmp(&a.0));
+        let kth = ranked[k.min(ranked.len()) - 1].0;
+        let before = ranked.len();
+        alive = ranked
+            .into_iter()
+            .filter(|&(u, _)| u + margin >= kth - margin)
+            .map(|(_, a)| a)
             .collect();
         stats.pruned += (before - alive.len()) as u64;
     }
-    let mut scored: Vec<ScoredView> = alive
-        .into_iter()
-        .map(|vi| ScoredView {
-            spec: views[vi].clone(),
-            utility: accs[vi].utility(views[vi].func),
-        })
-        .collect();
-    scored.sort_by(|a, b| b.utility.total_cmp(&a.utility));
-    scored.truncate(k);
-    Ok(scored)
+    Ok(top_k(alive.iter().map(|a| a.score(a.spec)).collect(), k))
 }
 
 /// Fraction of `reference` specs present in `got` (top-k recall).
@@ -487,6 +470,20 @@ mod tests {
         // Utilities are sorted and positive somewhere.
         assert!(top.windows(2).all(|w| w[0].utility >= w[1].utility));
         assert!(top[0].utility > top[top.len() - 1].utility);
+    }
+
+    #[test]
+    fn more_phases_than_rows_still_scans_every_row() {
+        let t = sales_table(&SalesConfig {
+            rows: 5,
+            ..SalesConfig::default()
+        });
+        let views = candidate_views(&t, &[AggFunc::Count]);
+        let target = Predicate::eq("product", "product0");
+        let mut stats = SeedbStats::default();
+        recommend_pruned(&t, &target, &views, 1, 10, 3, &mut stats, &QueryCtx::none()).unwrap();
+        assert_eq!(stats.scans, 10);
+        assert!(stats.agg_ops >= 5);
     }
 
     #[test]

@@ -3,12 +3,136 @@
 //! answering, session-history prediction and the dbtouch canvas — each
 //! exercised *together with* the layers it serves.
 
-use exploration::aqp::{GroupedOnlineAggregation, SynopsisStore};
+use exploration::aqp::{
+    Bound, BoundedExecutor, GroupedOnlineAggregation, OnlineAggregation, SynopsisStore,
+};
+use exploration::exec::QueryCtx;
 use exploration::interact::canvas::{Canvas, CanvasResponse};
 use exploration::interact::gesture::QueryIntent;
 use exploration::interact::history::{synthetic_sessions, SessionModel};
+use exploration::sampling::SampleCatalog;
 use exploration::storage::gen::{sales_table, SalesConfig};
 use exploration::storage::{hash_join, AggFunc, Column, DataType, Predicate, Query, Schema, Table};
+use exploration::viz::{
+    candidate_views, ordered_bars, recommend_naive, recommend_pruned, recommend_shared, ScoredView,
+    SeedbStats,
+};
+
+/// FNV-1a step over one 64-bit word: the bit pins below fold every
+/// float by `to_bits`, so a last-ulp change anywhere moves the digest.
+fn fold(h: u64, x: u64) -> u64 {
+    (h ^ x).wrapping_mul(0x0100_0000_01b3)
+}
+
+fn fold_str(h: u64, s: &str) -> u64 {
+    s.bytes().fold(h, |h, b| fold(h, u64::from(b)))
+}
+
+/// Every approximate entry point — online aggregation (scalar and
+/// grouped), ordered bars, the three SeeDB strategies and bounded
+/// execution — on fixed seeds, digested bit for bit. The pins are the
+/// answers these layers have always given; a refactor of their row
+/// walks must leave every one of them in place.
+#[test]
+fn approximate_layers_keep_their_bits() {
+    let t = sales_table(&SalesConfig {
+        rows: 20_000,
+        ..SalesConfig::default()
+    });
+    let window = Predicate::range("price", 50.0, 250.0);
+    let ctx = QueryCtx::none();
+
+    let mut online = 0xcbf2_9ce4_8422_2325;
+    for func in [AggFunc::Avg, AggFunc::Sum, AggFunc::Count] {
+        for seed in 1..=3 {
+            let mut oa = OnlineAggregation::start(&t, &window, func, "price", 0.95, seed).unwrap();
+            for s in oa.run_until(0.01, 1_500).unwrap() {
+                online = fold(online, s.processed);
+                online = fold(online, s.fraction.to_bits());
+                online = fold(online, s.interval.estimate.to_bits());
+                online = fold(online, s.interval.half_width.to_bits());
+            }
+        }
+    }
+
+    let mut grouped = 0xcbf2_9ce4_8422_2325;
+    for seed in 1..=2 {
+        let mut g = GroupedOnlineAggregation::start(&t, "region", "price", 0.95, seed).unwrap();
+        while let Some(snap) = g.step(3_000).unwrap() {
+            for e in snap {
+                grouped = fold_str(grouped, &e.group);
+                grouped = fold(grouped, e.seen);
+                grouped = fold(grouped, e.interval.estimate.to_bits());
+                grouped = fold(grouped, e.interval.half_width.to_bits());
+            }
+        }
+    }
+
+    let mut bars = 0xcbf2_9ce4_8422_2325;
+    for (dim, seed) in [("region", 4), ("channel", 5), ("product", 6)] {
+        let r = ordered_bars(&t, dim, "price", 0.95, 250, seed).unwrap();
+        for (label, mean) in &r.bars {
+            bars = fold(fold_str(bars, label), mean.to_bits());
+        }
+        bars = fold(fold(bars, r.rows_sampled as u64), u64::from(r.early_stop));
+    }
+
+    let target = Predicate::eq("product", "product0");
+    let views = candidate_views(&t, &[AggFunc::Count, AggFunc::Sum, AggFunc::Avg]);
+    let digest_views = |h: u64, got: &[ScoredView], stats: &SeedbStats| {
+        let h = got.iter().fold(h, |h, v| {
+            fold(fold_str(h, &v.spec.label()), v.utility.to_bits())
+        });
+        fold(fold(fold(h, stats.agg_ops), stats.scans), stats.pruned)
+    };
+    let mut seedb = 0xcbf2_9ce4_8422_2325;
+    let mut stats = SeedbStats::default();
+    let got = recommend_naive(&t, &target, &views, 5, &mut stats, &ctx).unwrap();
+    seedb = digest_views(seedb, &got, &stats);
+    let mut stats = SeedbStats::default();
+    let got = recommend_shared(&t, &target, &views, 5, &mut stats, &ctx).unwrap();
+    seedb = digest_views(seedb, &got, &stats);
+    for (phases, seed) in [(1, 3), (10, 7), (4, 11)] {
+        let mut stats = SeedbStats::default();
+        let got = recommend_pruned(&t, &target, &views, 5, phases, seed, &mut stats, &ctx).unwrap();
+        seedb = digest_views(seedb, &got, &stats);
+    }
+
+    let catalog = SampleCatalog::build(&t, &[0.01, 0.05, 0.2], &[], 7, &ctx).unwrap();
+    let ex = BoundedExecutor::new(&t, &catalog);
+    let mut bounded = 0xcbf2_9ce4_8422_2325;
+    for func in [AggFunc::Count, AggFunc::Sum, AggFunc::Avg] {
+        for bound in [
+            Bound::RelativeError {
+                target: 0.05,
+                confidence: 0.95,
+            },
+            Bound::RowBudget { rows: 1_500 },
+            Bound::RelativeError {
+                target: 0.0,
+                confidence: 0.95,
+            },
+        ] {
+            let a = ex.aggregate(&window, func, "price", bound, &ctx).unwrap();
+            bounded = fold(bounded, a.interval.estimate.to_bits());
+            bounded = fold(bounded, a.interval.half_width.to_bits());
+            bounded = fold(bounded, a.fraction_used.to_bits());
+            bounded = fold(fold(bounded, a.rows_scanned as u64), u64::from(a.exact));
+        }
+    }
+
+    let got = [online, grouped, bars, seedb, bounded].map(|d| format!("{d:#018x}"));
+    assert_eq!(
+        got,
+        [
+            "0xe0c963a1a05f54ab", // online snapshots
+            "0xae15b43438457779", // grouped online estimates
+            "0xb7a7ea3f5291ea2f", // ordered bars
+            "0x55815f76d5a53971", // SeeDB utilities and stats
+            "0xe74c4aaca1b42a39", // bounded answers
+        ]
+    );
+}
 
 #[test]
 fn join_then_explore_the_joined_table() {
