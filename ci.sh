@@ -79,13 +79,13 @@ fi
 
 echo "==> one-fan-out lint (one dispatcher, one aggregate pipeline)"
 # explore_exec::fan_out is the only place a dispatch path is chosen from
-# an ExecPolicy and the only caller of the pool (DESIGN.md §6); a sharded
-# aggregate is the executor's aggregate over the shards as parts
-# (DESIGN.md §11). A pool call or a policy match arm outside crates/exec,
-# or morsel math in crates/shard, is a second dispatcher or a second
-# pipeline growing back.
+# an ExecPolicy and the only place helper threads start (DESIGN.md §6); a
+# sharded aggregate is the executor's aggregate over the shards as parts
+# (DESIGN.md §11). A worker pool or a policy match arm outside
+# crates/exec, or morsel math in crates/shard, is a second dispatcher or
+# a second pipeline growing back.
 if find crates/*/src src -name '*.rs' -not -path 'crates/exec/src/*' | while read -r f; do
-    sed '/#\[cfg(test)\]/q' "$f" | grep -nE 'global_pool\(\)|ExecPolicy::Parallel \{[^}]*\} *(=>|if )' |
+    sed '/#\[cfg(test)\]/q' "$f" | grep -nE 'ExecPool|global_pool|ExecPolicy::Parallel \{[^}]*\} *(=>|if )' |
         sed "s|^|$f:|" || true
 done | grep .; then
     echo "error: dispatch outside explore-exec; call explore_exec::fan_out" >&2
@@ -93,6 +93,18 @@ done | grep .; then
 fi
 if grep -rnE 'straddle|morsel_rows_for' crates/shard/src/; then
     echo "error: morsel math in crates/shard; hand the shards to run_query_parts" >&2
+    exit 1
+fi
+
+echo "==> unsafe-confined lint (the tracer's span buffer is the only unsafe code)"
+# fan_out runs on scoped threads and needs no unsafe (DESIGN.md §5/§6).
+# The one exception is the tracer's lock-free span buffer, whose safety
+# argument is written next to it. Comment lines and test modules (each
+# file stops at its first #[cfg(test)]) are not checked.
+if find crates/*/src src -name '*.rs' -not -path crates/obs/src/tracer.rs | while read -r f; do
+    sed '/#\[cfg(test)\]/q' "$f" | grep -nE '^[^/]*\bunsafe\b' | sed "s|^|$f:|" || true
+done | grep .; then
+    echo "error: unsafe outside crates/obs/src/tracer.rs; use safe std primitives" >&2
     exit 1
 fi
 

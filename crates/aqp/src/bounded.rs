@@ -152,7 +152,7 @@ impl<'a> BoundedExecutor<'a> {
     ///
     /// The context supplies the execution policy for predicate scans
     /// (sample scans are usually small, but the exact fallback walks the
-    /// full base table, where the morsel pool pays off — either policy
+    /// full base table, where a parallel morsel fan-out pays off — either policy
     /// yields bit-identical selections), and its cancellation tokens are
     /// checked per ladder rung and per scan morsel, so a deadline stops
     /// the sample-size escalation between rungs.

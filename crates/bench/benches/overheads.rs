@@ -25,7 +25,7 @@
 //! and cache state whatever ran before it (without that, two copies of
 //! the same arm sat up to 5 % apart depending on their neighbours). And
 //! the engines run `ExecPolicy::Serial` — the same morsel loop, cancel
-//! checks and spans as the pool's workers — so the single-threaded probe
+//! checks and spans as a parallel fan-out's participants — so the single-threaded probe
 //! is priced against a single-threaded query and the ratios hold on any
 //! core count.
 //!

@@ -13,12 +13,16 @@
 //! * only queries that must crack take the **exclusive** lock;
 //! * as the column converges, exclusive acquisitions vanish and
 //!   throughput scales with readers (experiment E16).
+//!
+//! The type counts its own lock acquisitions ([`LockStats`]) and nothing
+//! else. Fault injection and metrics belong to the engine, which wraps
+//! each shard's cracker: `ExploreDb::cracked_range` owns the
+//! `crack.reorg` scan fallback, the `Crack` span and the
+//! `crack.reorganizations` counter.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use explore_fault::{CancelToken, FailPoints};
-use explore_obs::MetricsRegistry;
+use explore_fault::CancelToken;
 use parking_lot::RwLock;
 
 use crate::cracker::CrackerColumn;
@@ -33,18 +37,12 @@ pub struct LockStats {
 }
 
 /// A cracker column safe for concurrent range queries. Statistics are
-/// lock-free atomics so observability never serializes readers.
+/// lock-free atomics so counting never serializes readers.
 #[derive(Debug)]
 pub struct ConcurrentCracker {
     inner: RwLock<CrackerColumn>,
     shared: AtomicU64,
     exclusive: AtomicU64,
-    /// Fast gate for the metrics mirror: one relaxed load when off, so
-    /// detached observability costs readers nothing.
-    metrics_on: AtomicBool,
-    metrics: RwLock<Option<Arc<MetricsRegistry>>>,
-    /// Optional fault-injection registry (see [`Self::set_faults`]).
-    faults: RwLock<Option<Arc<FailPoints>>>,
 }
 
 impl ConcurrentCracker {
@@ -54,50 +52,6 @@ impl ConcurrentCracker {
             inner: RwLock::new(CrackerColumn::new(values)),
             shared: AtomicU64::new(0),
             exclusive: AtomicU64::new(0),
-            metrics_on: AtomicBool::new(false),
-            metrics: RwLock::new(None),
-            faults: RwLock::new(None),
-        }
-    }
-
-    /// Attach (or detach) a fault-injection registry. One fail point is
-    /// honored: `crack.reorg` — when it fires on a query that would need
-    /// to crack, the reorganization is skipped and the answer is served
-    /// by a read-locked scan of the raw values instead (counted as a
-    /// shared acquisition and noted as `fault.crack.scan_fallback`).
-    /// Cracking writes are discretionary, so skipping one never changes
-    /// an answer — only the convergence rate.
-    pub fn set_faults(&self, faults: Option<Arc<FailPoints>>) {
-        *self.faults.write() = faults;
-    }
-
-    fn fire(&self, name: &str) -> bool {
-        match self.faults.read().as_ref() {
-            Some(f) => f.fire(name),
-            None => false,
-        }
-    }
-
-    fn note(&self, event: &str) {
-        if let Some(f) = self.faults.read().as_ref() {
-            f.note(event);
-        }
-    }
-
-    /// Attach (or detach, with `None`) an observability registry that
-    /// mirrors lock acquisitions as `crack.shared_locks` /
-    /// `crack.exclusive_locks` counters.
-    pub fn set_metrics(&self, metrics: Option<Arc<MetricsRegistry>>) {
-        self.metrics_on.store(metrics.is_some(), Ordering::Relaxed);
-        *self.metrics.write() = metrics;
-    }
-
-    fn bump(&self, counter: &AtomicU64, metric: &str) {
-        counter.fetch_add(1, Ordering::Relaxed);
-        if self.metrics_on.load(Ordering::Relaxed) {
-            if let Some(m) = self.metrics.read().as_ref() {
-                m.inc(metric, 1);
-            }
         }
     }
 
@@ -108,26 +62,14 @@ impl ConcurrentCracker {
             let col = self.inner.read();
             if let Some((s, e)) = col.lookup(low, high) {
                 drop(col);
-                self.bump(&self.shared, "crack.shared_locks");
+                self.shared.fetch_add(1, Ordering::Relaxed);
                 return e - s;
             }
-        }
-        if self.fire("crack.reorg") {
-            let col = self.inner.read();
-            let n = col
-                .values()
-                .iter()
-                .filter(|&&v| v >= low && v < high)
-                .count();
-            drop(col);
-            self.bump(&self.shared, "crack.shared_locks");
-            self.note("fault.crack.scan_fallback");
-            return n;
         }
         let mut col = self.inner.write();
         let (s, e) = col.query(low, high);
         drop(col);
-        self.bump(&self.exclusive, "crack.exclusive_locks");
+        self.exclusive.fetch_add(1, Ordering::Relaxed);
         e - s
     }
 
@@ -155,7 +97,7 @@ impl ConcurrentCracker {
                 }
                 let ids = col.ids()[s..e].to_vec();
                 drop(col);
-                self.bump(&self.shared, "crack.shared_locks");
+                self.shared.fetch_add(1, Ordering::Relaxed);
                 return Ok(ids);
             }
         }
@@ -164,41 +106,13 @@ impl ConcurrentCracker {
             .query_bounds(low, high, cancel)
             .map(|(s, e)| col.ids()[s..e].to_vec());
         drop(col);
-        self.bump(&self.exclusive, "crack.exclusive_locks");
+        self.exclusive.fetch_add(1, Ordering::Relaxed);
         result
     }
 
     /// Pieces the underlying column currently has.
     pub fn num_pieces(&self) -> usize {
         self.inner.read().num_pieces()
-    }
-
-    /// Sum of values in `[low, high)` (a representative aggregate that
-    /// must actually read the data, not just the boundary positions).
-    pub fn query_sum(&self, low: i64, high: i64) -> i64 {
-        {
-            let col = self.inner.read();
-            if let Some((s, e)) = col.lookup(low, high) {
-                let sum = col.values()[s..e].iter().sum();
-                drop(col);
-                self.bump(&self.shared, "crack.shared_locks");
-                return sum;
-            }
-        }
-        if self.fire("crack.reorg") {
-            let col = self.inner.read();
-            let sum = col.values().iter().filter(|&&v| v >= low && v < high).sum();
-            drop(col);
-            self.bump(&self.shared, "crack.shared_locks");
-            self.note("fault.crack.scan_fallback");
-            return sum;
-        }
-        let mut col = self.inner.write();
-        let (s, e) = col.query(low, high);
-        let sum = col.values()[s..e].iter().sum();
-        drop(col);
-        self.bump(&self.exclusive, "crack.exclusive_locks");
-        sum
     }
 
     /// Lock-acquisition statistics so far.
@@ -296,31 +210,5 @@ mod tests {
             s.shared,
             s.exclusive
         );
-    }
-
-    #[test]
-    fn metrics_mirror_lock_counters() {
-        let c = ConcurrentCracker::new(uniform_i64(1000, 0, 100, 13));
-        let m = Arc::new(MetricsRegistry::default());
-        c.set_metrics(Some(Arc::clone(&m)));
-        c.query_count(10, 20); // cracks (exclusive)
-        c.query_count(10, 20); // indexed (shared)
-        let snap = m.snapshot();
-        assert_eq!(snap.counter("crack.exclusive_locks"), 1);
-        assert_eq!(snap.counter("crack.shared_locks"), 1);
-        // Detached: native stats keep counting, the mirror stops.
-        c.set_metrics(None);
-        c.query_count(10, 20);
-        assert_eq!(c.lock_stats().shared, 2);
-        assert_eq!(m.snapshot().counter("crack.shared_locks"), 1);
-    }
-
-    #[test]
-    fn sum_matches_scan_sum() {
-        let base = uniform_i64(5000, 0, 500, 9);
-        let want: i64 = base.iter().filter(|&&v| (100..300).contains(&v)).sum();
-        let c = ConcurrentCracker::new(base);
-        assert_eq!(c.query_sum(100, 300), want);
-        assert_eq!(c.query_sum(100, 300), want); // shared path
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! Morsel-driven parallel execution for the exploration workspace,
 //! after the Hyper-style design: tables are split into fixed ~64K-row
-//! morsels ([`explore_storage::MORSEL_ROWS`]), a small work-stealing
-//! pool fans predicate evaluation and per-morsel partial aggregation
-//! out across threads, and partials are merged back **in morsel order**.
+//! morsels ([`explore_storage::MORSEL_ROWS`]), the caller and scoped
+//! helper threads claim them from one shared counter to run predicate
+//! evaluation and per-morsel partial aggregation, and partials are
+//! merged back **in morsel order**.
 //!
 //! Because [`ExecPolicy::Serial`] and [`ExecPolicy::Parallel`] share the
 //! morsel decomposition and the merge order, the two policies produce
@@ -24,10 +25,10 @@
 //!
 //! The crate holds the workspace's one dispatch protocol and its one
 //! scan-and-aggregate pipeline. [`fan_out`] runs `n` indexed jobs under
-//! the context's policy — the policy match, the pool submission (the
-//! pool has one entry point, [`ExecPool::run`]), the panic fallback and
-//! the lowest-index-error rule are written there and nowhere else; the
-//! shard layer's scan fan-out is a caller. [`run_query_parts`] runs a
+//! the context's policy — the policy match, the helper threads, the
+//! panic fallback and the lowest-index-error rule are written there and
+//! nowhere else; the shard layer's scan fan-out is a caller.
+//! [`run_query_parts`] runs a
 //! query over a table given as row-range parts, which is how a sharded
 //! table aggregates; [`run_query`] is its one-part case.
 //!
@@ -50,13 +51,11 @@
 pub mod ctx;
 pub mod fanout;
 pub mod policy;
-pub mod pool;
 pub mod query;
 
 pub use ctx::{QueryCtx, YieldHook};
 pub use fanout::{fan_out, FanOut, FanOutSite};
-pub use policy::ExecPolicy;
-pub use pool::{default_parallelism, global_pool, ExecPool};
+pub use policy::{default_parallelism, ExecPolicy};
 pub use query::{
     evaluate_selection, morsel_count, morsel_range, morsel_rows_for, run_query,
     run_query_on_selection, run_query_parts, MAX_MORSELS,

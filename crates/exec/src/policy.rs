@@ -1,7 +1,9 @@
 //! The execution-policy knob exposed on `ExploreDb` and the technique
-//! crates: serial morsel execution or the work-stealing pool.
+//! crates: serial morsel execution or a parallel fan-out over scoped
+//! helper threads.
 
-use crate::pool::default_parallelism;
+use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 
 /// How a query plan is executed over its morsels.
 ///
@@ -11,18 +13,18 @@ use crate::pool::default_parallelism;
 pub enum ExecPolicy {
     /// One thread walks the morsels in order.
     Serial,
-    /// Morsels are fanned out over the work-stealing pool, using up to
-    /// `workers` threads including the caller.
+    /// Morsels are fanned out over the caller and helper threads, using
+    /// up to `workers` threads including the caller.
     Parallel {
-        /// Upper bound on participating threads; clamped to the pool
-        /// size and the morsel count. `0` is treated as `1`.
+        /// Upper bound on participating threads; clamped to the core
+        /// count and the morsel count. `0` is treated as `1`.
         workers: usize,
     },
 }
 
 impl ExecPolicy {
     /// Parallel execution with every available core:
-    /// `std::thread::available_parallelism()` workers.
+    /// [`default_parallelism`] workers.
     pub fn parallel() -> Self {
         ExecPolicy::Parallel {
             workers: default_parallelism(),
@@ -43,6 +45,15 @@ impl Default for ExecPolicy {
     fn default() -> Self {
         ExecPolicy::parallel()
     }
+}
+
+/// The cores a parallel fan-out may use:
+/// `std::thread::available_parallelism()`, or 1 if unknown. Read once
+/// per process — the lookup parses cgroup files, and every parallel
+/// fan-out clamps its helper count with it.
+pub fn default_parallelism() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
 #[cfg(test)]

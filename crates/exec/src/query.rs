@@ -160,7 +160,7 @@ const EXEC_SITE: FanOutSite = FanOutSite {
 ///   the morsel decomposition and merge order never change.
 /// * **Tracing** — with `ctx.trace` set, one [`SpanKind::Exec`] span
 ///   (parented at the trace root, stamped with the stage label and the
-///   number of pool participants actually dispatched), one
+///   number of threads that ran the fan-out), one
 ///   [`SpanKind::Morsel`] child per morsel, and one
 ///   [`SpanKind::Worker`] child per participant that ran any, from its
 ///   first morsel to its last (an aborted first attempt's morsels

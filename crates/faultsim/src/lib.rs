@@ -14,7 +14,7 @@
 //!   expired token makes the query return
 //!   `StorageError::Cancelled`/`DeadlineExceeded` after at most one
 //!   in-flight morsel's worth of work, with all partial engine state
-//!   (cracker index, cache, pool) left valid.
+//!   (cracker index, cache) left valid.
 //!
 //! Registries are per-engine (not process-global) so concurrent tests
 //! and concurrent engines never see each other's faults.

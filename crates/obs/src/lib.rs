@@ -10,7 +10,7 @@
 //! time went. This crate is that substrate:
 //!
 //! * a [`Tracer`] hands out one [`ActiveTrace`] per query; any thread
-//!   touching the query (the caller, exec-pool helpers) records
+//!   touching the query (the caller, fan-out helpers) records
 //!   fixed-size [`Span`]s into a lock-free per-trace buffer, drained
 //!   into a bounded ring of recent [`QueryTrace`]s when the query ends;
 //! * a [`MetricsRegistry`] aggregates named counters and log-scale

@@ -32,7 +32,7 @@ pub enum SpanKind {
     Query,
     /// A result-cache lookup and how it resolved.
     CacheLookup(CacheOutcome),
-    /// One morsel fan-out through the exec pool. `stage` names what ran
+    /// One morsel fan-out through `fan_out`. `stage` names what ran
     /// per morsel ("scan", "aggregate", "filter", …); `participants` is
     /// how many threads actually worked the job (1 = inline/serial).
     Exec {
@@ -42,9 +42,9 @@ pub enum SpanKind {
     },
     /// One morsel's work inside an [`SpanKind::Exec`] fan-out.
     Morsel { index: u32 },
-    /// One pool participant's whole contribution to an
+    /// One fan-out participant's whole contribution to an
     /// [`SpanKind::Exec`] fan-out: from its first morsel to its last,
-    /// with how many morsels it ran. Makes steal imbalance visible.
+    /// with how many morsels it ran. Makes claim imbalance visible.
     Worker { index: u32, morsels: u32 },
     /// Merging per-morsel partials in morsel order.
     Merge,

@@ -14,9 +14,9 @@
 //!   past the budget are counted as dropped, never recorded.
 //! * **Draining is race-free by ownership.** [`ActiveTrace::finish`]
 //!   takes `self` by value, so the borrow checker guarantees no
-//!   recorder still holds `&ActiveTrace`; the exec pool's completion
-//!   barrier additionally orders helper-thread writes before the
-//!   submitting thread returns. Only then is the buffer read and the
+//!   recorder still holds `&ActiveTrace`; a parallel fan-out's scoped
+//!   joins additionally order helper-thread writes before the
+//!   fanning-out thread returns. Only then is the buffer read and the
 //!   [`QueryTrace`] pushed into the (cold, mutexed) ring.
 
 use std::cell::UnsafeCell;

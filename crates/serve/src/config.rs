@@ -11,7 +11,7 @@ pub struct ServeConfig {
     /// is `&self` (per-table internal locks, no global lock), so workers
     /// execute queries genuinely concurrently — read-heavy sessions
     /// scale with workers up to the core count, on top of the in-query
-    /// parallelism from the exec pool. Small values (≤ core count) are
+    /// parallelism of the executor's fan-out. Small values (≤ core count) are
     /// the intended regime — the point of the layer is sessions ≫
     /// workers.
     pub workers: usize,

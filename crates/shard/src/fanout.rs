@@ -13,7 +13,7 @@
 //! ([`scoped_name`]), so a mutation to one shard leaves the other
 //! shards' entries live. Shards are the outer work unit of
 //! [`explore_exec::fan_out`] and morsels the inner one (a shard job's
-//! own fan-out finds the pool busy and runs inline, so the pool cannot
+//! own fan-out finds a parallel fan-out running and runs inline, so it cannot
 //! deadlock). Fail points: `shard.dispatch` diverts the shard fan-out to
 //! an inline loop; `shard.merge` panics inside the guarded
 //! concatenation, which is caught and redone from the held pieces —
@@ -27,7 +27,7 @@
 //! walks the **global** morsel grid over them, and a morsel that crosses
 //! a shard boundary reads its fragments in place, in row order. The
 //! aggregate of a sharded table is the executor's aggregate — same
-//! stolen morsels, same `exec.*` fail points and spans, same bits — and
+//! claimed morsels, same `exec.*` fail points and spans, same bits — and
 //! this module only puts the whole-table cache entry around it.
 
 use std::fmt::Write as _;

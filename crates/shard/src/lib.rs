@@ -5,7 +5,7 @@
 //! row-range shards, each with its own cracker state, result-cache
 //! epoch scope, and stats; an unsharded table is the one-shard case,
 //! holding the registered `Arc<Table>` itself. Queries over more than
-//! one shard fan out on the shared executor pool and merge under the
+//! one shard fan out through `explore_exec::fan_out` and merge under the
 //! engine's bit-identity contract — serial ≡ parallel ≡ sharded, for any
 //! shard count (see [`run_sharded_query`] for how aggregate merges earn
 //! this). Mutations route to the owning shard and bump only that

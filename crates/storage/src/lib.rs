@@ -63,7 +63,7 @@ pub use join::hash_join;
 pub use predicate::{mask_to_sel, CmpOp, Predicate};
 /// The morsel grid and the dispatch seam of the one query pipeline
 /// (see [`query`]). `explore-exec` implements the seam with cancellation,
-/// fail points, spans and the pool; everything else runs queries through
+/// fail points, spans and helper threads; everything else runs queries through
 /// [`Query::run`] or `explore_exec::run_query`, which return the same bits.
 pub use query::{morsel_count, morsel_range, morsel_rows_for, MorselDispatch, MAX_MORSELS};
 pub use query::{sort_table, Aggregate, Query, SortOrder, MORSEL_ROWS};

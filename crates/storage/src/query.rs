@@ -22,7 +22,7 @@
 //! morsel-order combine. There are exactly two implementations. The one
 //! here is a plain loop on the calling thread — [`Query::run`]. The other
 //! is `explore-exec`'s, which adds a cancel check per morsel, the `exec.*`
-//! fail points, spans, and the pool under `ExecPolicy::Parallel`
+//! fail points, spans, and helper threads under `ExecPolicy::Parallel`
 //! (`run_query` and friends). What a morsel computes and the order
 //! partials combine in never depend on the dispatcher, so `Query::run`
 //! and `run_query` under either policy return the same bits by
@@ -86,7 +86,7 @@ pub fn morsel_count(n_rows: usize) -> usize {
 /// Who runs the pipeline's morsels: the one thing an execution of a
 /// [`Query`] may vary. Implemented twice — the calling-thread loop
 /// behind [`Query::run`], and `explore-exec`'s context-carrying
-/// dispatcher (cancellation, fail points, spans, the pool).
+/// dispatcher (cancellation, fail points, spans, helper threads).
 ///
 /// The contract is the executor's bit-identity contract: `run` returns
 /// each job's result at its morsel index, whichever thread ran it, and
@@ -379,12 +379,12 @@ impl Query {
     /// A scan gathers each fragment's rows from the projected columns
     /// and concatenates morsels in order. An aggregate keeps one
     /// [`WorkerAggState`] per participant (the group-key interner
-    /// amortizes across stolen morsels), feeds it a morsel's fragments
+    /// amortizes across the morsels it claims), feeds it a morsel's fragments
     /// to get one [`MorselAggBatch`], and absorbs the batches into the
     /// final state **in morsel order** — a batch's content depends only
     /// on its morsel's rows, never on the participant that ran it or the
     /// parts they came from, so the result is bit-identical across
-    /// dispatchers, worker counts, steal schedules and partitions.
+    /// dispatchers, worker counts, claim schedules and partitions.
     fn run_selected<'s, D: MorselDispatch, I>(
         &self,
         dispatch: &D,
@@ -726,7 +726,7 @@ impl<'q> GroupedAggState<'q> {
     /// Groups first seen in this batch append in the batch's first-touch
     /// order and every accumulator merges exactly once, so absorbing
     /// batches in morsel order performs one fixed `Accumulator::merge`
-    /// sequence — bit-identical results under every steal schedule.
+    /// sequence — bit-identical results under every claim schedule.
     fn absorb_batch(&mut self, worker: &WorkerAggState, batch: &MorselAggBatch) {
         let n_aggs = self.aggs.len();
         for (local, &wslot) in batch.slots.iter().enumerate() {
@@ -785,12 +785,12 @@ impl<'q> GroupedAggState<'q> {
 /// yields the morsel's one [`MorselAggBatch`].
 ///
 /// Splitting "which groups exist" (participant-lifetime, amortized
-/// across stolen morsels) from "this morsel's partial accumulators" is
+/// across the morsels it claims) from "this morsel's partial accumulators" is
 /// what lets workers keep state without giving up determinism: a batch
 /// depends only on the morsel's rows — never on which worker computed
 /// it, what it saw before, or how many parts the rows were fed from —
 /// so batches absorbed in morsel order produce bit-identical results
-/// under every steal schedule and every partition of the rows.
+/// under every claim schedule and every partition of the rows.
 #[derive(Debug, Default)]
 struct WorkerAggState {
     index: GroupIndex,

@@ -10,7 +10,7 @@
 //! cache off/warm. After each faulty run the faults are disarmed and
 //! the *same engine* answers the same query again — it must match the
 //! fault-free truth bit-for-bit, proving no fault corrupted persistent
-//! state (cache, loaders, cracker indexes, exec pool).
+//! state (cache, loaders, cracker indexes, parallel fan-out).
 //!
 //! The iteration count defaults to a budget sized for the everyday
 //! `cargo test` run; `ci.sh`'s chaos-smoke step pins `CHAOS_ITERS=200`
@@ -134,7 +134,7 @@ fn seeded_fault_schedules_never_corrupt_results() {
         }
 
         // Disarm and re-query the SAME engine: any corruption a fault
-        // left behind (cache entry, pool state) would surface here.
+        // left behind (cache entry, fan-out state) would surface here.
         faults.disarm_all();
         let clean = db
             .query("sales", query)
@@ -147,7 +147,7 @@ fn seeded_fault_schedules_never_corrupt_results() {
     }
 }
 
-/// An injected worker panic inside a pooled morsel degrades to a full
+/// An injected worker panic inside a parallel morsel degrades to a full
 /// serial re-run with identical results, and the event is counted.
 #[test]
 fn injected_worker_panic_falls_back_to_serial() {
@@ -174,10 +174,10 @@ fn injected_worker_panic_falls_back_to_serial() {
     // Pool survives: a fault-free parallel query still works.
     faults.disarm_all();
     let clean = db.query("sales", &q).unwrap();
-    assert_bitwise_eq(&truth, &clean, "post-panic pool reuse");
+    assert_bitwise_eq(&truth, &clean, "post-panic parallel reuse");
 }
 
-/// Refusing pool dispatch (`exec.spawn`) degrades to inline serial
+/// Refusing parallel dispatch (`exec.spawn`) degrades to inline serial
 /// execution with identical results.
 #[test]
 fn spawn_failure_degrades_to_inline_serial() {

@@ -2,7 +2,7 @@
 //! panic, never return garbage — and must fail **identically** under
 //! the serial and parallel execution policies, through `Query::run` and
 //! on a raw table. A parallel executor that panics a worker thread on a
-//! bad column name would poison the pool; these tests pin the contract
+//! bad column name would turn a typed error into a panic; these tests pin the contract
 //! that validation errors surface as ordinary `Result`s on the
 //! submitting thread under every policy.
 

@@ -314,7 +314,7 @@ proptest! {
 
     /// Random queries over random table sizes agree with the serial
     /// reference under every worker count — sub-morsel tables take the
-    /// profitability fast path, larger ones the pooled path, and both
+    /// profitability fast path, larger ones the parallel path, and both
     /// must be invisible in the output.
     #[test]
     fn random_sizes_and_worker_counts_agree_with_serial(

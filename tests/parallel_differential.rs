@@ -12,9 +12,9 @@
 //! hold the one answer against an independent oracle; a cuboid, which
 //! runs the pipeline unsplit, is held to it up to float rounding.
 //!
-//! The second half stress-tests the pool: many concurrent sessions
-//! submitting queries at once (exercising the busy-pool inline fallback
-//! and the work-stealing deques), and concurrent batched cracker queries.
+//! The second half stress-tests the fan-out: many concurrent sessions
+//! submitting queries at once (exercising the busy-flag inline fallback
+//! and the shared claim counter), and concurrent batched cracker queries.
 
 use std::sync::Arc;
 

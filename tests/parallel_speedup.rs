@@ -6,7 +6,7 @@
 //!
 //! The timing assertion only runs on hosts that can actually park four
 //! workers on distinct cores (`available_parallelism() >= 4`) — on
-//! smaller hosts (and single-core CI shards) the pool has no helpers
+//! smaller hosts (and single-core CI shards) the fan-out starts fewer helpers
 //! and the profitability guard routes the query straight through the
 //! serial fast path, so the ratio is parity by design and the test
 //! degrades to the bit-identity check. `SPEEDUP_ITERS` scales the

@@ -514,7 +514,7 @@ fn seeded_shard_fault_schedules_never_corrupt_results() {
         }
 
         // Disarm and re-query the SAME engine: any corruption a fault
-        // left behind (cache entry, shard mirror, pool) surfaces here.
+        // left behind (cache entry, shard mirror, fan-out) surfaces here.
         faults.disarm_all();
         let clean = db
             .query("sales", query)
