@@ -96,6 +96,20 @@ if grep -rnE 'straddle|morsel_rows_for' crates/shard/src/; then
     exit 1
 fi
 
+echo "==> one-crack-kernel lint (CrackerColumn is the only cracker index)"
+# explore_cracking::CrackerColumn (crates/cracking/src/cracker.rs) is the
+# one crack kernel: stochastic pivots, hybrid partitions and concurrent
+# locking are built around it (DESIGN.md §2). A boundary-value → position
+# map anywhere else is a second piece index and crack loop growing back.
+# Test modules (each file stops at its first #[cfg(test)]) are not
+# checked.
+if find crates/*/src -name '*.rs' -not -path crates/cracking/src/cracker.rs | while read -r f; do
+    sed '/#\[cfg(test)\]/q' "$f" | grep -nF 'BTreeMap<i64, usize>' | sed "s|^|$f:|" || true
+done | grep .; then
+    echo "error: cracker index outside crates/cracking/src/cracker.rs; build on CrackerColumn" >&2
+    exit 1
+fi
+
 echo "==> unsafe-confined lint (the tracer's span buffer is the only unsafe code)"
 # fan_out runs on scoped threads and needs no unsafe (DESIGN.md §5/§6).
 # The one exception is the tracer's lock-free span buffer, whose safety

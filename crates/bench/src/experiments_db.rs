@@ -9,11 +9,11 @@ use explore_core::cracking::{
     StochasticCracker, StochasticVariant,
 };
 use explore_core::exec::QueryCtx;
-use explore_core::layout::{AccessOp, AdaptiveStore, StoreConfig};
+use explore_core::layout::{AccessOp, AdaptiveStore, RowStore, StoreConfig};
 use explore_core::loading::{eager_load, AdaptiveLoader, ExternalScanner, RawCsv};
 use explore_core::storage::csv::write_csv;
 use explore_core::storage::gen::{sales_table, uniform_i64, SalesConfig};
-use explore_core::storage::{AggFunc, Predicate, Query, RowStore};
+use explore_core::storage::{AggFunc, Predicate, Query};
 
 use crate::{timed, us};
 

@@ -150,6 +150,16 @@ mod tests {
     }
 
     #[test]
+    fn table1_experiments_are_registered() {
+        let ids: Vec<&str> = registry().iter().map(|(id, _, _)| *id).collect();
+        for c in explore_core::table1() {
+            for e in c.experiments {
+                assert!(ids.contains(e), "{}: {e} is not in the registry", c.area);
+            }
+        }
+    }
+
+    #[test]
     fn over_ceiling_names_exactly_the_arms_past_their_ratio() {
         // 10 ms plain: 3 % over passes a 1.05 ceiling, a 22 µs probe
         // passes 0.5 %.

@@ -37,6 +37,9 @@ pub struct Cluster {
     /// The workspace module reproducing this cluster, or `None` for
     /// vision-only clusters documented as out of scope in DESIGN.md.
     pub module: Option<&'static str>,
+    /// Ids of the `reproduce` experiments that exercise this cluster
+    /// (empty when nothing runs it).
+    pub experiments: &'static [&'static str],
 }
 
 /// The full clustering of Table 1.
@@ -48,97 +51,111 @@ pub fn table1() -> Vec<Cluster> {
             area: "Data Visualization",
             citations: &[38],
             module: Some("explore-viz"),
+            experiments: &["e7", "e15"],
         },
         Cluster {
             layer: UserInteraction,
             area: "Visual Optimizations",
             citations: &[11, 12, 49, 66],
             module: Some("explore-viz::{reduce, ordered, seedb}"),
+            experiments: &["e7", "e15"],
         },
         Cluster {
             layer: UserInteraction,
             area: "Visualization Tools",
             citations: &[40, 48, 61, 62],
             module: Some("explore-viz::{vizdeck, annotations}"),
+            experiments: &[],
         },
         Cluster {
             layer: UserInteraction,
             area: "Automatic Exploration",
             citations: &[14, 18, 20],
             module: Some("explore-explore::{aide, suggest}"),
+            experiments: &["e8"],
         },
         Cluster {
             layer: UserInteraction,
             area: "Assisted Query Formulation",
             citations: &[3, 4, 13, 21, 52, 57, 58, 64, 51],
             module: Some("explore-explore::{qbo, suggest, segment}"),
+            experiments: &["e14"],
         },
         Cluster {
             layer: UserInteraction,
             area: "Novel Query Interfaces",
             citations: &[32, 44, 45, 47],
             module: Some("explore-explore::gesture"),
+            experiments: &[],
         },
         Cluster {
             layer: Middleware,
             area: "Data Prefetching",
             citations: &[36, 37, 41, 63],
             module: Some("explore-prefetch (+speculative), explore-cube::dice, explore-diversify"),
+            experiments: &["e9", "e10", "e13", "e18"],
         },
         Cluster {
             layer: Middleware,
             area: "Query Approximation",
             citations: &[16, 5, 6, 7, 24, 25],
             module: Some("explore-aqp, explore-synopses"),
+            experiments: &["e5", "e6", "e12"],
         },
         Cluster {
             layer: DatabaseLayer,
             area: "Adaptive Indexing",
             citations: &[26, 29, 30, 31, 33, 22, 23, 50],
             module: Some("explore-cracking"),
+            experiments: &["e1", "e2", "e3", "e16"],
         },
         Cluster {
             layer: DatabaseLayer,
             area: "Time Series Indexing",
             citations: &[68],
             module: Some("explore-series (ADS-style adaptive index)"),
+            experiments: &["e17"],
         },
         Cluster {
             layer: DatabaseLayer,
             area: "Flexible Engines",
             citations: &[17, 42, 43, 34],
             module: None, // vision papers; see DESIGN.md out-of-scope note
+            experiments: &[],
         },
         Cluster {
             layer: DatabaseLayer,
             area: "Adaptive Loading",
             citations: &[28, 8, 2, 15],
             module: Some("explore-loading"),
+            experiments: &["e4"],
         },
         Cluster {
             layer: DatabaseLayer,
             area: "Adaptive Storage",
             citations: &[9, 19],
             module: Some("explore-layout"),
+            experiments: &["e11"],
         },
         Cluster {
             layer: DatabaseLayer,
             area: "Sampling Architectures",
             citations: &[59, 60, 35],
             module: Some("explore-sampling::weighted, explore-cube::dice"),
+            experiments: &["e13", "e18"],
         },
     ]
 }
 
-/// Render Table 1 as aligned text, optionally with the implementing
-/// module column (the reproduction's extension).
+/// Render Table 1 as aligned text, optionally with the experiments and
+/// implementing module columns (the reproduction's extension).
 pub fn render_table1(with_modules: bool) -> String {
     let clusters = table1();
     let mut out = String::new();
     let header = if with_modules {
         format!(
-            "{:<16} | {:<28} | {:<28} | {}\n",
-            "Layer", "Area", "Papers", "Implemented by"
+            "{:<16} | {:<28} | {:<28} | {:<14} | {}\n",
+            "Layer", "Area", "Papers", "Experiments", "Implemented by"
         )
     } else {
         format!("{:<16} | {:<28} | {}\n", "Layer", "Area", "Papers")
@@ -154,11 +171,16 @@ pub fn render_table1(with_modules: bool) -> String {
             .collect::<Vec<_>>()
             .join(" ");
         if with_modules {
+            let experiments = match c.experiments {
+                [] => "—".to_string(),
+                ids => ids.join(" "),
+            };
             out.push_str(&format!(
-                "{:<16} | {:<28} | {:<28} | {}\n",
+                "{:<16} | {:<28} | {:<28} | {:<14} | {}\n",
                 c.layer.name(),
                 c.area,
                 cites,
+                experiments,
                 c.module.unwrap_or("(vision; out of scope)"),
             ));
         } else {
@@ -225,6 +247,7 @@ mod tests {
             assert!(text.contains(c.area), "{} missing", c.area);
         }
         assert!(text.contains("Implemented by"));
+        assert!(text.contains("| e1 e2 e3 e16 "));
         let plain = render_table1(false);
         assert!(!plain.contains("Implemented by"));
     }

@@ -308,41 +308,6 @@ impl CrackerColumn {
         self.index.insert(pivot, p);
     }
 
-    /// Boundaries with value strictly above `value`, ascending.
-    /// Used by the ripple-insert machinery in [`crate::updates`].
-    pub(crate) fn boundaries_above(&self, value: i64) -> Vec<(i64, usize)> {
-        self.index
-            .range((Excluded(value), Unbounded))
-            .map(|(&v, &p)| (v, p))
-            .collect()
-    }
-
-    /// Append a (value, id) pair at the end without touching the index.
-    /// Callers must restore the invariant (ripple insert does).
-    pub(crate) fn push_raw(&mut self, value: i64, id: u32) {
-        self.values.push(value);
-        self.ids.push(id);
-    }
-
-    /// Swap two physical slots.
-    pub(crate) fn swap_raw(&mut self, a: usize, b: usize) {
-        self.values.swap(a, b);
-        self.ids.swap(a, b);
-    }
-
-    /// Overwrite one physical slot.
-    pub(crate) fn place_raw(&mut self, pos: usize, value: i64, id: u32) {
-        self.values[pos] = value;
-        self.ids[pos] = id;
-    }
-
-    /// Move an existing boundary to a new position (ripple bookkeeping).
-    pub(crate) fn shift_boundary(&mut self, boundary_value: i64, new_pos: usize) {
-        if let Some(p) = self.index.get_mut(&boundary_value) {
-            *p = new_pos;
-        }
-    }
-
     /// Verify the cracker invariant: for every index entry `(v, p)`,
     /// all values before `p` are `< v` and all from `p` on are `>= v`.
     /// O(k·n); test-only.

@@ -12,8 +12,7 @@
 //! queries only touch the partition pieces their ranges map to, not the
 //! whole leftovers.
 
-use std::collections::BTreeMap;
-use std::ops::Bound::{Excluded, Unbounded};
+use crate::cracker::CrackerColumn;
 
 /// Work counters for the hybrid index, comparable to
 /// [`CrackStats`](crate::cracker::CrackStats).
@@ -27,94 +26,16 @@ pub struct HybridStats {
     pub sort_work: u64,
 }
 
-/// One cracked initial partition supporting range *drain*: extract and
-/// remove all (value, id) pairs in `[low, high)`, touching only the
-/// pieces the cracker index maps the range to.
-#[derive(Debug, Clone)]
-struct CrackedPartition {
-    data: Vec<(i64, u32)>,
-    /// Boundary value → first position with value >= boundary.
-    index: BTreeMap<i64, usize>,
-}
-
-impl CrackedPartition {
-    fn new(data: Vec<(i64, u32)>) -> Self {
-        CrackedPartition {
-            data,
-            index: BTreeMap::new(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Crack at `bound` and return its position. Counts work in `stats`.
-    fn bound_position(&mut self, bound: i64, stats: &mut HybridStats) -> usize {
-        if let Some(&p) = self.index.get(&bound) {
-            return p;
-        }
-        let start = self
-            .index
-            .range(..=bound)
-            .next_back()
-            .map_or(0, |(_, &p)| p);
-        let end = self
-            .index
-            .range((Excluded(bound), Unbounded))
-            .next()
-            .map_or(self.data.len(), |(_, &p)| p);
-        let mut lo = start;
-        let mut hi = end;
-        while lo < hi {
-            if self.data[lo].0 < bound {
-                lo += 1;
-            } else {
-                hi -= 1;
-                self.data.swap(lo, hi);
-            }
-        }
-        stats.touched += (end - start) as u64;
-        self.index.insert(bound, lo);
-        lo
-    }
-
-    /// Copy out every pair with value in `[low, high)`. The source
-    /// pieces are left in place — the global coverage bookkeeping
-    /// guarantees they are never fetched again, so deferring the
-    /// physical removal (as production HCS implementations do) avoids
-    /// O(tail) shifting per query. Returns the copied pairs and the
-    /// count migrated.
-    fn copy_range(&mut self, low: i64, high: i64, stats: &mut HybridStats) -> &[(i64, u32)] {
-        if low >= high || self.data.is_empty() {
-            return &[];
-        }
-        let s = self.bound_position(low, stats);
-        let e = self.bound_position(high, stats);
-        &self.data[s..e]
-    }
-
-    /// Test-only invariant check.
-    #[cfg(test)]
-    fn check(&self) -> bool {
-        for (&v, &p) in &self.index {
-            if self.data[..p].iter().any(|&(x, _)| x >= v) {
-                return false;
-            }
-            if self.data[p..].iter().any(|&(x, _)| x < v) {
-                return false;
-            }
-        }
-        true
-    }
-}
-
 /// Hybrid Crack Sort adaptive index over an integer column.
 #[derive(Debug, Clone)]
 pub struct HybridCrackSort {
-    /// Cracked initial partitions. Migrated values are left in place
-    /// (coverage bookkeeping masks them); `migrated` counts them.
-    initial: Vec<CrackedPartition>,
+    /// Cracked initial partitions, each with the global row id of its
+    /// first value (a global id is that offset plus the column's local
+    /// id). Migrated values are left in place — the coverage bookkeeping
+    /// guarantees they are never fetched again, so deferring the physical
+    /// removal (as production HCS implementations do) avoids O(tail)
+    /// shifting per query; `migrated` counts them.
+    initial: Vec<(u32, CrackerColumn)>,
     /// Values copied into the final partition so far.
     migrated: usize,
     /// The adaptively grown final partition, stored as sorted runs that
@@ -124,6 +45,7 @@ pub struct HybridCrackSort {
     /// Value ranges already migrated into the final runs (disjoint,
     /// sorted).
     covered: Vec<(i64, i64)>,
+    /// `merged` and `sort_work`; `touched` is read from the partitions.
     stats: HybridStats,
 }
 
@@ -140,14 +62,7 @@ impl HybridCrackSort {
         let initial = values
             .chunks(chunk)
             .enumerate()
-            .map(|(ci, vs)| {
-                CrackedPartition::new(
-                    vs.iter()
-                        .enumerate()
-                        .map(|(i, &v)| (v, (ci * chunk + i) as u32))
-                        .collect(),
-                )
-            })
+            .map(|(ci, vs)| ((ci * chunk) as u32, CrackerColumn::new(vs.to_vec())))
             .collect();
         HybridCrackSort {
             initial,
@@ -158,18 +73,17 @@ impl HybridCrackSort {
         }
     }
 
-    /// Work counters.
+    /// Work counters; `touched` is the partitions' cracking work.
     pub fn stats(&self) -> HybridStats {
-        self.stats
+        HybridStats {
+            touched: self.initial.iter().map(|(_, p)| p.stats().touched).sum(),
+            ..self.stats
+        }
     }
 
     /// Number of values not yet migrated to the final partition.
     pub fn pending(&self) -> usize {
-        self.initial
-            .iter()
-            .map(CrackedPartition::len)
-            .sum::<usize>()
-            - self.migrated
+        self.initial.iter().map(|(_, p)| p.len()).sum::<usize>() - self.migrated
     }
 
     /// Number of values migrated into the sorted final partition.
@@ -217,8 +131,13 @@ impl HybridCrackSort {
         }
         let mut fetched: Vec<(i64, u32)> = Vec::new();
         for &(a, b) in &gaps {
-            for part in &mut self.initial {
-                fetched.extend_from_slice(part.copy_range(a, b, &mut self.stats));
+            for (offset, part) in self.initial.iter_mut().filter(|(_, p)| !p.is_empty()) {
+                // Two two-way cracks, never `query`'s crack-in-three: the
+                // drain's swap order and work count stay those of the paper.
+                let s = part.bound_position(a);
+                let e = part.bound_position(b);
+                let ids = part.ids()[s..e].iter().map(|&id| *offset + id);
+                fetched.extend(part.values()[s..e].iter().copied().zip(ids));
             }
         }
         self.migrated += fetched.len();
@@ -306,8 +225,8 @@ mod tests {
             got.sort_unstable();
             assert_eq!(got, scan.query_ids(lo, hi), "range {lo}..{hi}");
         }
-        for p in &h.initial {
-            assert!(p.check());
+        for (_, p) in &h.initial {
+            assert!(p.check_invariants());
         }
     }
 
@@ -398,6 +317,56 @@ mod tests {
         assert_eq!(h.query_count(7, 3), 0);
     }
 
+    /// Per pattern: FNV-1a over every `query_ids` result in query order,
+    /// then the final `touched`, `merged`, `sort_work`, `pending()` and
+    /// `finalized()`. Any change to the drain's id mapping or work
+    /// accounting moves one of these. The figures do not depend on the
+    /// partition count: the runs hold the same sorted pairs, and the
+    /// pieces a bound cracks across all partitions sum to the piece it
+    /// would crack in one.
+    #[test]
+    fn drain_results_and_counters_are_pinned() {
+        let want = [
+            (
+                0x47ca_97e7_ab17_529f,
+                182_611,
+                16_544,
+                563_009,
+                3_456,
+                16_544,
+            ),
+            (0x4c48_f7e4_94f2_a1f4, 119_731, 3_505, 72_041, 16_495, 3_505),
+            (0xed0d_243b_511a_8d38, 40_000, 20_000, 300_000, 0, 20_000),
+        ];
+        let patterns = [
+            QueryPattern::Random,
+            QueryPattern::Skewed,
+            QueryPattern::ZoomIn,
+        ];
+        let base = uniform_i64(20_000, 0, 5000, 21);
+        for partitions in [1, 3, 8] {
+            for (pattern, &want) in patterns.into_iter().zip(&want) {
+                let mut h = HybridCrackSort::new(&base, partitions);
+                let mut digest = 0xcbf2_9ce4_8422_2325u64;
+                for (lo, hi) in workload(pattern, 5000, 100, 80, 22) {
+                    for id in h.query_ids(lo, hi) {
+                        digest = (digest ^ u64::from(id)).wrapping_mul(0x0100_0000_01b3);
+                    }
+                }
+                let s = h.stats();
+                let got = (
+                    digest,
+                    s.touched,
+                    s.merged,
+                    s.sort_work,
+                    h.pending(),
+                    h.finalized(),
+                );
+                assert_eq!(got, want, "{partitions} partitions, {pattern:?}");
+            }
+        }
+    }
+
     #[test]
     fn partition_drain_preserves_invariants() {
         let base = uniform_i64(5000, 0, 500, 7);
@@ -405,8 +374,8 @@ mod tests {
         let scan = ScanBaseline::new(base);
         for (lo, hi) in workload(QueryPattern::ZoomIn, 500, 20, 60, 8) {
             assert_eq!(h.query_count(lo, hi), scan.query_count(lo, hi));
-            for p in &h.initial {
-                assert!(p.check(), "after range {lo}..{hi}");
+            for (_, p) in &h.initial {
+                assert!(p.check_invariants(), "after range {lo}..{hi}");
             }
         }
     }

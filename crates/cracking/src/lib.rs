@@ -11,16 +11,15 @@
 //! * [`cracker`] — standard database cracking: each range query
 //!   partitions the column at its bounds; first query ≈ scan cost,
 //!   convergence towards a sorted column along the explored ranges.
+//!   [`CrackerColumn`] is the crate's one crack kernel: the modules below
+//!   add pivots, partitions or locks around it, never a second copy.
 //! * [`stochastic`] — stochastic cracking (DDC/DDR): auxiliary
 //!   data-driven cracks keep pieces balanced, defeating the sequential
 //!   workloads that stall standard cracking.
-//! * [`hybrid`] — hybrid crack-sort: initial partitions drained into an
+//! * [`hybrid`] — hybrid crack-sort: initial partitions (one
+//!   [`CrackerColumn`] each) drained into an
 //!   always-sorted final partition, trading a slightly costlier first
 //!   query for immediate binary-search performance on revisited ranges.
-//! * [`updates`] — ripple inserts and tombstone deletes that preserve
-//!   all accumulated cracking work.
-//! * [`sideways`] — cracker maps that co-crack (head, tail) attribute
-//!   pairs so projections of qualifying tuples are contiguous slices.
 //! * [`concurrent`] — shared/exclusive locking that exploits the
 //!   discretionary nature of cracking writes: converged queries read
 //!   concurrently.
@@ -54,14 +53,10 @@ pub mod baseline;
 pub mod concurrent;
 pub mod cracker;
 pub mod hybrid;
-pub mod sideways;
 pub mod stochastic;
-pub mod updates;
 
 pub use baseline::{QueryPattern, ScanBaseline, SortedIndex};
 pub use concurrent::ConcurrentCracker;
 pub use cracker::{CrackStats, CrackerColumn};
 pub use hybrid::HybridCrackSort;
-pub use sideways::{CrackerMap, MapSet};
 pub use stochastic::{StochasticCracker, StochasticVariant};
-pub use updates::UpdatableCracker;

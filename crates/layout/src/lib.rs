@@ -9,9 +9,10 @@
 //! pattern is unknown up front, so the store starts columnar (the safe
 //! analytical default), **monitors** the patterns queries actually
 //! exhibit ([`monitor`]), and **materializes alternative layouts** —
-//! row-major groups covering hot tuple-reconstruction patterns — once a
-//! pattern recurs enough to amortize the build ([`store`]). Each
-//! operation then runs on whichever materialized layout fits it.
+//! row-major groups ([`RowStore`]) covering hot tuple-reconstruction
+//! patterns — once a pattern recurs enough to amortize the build
+//! ([`store`]). Each operation then runs on whichever materialized
+//! layout fits it.
 //!
 //! ```
 //! use explore_layout::{AccessOp, AdaptiveStore, LayoutUsed};
@@ -28,7 +29,9 @@
 //! ```
 
 pub mod monitor;
+pub mod rowstore;
 pub mod store;
 
 pub use monitor::{AccessPattern, WorkloadMonitor};
+pub use rowstore::RowStore;
 pub use store::{AccessOp, AdaptiveStore, ExecReport, LayoutUsed, StoreConfig};

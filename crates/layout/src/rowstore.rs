@@ -1,15 +1,11 @@
 //! Row-major storage layout.
 //!
-//! The adaptive-storage crate (H2O-style, experiment E11) needs the same
-//! data in both orientations so its cost model can choose per query. A
+//! Adaptive storage (H2O-style, experiment E11) needs the same data in
+//! both orientations so its cost model can choose per query. A
 //! [`RowStore`] stores fixed-width numeric rows contiguously, which makes
 //! whole-row access one cache line instead of `k` scattered reads.
 
-use crate::column::Column;
-use crate::error::{Result, StorageError};
-use crate::schema::Schema;
-use crate::table::Table;
-use crate::value::{DataType, Value};
+use explore_storage::{Column, DataType, Result, Schema, StorageError, Table, Value};
 
 /// Row-major layout of the numeric columns of a table.
 ///
@@ -184,7 +180,7 @@ impl RowStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::{sales_table, SalesConfig};
+    use explore_storage::gen::{sales_table, SalesConfig};
 
     #[test]
     fn roundtrip_table_rowstore_table() {

@@ -2,9 +2,10 @@
 
 use std::collections::HashMap;
 
-use explore_storage::{Result, RowStore, StorageError, Table};
+use explore_storage::{Result, StorageError, Table};
 
 use crate::monitor::{AccessPattern, WorkloadMonitor};
+use crate::rowstore::RowStore;
 
 /// Configuration of the adaptation policy.
 #[derive(Debug, Clone, Copy)]

@@ -17,7 +17,6 @@
 //! * [`Predicate`] — filter ASTs with vectorized evaluation.
 //! * [`Query`] — filter → group/aggregate → order → limit, and the one
 //!   morsel pipeline that executes it ([`Query::run`] is its serial walk).
-//! * [`RowStore`] — the row-major mirror used by adaptive storage.
 //! * [`Catalog`] — named tables; [`hash_join`] for cross-table exploration.
 //! * [`rng`] / [`gen`] — deterministic randomness and synthetic workloads
 //!   shared by tests, examples and the benchmark harness.
@@ -49,7 +48,6 @@ pub mod join;
 pub mod predicate;
 pub mod query;
 pub mod rng;
-pub mod rowstore;
 pub mod schema;
 pub mod table;
 pub mod value;
@@ -67,7 +65,6 @@ pub use predicate::{mask_to_sel, CmpOp, Predicate};
 /// [`Query::run`] or `explore_exec::run_query`, which return the same bits.
 pub use query::{morsel_count, morsel_range, morsel_rows_for, MorselDispatch, MAX_MORSELS};
 pub use query::{sort_table, Aggregate, Query, SortOrder, MORSEL_ROWS};
-pub use rowstore::RowStore;
 pub use schema::{Field, Schema};
 pub use table::Table;
 pub use value::{DataType, Value};

@@ -7,9 +7,7 @@
 
 use proptest::prelude::*;
 
-use exploration::cracking::{
-    CrackerColumn, HybridCrackSort, StochasticCracker, StochasticVariant, UpdatableCracker,
-};
+use exploration::cracking::{CrackerColumn, HybridCrackSort, StochasticCracker, StochasticVariant};
 use exploration::storage::{Accumulator, AggFunc, CmpOp, Predicate};
 use exploration::synopses::{CountMinSketch, Histogram, Reservoir, WaveletSynopsis};
 use exploration::viz::reduce::{m4_reduce, pixel_extents};
@@ -73,44 +71,6 @@ proptest! {
             let mut got = h.query_ids(lo, hi);
             got.sort_unstable();
             prop_assert_eq!(got, brute_range(&base, lo, hi));
-        }
-    }
-
-    /// The updatable cracker stays consistent with a model multiset
-    /// through interleaved inserts, deletes and queries.
-    #[test]
-    fn updatable_cracker_tracks_model(
-        base in prop::collection::vec(0i64..100, 1..100),
-        ops in prop::collection::vec((0u8..3, 0i64..100, 0i64..100), 1..40),
-    ) {
-        let mut model: Vec<(i64, u32)> =
-            base.iter().enumerate().map(|(i, &v)| (v, i as u32)).collect();
-        let mut c = UpdatableCracker::new(base);
-        for (kind, x, y) in ops {
-            match kind {
-                0 => {
-                    let id = c.insert(x);
-                    model.push((x, id));
-                }
-                1 => {
-                    if let Some(pos) = model.iter().position(|&(v, _)| v == x) {
-                        let (_, id) = model.swap_remove(pos);
-                        c.delete(id);
-                    }
-                }
-                _ => {
-                    let (lo, hi) = (x.min(y), x.max(y));
-                    let mut got = c.query_ids(lo, hi);
-                    got.sort_unstable();
-                    let mut want: Vec<u32> = model
-                        .iter()
-                        .filter(|&&(v, _)| v >= lo && v < hi)
-                        .map(|&(_, id)| id)
-                        .collect();
-                    want.sort_unstable();
-                    prop_assert_eq!(got, want);
-                }
-            }
         }
     }
 
