@@ -149,8 +149,9 @@ echo "==> one-walk lint (one seeded row walk, one group interner for the approxi
 # Online aggregation, ordered bars and SeeDB's pruned phases consume rows
 # in one seeded order, explore_aqp::SeededWalk (crates/aqp/src/walk.rs),
 # and every approximate layer groups on explore_storage::Dictionary codes
-# (DESIGN.md §4). A shuffle outside the walk, or a group map keyed on
-# strings, is a private row loop growing back.
+# (DESIGN.md §4), as do the facet counts of crates/explore. A shuffle
+# outside the walk, or a group map or counter keyed on strings, is a
+# private row loop growing back.
 if find crates/aqp/src crates/viz/src -name '*.rs' -not -path crates/aqp/src/walk.rs |
     while read -r f; do
         sed '/#\[cfg(test)\]/q' "$f" | grep -nF '.shuffle(' | sed "s|^|$f:|" || true
@@ -158,8 +159,8 @@ if find crates/aqp/src crates/viz/src -name '*.rs' -not -path crates/aqp/src/wal
     echo "error: shuffle outside crates/aqp/src/walk.rs; walk rows with explore_aqp::SeededWalk" >&2
     exit 1
 fi
-if grep -rnE 'HashMap<(String|&str), Accumulator>|HashMap<String, \[f64' \
-    crates/aqp/src crates/viz/src crates/sampling/src; then
+if grep -rnE 'HashMap<(String|&str), Accumulator>|HashMap<String, \[f64|HashMap<&str, usize>' \
+    crates/aqp/src crates/viz/src crates/sampling/src crates/explore/src; then
     echo "error: string-keyed group map; intern groups with explore_storage::Dictionary" >&2
     exit 1
 fi

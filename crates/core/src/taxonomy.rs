@@ -64,7 +64,7 @@ pub fn table1() -> Vec<Cluster> {
             layer: UserInteraction,
             area: "Visualization Tools",
             citations: &[40, 48, 61, 62],
-            module: Some("explore-viz::{vizdeck, annotations}"),
+            module: Some("explore-viz::vizdeck"),
             experiments: &[],
         },
         Cluster {
@@ -78,7 +78,7 @@ pub fn table1() -> Vec<Cluster> {
             layer: UserInteraction,
             area: "Assisted Query Formulation",
             citations: &[3, 4, 13, 21, 52, 57, 58, 64, 51],
-            module: Some("explore-explore::{qbo, suggest, segment}"),
+            module: Some("explore-explore::{qbo, segment}"),
             experiments: &["e14"],
         },
         Cluster {
@@ -250,6 +250,41 @@ mod tests {
         assert!(text.contains("| e1 e2 e3 e16 "));
         let plain = render_table1(false);
         assert!(!plain.contains("Implemented by"));
+    }
+
+    /// Every `explore-<c>::<m>` and `explore-<c>::{m, …}` a cluster names
+    /// is a file `crates/<c>/src/<m>.rs` of this workspace.
+    #[test]
+    fn named_modules_exist() {
+        let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+        let mut checked = 0;
+        for c in table1() {
+            let Some(module) = c.module else { continue };
+            for named in module.split("explore-").skip(1) {
+                let krate: String = named
+                    .chars()
+                    .take_while(|ch| ch.is_ascii_lowercase())
+                    .collect();
+                let Some(path) = named[krate.len()..].strip_prefix("::") else {
+                    continue;
+                };
+                let modules = match path.strip_prefix('{') {
+                    Some(list) => &list[..list.find('}').expect("closing brace")],
+                    None => {
+                        let end = path
+                            .find(|ch: char| !(ch.is_ascii_alphanumeric() || ch == '_'))
+                            .unwrap_or(path.len());
+                        &path[..end]
+                    }
+                };
+                for m in modules.split(',').map(str::trim) {
+                    let file = crates.join(&krate).join("src").join(format!("{m}.rs"));
+                    assert!(file.is_file(), "{}: {} missing", c.area, file.display());
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked >= 10, "only {checked} modules named");
     }
 
     #[test]

@@ -12,14 +12,12 @@
 //! * [`qbo`] — query discovery from example output tuples (Query by
 //!   Output \[64\], example-tuple query discovery \[58\], spreadsheet-style
 //!   search \[51\]).
-//! * [`keyword`] — keyword search over a relational schema graph with
-//!   candidate-network joins (survey \[67\]).
-//! * [`gesture`] — gestural query specification (dbtouch \[32, 44\],
-//!   GestureDB \[45, 47\]) over simulated touch traces.
-//! * [`suggest`] — interactive query suggestion from session logs \[21\]
-//!   and YmalDB-style faceted "you may also like" recommendations \[20\].
-//! * [`history`] — Markov mining of interaction histories to predict
-//!   exploration trajectories (the paper's closing research direction).
+//! * [`mod@segment`] — Charles-style query-space segmentation (assisted query
+//!   formulation \[57\]).
+//! * [`gesture`] / [`canvas`] — gestural query specification (dbtouch
+//!   \[32, 44\], GestureDB \[45, 47\]) over simulated touch traces.
+//! * [`suggest`] — YmalDB-style faceted "you may also like"
+//!   recommendations \[20\].
 //!
 //! ```
 //! use explore_explore::aide::{AideConfig, AideSession, LabelOracle};
@@ -37,8 +35,6 @@
 pub mod aide;
 pub mod canvas;
 pub mod gesture;
-pub mod history;
-pub mod keyword;
 pub mod qbo;
 pub mod segment;
 pub mod suggest;
@@ -47,9 +43,7 @@ pub mod tree;
 pub use aide::{AideConfig, AideSession, IterationReport, LabelOracle};
 pub use canvas::{Canvas, CanvasResponse};
 pub use gesture::{classify, synthetic_trace, to_intent, Gesture, QueryIntent, TouchPoint};
-pub use history::{synthetic_sessions, SessionModel};
-pub use keyword::{FkEdge, KeywordHit, KeywordIndex};
 pub use qbo::{discover_query, DiscoveredQuery};
 pub use segment::{advise, segment, Segment, Segmentation};
-pub use suggest::{faceted_recommendations, Facet, QuerySuggester};
+pub use suggest::{faceted_recommendations, Facet};
 pub use tree::{TreeConfig, TreeNode};

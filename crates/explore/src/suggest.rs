@@ -1,98 +1,11 @@
-//! Query suggestion and result-driven recommendation
-//! (SnipSuggest-style interactive SQL suggestion \[21\]; YmalDB's
-//! "you-may-also-like" result recommendations \[20\]).
+//! Result-driven recommendation: YmalDB's "you-may-also-like" facets
+//! \[20\], from the "assisted query formulation" cluster.
 //!
-//! Two assistance modes from the "assisted query formulation" cluster:
-//!
-//! * [`QuerySuggester`] — learns predicate co-occurrence from the
-//!   session log and, given the fragments a user has typed so far,
-//!   recommends the fragments that most often complete similar past
-//!   queries.
-//! * [`faceted_recommendations`] — given a result set, surfaces
-//!   attribute values that are unusually frequent in it relative to the
-//!   whole table ("users who got these rows were also interested in…").
+//! [`faceted_recommendations`] — given a result set, surfaces attribute
+//! values that are unusually frequent in it relative to the whole table
+//! ("users who got these rows were also interested in…").
 
-use std::collections::HashMap;
-
-use explore_storage::{Column, Result, Table};
-
-/// Learns fragment co-occurrence from past queries and completes
-/// partial ones.
-#[derive(Debug, Default)]
-pub struct QuerySuggester {
-    /// fragment → total occurrences.
-    freq: HashMap<String, u64>,
-    /// (fragment a, fragment b) → co-occurrences, with a < b.
-    pairs: HashMap<(String, String), u64>,
-    queries_logged: u64,
-}
-
-impl QuerySuggester {
-    /// An empty suggester.
-    pub fn new() -> Self {
-        QuerySuggester::default()
-    }
-
-    /// Log one past query as its set of fragments (e.g. normalized
-    /// predicates like `"region = region0"`).
-    pub fn log_query(&mut self, fragments: &[&str]) {
-        let mut frags: Vec<&str> = fragments.to_vec();
-        frags.sort_unstable();
-        frags.dedup();
-        for f in &frags {
-            *self.freq.entry(f.to_string()).or_insert(0) += 1;
-        }
-        for i in 0..frags.len() {
-            for j in (i + 1)..frags.len() {
-                *self
-                    .pairs
-                    .entry((frags[i].to_string(), frags[j].to_string()))
-                    .or_insert(0) += 1;
-            }
-        }
-        self.queries_logged += 1;
-    }
-
-    /// Queries observed.
-    pub fn queries_logged(&self) -> u64 {
-        self.queries_logged
-    }
-
-    /// Suggest up to `k` fragments to add to a partial query, ranked by
-    /// smoothed conditional probability given the present fragments.
-    pub fn suggest(&self, present: &[&str], k: usize) -> Vec<(String, f64)> {
-        let mut scores: HashMap<&str, f64> = HashMap::new();
-        for cand in self.freq.keys() {
-            if present.contains(&cand.as_str()) {
-                continue;
-            }
-            let score = if present.is_empty() {
-                // Unconditional popularity.
-                self.freq[cand] as f64 / self.queries_logged.max(1) as f64
-            } else {
-                // Mean conditional probability across present fragments.
-                let mut s = 0.0;
-                for p in present {
-                    let key = if *p < cand.as_str() {
-                        (p.to_string(), cand.clone())
-                    } else {
-                        (cand.clone(), p.to_string())
-                    };
-                    let co = self.pairs.get(&key).copied().unwrap_or(0) as f64;
-                    let base = self.freq.get(*p).copied().unwrap_or(0) as f64;
-                    s += (co + 0.1) / (base + 1.0);
-                }
-                s / present.len() as f64
-            };
-            scores.insert(cand, score);
-        }
-        let mut out: Vec<(String, f64)> =
-            scores.into_iter().map(|(f, s)| (f.to_owned(), s)).collect();
-        out.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        out.truncate(k);
-        out
-    }
-}
+use explore_storage::{DataType, Dictionary, Result, StorageError, Table};
 
 /// One recommended facet value.
 #[derive(Debug, Clone, PartialEq)]
@@ -121,28 +34,36 @@ pub fn faceted_recommendations(
     if result_rows.is_empty() {
         return Ok(out);
     }
+    let rows = table.num_rows();
+    if let Some(&r) = result_rows.iter().find(|&&r| r as usize >= rows) {
+        return Err(StorageError::InvalidQuery(format!(
+            "facet row id {r} out of range for a table of {rows} rows"
+        )));
+    }
     for field in table.schema().fields() {
-        let col = table.column(field.name())?;
-        let Column::Utf8(values) = col else {
+        if field.data_type() != DataType::Utf8 {
             continue;
-        };
-        let mut in_result: HashMap<&str, usize> = HashMap::new();
+        }
+        let dict = Dictionary::encode(table, field.name())?;
+        let codes = dict.codes();
+        let mut in_base = vec![0usize; dict.labels().len()];
+        for &c in codes {
+            in_base[c as usize] += 1;
+        }
+        let mut in_result = vec![0usize; dict.labels().len()];
         for &r in result_rows {
-            *in_result.entry(values[r as usize].as_str()).or_insert(0) += 1;
+            in_result[codes[r as usize] as usize] += 1;
         }
-        let mut in_base: HashMap<&str, usize> = HashMap::new();
-        for v in values {
-            *in_base.entry(v.as_str()).or_insert(0) += 1;
-        }
-        for (value, &count) in &in_result {
-            if count < min_support {
+        for (code, value) in dict.labels().iter().enumerate() {
+            let count = in_result[code];
+            if count == 0 || count < min_support {
                 continue;
             }
             let rf = count as f64 / result_rows.len() as f64;
-            let bf = in_base[value] as f64 / table.num_rows() as f64;
+            let bf = in_base[code] as f64 / rows as f64;
             out.push(Facet {
                 column: field.name().to_owned(),
-                value: value.to_string(),
+                value: value.clone(),
                 result_frequency: rf,
                 base_frequency: bf,
                 lift: rf / bf,
@@ -150,9 +71,9 @@ pub fn faceted_recommendations(
         }
     }
     out.sort_by(|a, b| {
-        b.lift.total_cmp(&a.lift).then_with(|| {
-            (a.column.clone(), a.value.clone()).cmp(&(b.column.clone(), b.value.clone()))
-        })
+        b.lift
+            .total_cmp(&a.lift)
+            .then_with(|| (&a.column, &a.value).cmp(&(&b.column, &b.value)))
     });
     out.truncate(k);
     Ok(out)
@@ -163,45 +84,6 @@ mod tests {
     use super::*;
     use explore_storage::gen::{sales_table, SalesConfig};
     use explore_storage::Predicate;
-
-    #[test]
-    fn suggester_learns_cooccurrence() {
-        let mut s = QuerySuggester::new();
-        // "region0" queries overwhelmingly also filter channel0.
-        for _ in 0..20 {
-            s.log_query(&["region = region0", "channel = channel0"]);
-        }
-        for _ in 0..5 {
-            s.log_query(&["region = region0", "price < 100"]);
-        }
-        for _ in 0..30 {
-            s.log_query(&["product = product7"]);
-        }
-        let sug = s.suggest(&["region = region0"], 2);
-        assert_eq!(sug[0].0, "channel = channel0");
-        assert!(sug[0].1 > sug[1].1);
-        assert_eq!(s.queries_logged(), 55);
-    }
-
-    #[test]
-    fn empty_context_ranks_by_popularity() {
-        let mut s = QuerySuggester::new();
-        for _ in 0..10 {
-            s.log_query(&["a"]);
-        }
-        s.log_query(&["b"]);
-        let sug = s.suggest(&[], 5);
-        assert_eq!(sug[0].0, "a");
-        assert_eq!(sug.len(), 2);
-    }
-
-    #[test]
-    fn present_fragments_are_not_suggested() {
-        let mut s = QuerySuggester::new();
-        s.log_query(&["a", "b"]);
-        let sug = s.suggest(&["a"], 5);
-        assert!(sug.iter().all(|(f, _)| f != "a"));
-    }
 
     #[test]
     fn facets_detect_correlated_values() {
@@ -234,6 +116,20 @@ mod tests {
         let none = faceted_recommendations(&t, &rows, 101, 10).unwrap();
         assert!(none.is_empty(), "support can never exceed result size");
         assert!(faceted_recommendations(&t, &[], 1, 10).unwrap().is_empty());
+    }
+
+    #[test]
+    fn out_of_range_row_ids_are_a_typed_error() {
+        let t = sales_table(&SalesConfig {
+            rows: 100,
+            ..SalesConfig::default()
+        });
+        assert!(faceted_recommendations(&t, &[0, 99], 1, 10).is_ok());
+        let err = faceted_recommendations(&t, &[0, 100], 1, 10).unwrap_err();
+        assert!(
+            matches!(&err, StorageError::InvalidQuery(m) if m.contains("100")),
+            "{err}"
+        );
     }
 
     #[test]

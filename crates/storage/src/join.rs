@@ -1,10 +1,11 @@
 //! Hash equi-joins.
 //!
-//! Exploration over real schemas crosses tables: keyword search joins
-//! matching tuples along foreign keys, and recommendation surfaces
+//! Exploration over real schemas crosses tables: recommendation surfaces
 //! combine fact and dimension tables. One classic hash join (build on
-//! the smaller input, probe with the larger) covers every use in this
-//! workspace.
+//! the smaller input, probe with the larger) covers the uses in this
+//! workspace: the fact and dimension joins in
+//! `tests/middleware_composition.rs` and the `hash_join_matches_nested_loop`
+//! property test.
 
 use std::collections::HashMap;
 

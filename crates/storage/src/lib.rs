@@ -17,7 +17,7 @@
 //! * [`Predicate`] — filter ASTs with vectorized evaluation.
 //! * [`Query`] — filter → group/aggregate → order → limit, and the one
 //!   morsel pipeline that executes it ([`Query::run`] is its serial walk).
-//! * [`Catalog`] — named tables; [`hash_join`] for cross-table exploration.
+//! * [`hash_join`] — an equi-join for cross-table exploration.
 //! * [`rng`] / [`gen`] — deterministic randomness and synthetic workloads
 //!   shared by tests, examples and the benchmark harness.
 //!
@@ -38,7 +38,6 @@
 //! ```
 
 pub mod agg;
-pub mod catalog;
 pub mod column;
 pub mod csv;
 pub mod dict;
@@ -53,7 +52,6 @@ pub mod table;
 pub mod value;
 
 pub use agg::{Accumulator, AggFunc, Measure};
-pub use catalog::Catalog;
 pub use column::Column;
 pub use dict::Dictionary;
 pub use error::{Result, StorageError};

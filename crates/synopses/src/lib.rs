@@ -9,10 +9,9 @@
 //! * [`sketch`] — count-min sketches for point-frequency estimates.
 //! * [`hll`] — HyperLogLog distinct-count estimation.
 //! * [`wavelet`] — truncated Haar wavelet synopses with O(k) range sums.
-//! * [`reservoir`] — uniform and weighted (SciBORQ-style) reservoir
-//!   samplers.
 //!
-//! Experiment E12 sweeps all of these on the accuracy-vs-space axis.
+//! Experiment E12 sweeps all four on the accuracy-vs-space axis. Uniform
+//! and weighted samples live in `explore-sampling`.
 //!
 //! ```
 //! use explore_synopses::{Histogram, CountMinSketch, HyperLogLog};
@@ -34,12 +33,10 @@
 
 pub mod histogram;
 pub mod hll;
-pub mod reservoir;
 pub mod sketch;
 pub mod wavelet;
 
 pub use histogram::Histogram;
 pub use hll::HyperLogLog;
-pub use reservoir::{Reservoir, WeightedReservoir};
 pub use sketch::{fnv1a, CountMinSketch};
 pub use wavelet::WaveletSynopsis;

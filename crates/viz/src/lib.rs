@@ -13,8 +13,6 @@
 //!   sampling a bar chart as soon as the bar order is certain.
 //! * [`vizdeck`] — VizDeck-style chart ranking \[40\]: statistical
 //!   heuristics deal a dashboard deck with zero queries written.
-//! * [`annotations`] — AstroShelf-style collaborative annotations over
-//!   data regions with overlap queries and live notification \[48\].
 //!
 //! ```
 //! use explore_exec::QueryCtx;
@@ -32,13 +30,11 @@
 //! assert_eq!(stats.scans, 1); // one shared pass for all views
 //! ```
 
-pub mod annotations;
 pub mod ordered;
 pub mod reduce;
 pub mod seedb;
 pub mod vizdeck;
 
-pub use annotations::{Annotation, AnnotationBoard, Region};
 pub use ordered::{ordered_bars, OrderedBars};
 pub use reduce::{m4_reduce, pixel_extents, ReducedSeries};
 pub use seedb::{

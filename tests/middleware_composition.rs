@@ -1,6 +1,6 @@
 //! Cross-layer composition tests for the pieces added beyond the
 //! initial reproduction: joins, group-wise online aggregation, synopsis
-//! answering, session-history prediction and the dbtouch canvas — each
+//! answering, faceted recommendations and the dbtouch canvas — each
 //! exercised *together with* the layers it serves.
 
 use exploration::aqp::{
@@ -8,8 +8,8 @@ use exploration::aqp::{
 };
 use exploration::exec::QueryCtx;
 use exploration::interact::canvas::{Canvas, CanvasResponse};
+use exploration::interact::faceted_recommendations;
 use exploration::interact::gesture::QueryIntent;
-use exploration::interact::history::{synthetic_sessions, SessionModel};
 use exploration::sampling::SampleCatalog;
 use exploration::storage::gen::{sales_table, SalesConfig};
 use exploration::storage::{hash_join, AggFunc, Column, DataType, Predicate, Query, Schema, Table};
@@ -134,6 +134,38 @@ fn approximate_layers_keep_their_bits() {
     );
 }
 
+/// YmalDB facets on fixed selections and `(min_support, k)` settings,
+/// digested bit for bit: every facet's column, value and three
+/// frequencies. The pin is the answer string-keyed counting always
+/// gave; counting on dictionary codes must leave it in place.
+#[test]
+fn facets_keep_their_bits() {
+    let t = sales_table(&SalesConfig {
+        rows: 20_000,
+        ..SalesConfig::default()
+    });
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for selection in [
+        Predicate::eq("channel", "channel1"),
+        Predicate::eq("region", "region0"),
+        Predicate::range("price", 50.0, 250.0),
+        Predicate::range("discount", 0.1, 0.3),
+    ] {
+        let rows = selection.evaluate(&t).unwrap();
+        for (min_support, k) in [(0, 1_000), (5, 10), (50, 5)] {
+            let facets = faceted_recommendations(&t, &rows, min_support, k).unwrap();
+            h = fold(h, facets.len() as u64);
+            for f in &facets {
+                h = fold_str(fold_str(h, &f.column), &f.value);
+                h = fold(h, f.result_frequency.to_bits());
+                h = fold(h, f.base_frequency.to_bits());
+                h = fold(h, f.lift.to_bits());
+            }
+        }
+    }
+    assert_eq!(format!("{h:#018x}"), "0xaa3d4d02e902953a");
+}
+
 #[test]
 fn join_then_explore_the_joined_table() {
     // A dimension table joins onto the fact table; exploration
@@ -227,21 +259,6 @@ fn synopsis_store_and_sampling_agree_on_counts() {
     let regions = t.column("region").unwrap().as_utf8().unwrap();
     let count0 = regions.iter().filter(|r| r.as_str() == "region0").count() as f64;
     assert!(store.point_count("region", "region0").unwrap().estimate >= count0);
-}
-
-#[test]
-fn history_model_predicts_the_habitual_next_action() {
-    let mut model = SessionModel::new();
-    for s in synthetic_sessions(300, 25, 42) {
-        model.observe(&s);
-    }
-    // The model's top prediction after "zoom" (habit: drill 0.50)
-    // matches the generating process.
-    assert_eq!(model.predict("zoom", 1)[0].0, "drill");
-    // Idiom mining surfaces a pattern a prefetcher could precompute.
-    let idioms = model.mine_patterns(2, 3);
-    assert!(!idioms.is_empty());
-    assert!(idioms[0].1 > 100, "dominant idiom is frequent");
 }
 
 #[test]

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 use exploration::cracking::{CrackerColumn, HybridCrackSort, StochasticCracker, StochasticVariant};
 use exploration::storage::{Accumulator, AggFunc, CmpOp, Predicate};
-use exploration::synopses::{CountMinSketch, Histogram, Reservoir, WaveletSynopsis};
+use exploration::synopses::{CountMinSketch, Histogram, WaveletSynopsis};
 use exploration::viz::reduce::{m4_reduce, pixel_extents};
 
 fn brute_range(base: &[i64], lo: i64, hi: i64) -> Vec<u32> {
@@ -130,25 +130,6 @@ proptest! {
                 prop_assert!((a - b).abs() < 1e-9);
             }
         }
-    }
-
-    /// A reservoir holds min(k, seen) items, all from the stream.
-    #[test]
-    fn reservoir_holds_stream_subset(
-        n in 1usize..500,
-        k in 1usize..64,
-        seed in any::<u64>(),
-    ) {
-        let mut r = Reservoir::new(k, seed);
-        for i in 0..n {
-            r.offer(i);
-        }
-        prop_assert_eq!(r.items().len(), k.min(n));
-        prop_assert!(r.items().iter().all(|&i| i < n));
-        let mut sorted = r.items().to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        prop_assert_eq!(sorted.len(), r.items().len(), "no duplicates");
     }
 
     /// Accumulator merge is equivalent to sequential updates.
