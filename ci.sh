@@ -145,6 +145,20 @@ if grep -rnF '.run_on_selection(' --include='*.rs' crates/ ||
     exit 1
 fi
 
+echo "==> one-fold lint (the pipeline folds each row for its aggregate function only)"
+# The pipeline's row loop folds with the crate-private
+# Accumulator::fold(func, x), which keeps only the fields that
+# function's finish reads (DESIGN.md §6). A full Welford `.update(` in
+# crates/storage/src/query.rs is a division per row per aggregate
+# growing back; the approximate layers, outside it, keep calling update.
+# The test module (the file stops at its first #[cfg(test)]) is not
+# checked.
+if sed '/#\[cfg(test)\]/q' crates/storage/src/query.rs | grep -nF '.update(' |
+    sed 's|^|crates/storage/src/query.rs:|' | grep .; then
+    echo "error: Accumulator::update in the query pipeline; fold with Accumulator::fold" >&2
+    exit 1
+fi
+
 echo "==> one-walk lint (one seeded row walk, one group interner for the approximate layers)"
 # Online aggregation, ordered bars and SeeDB's pruned phases consume rows
 # in one seeded order, explore_aqp::SeededWalk (crates/aqp/src/walk.rs),

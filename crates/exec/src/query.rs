@@ -363,6 +363,40 @@ mod tests {
         assert_eq!(empty.num_rows(), 0);
     }
 
+    /// A replayed selection outside the contract — a row id at or past
+    /// the end, or ids not strictly ascending — is a typed error, never a
+    /// panic or a silently shortened answer.
+    fn replay_rejects(sel: &[u32]) {
+        let t = gen::sales_table(&gen::SalesConfig {
+            rows: 1_000,
+            ..gen::SalesConfig::default()
+        });
+        let q = Query::new().group("region").agg(AggFunc::Sum, "price");
+        for policy in [ExecPolicy::Serial, ExecPolicy::Parallel { workers: 4 }] {
+            let got = run_query_on_selection(&t, &q, sel, &QueryCtx::new(policy));
+            assert!(
+                matches!(got, Err(StorageError::InvalidQuery(_))),
+                "{sel:?} under {policy:?}: {got:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn selection_replay_rejects_the_row_count_as_a_row_id() {
+        replay_rejects(&[0, 1_000]);
+    }
+
+    #[test]
+    fn selection_replay_rejects_row_ids_past_the_first_morsel() {
+        replay_rejects(&[0, 70_000]);
+    }
+
+    #[test]
+    fn selection_replay_rejects_descending_row_ids() {
+        replay_rejects(&[5, 3]);
+        replay_rejects(&[3, 3]);
+    }
+
     #[test]
     fn parts_are_bit_identical_to_the_whole() {
         let t = table();

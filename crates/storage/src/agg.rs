@@ -85,7 +85,12 @@ impl<'a> Measure<'a> {
 ///
 /// Tracks count, sum, min, max, and Welford mean/M2 simultaneously; the
 /// requested function is applied at `finish` time. The fixed small state
-/// (five f64 + one u64) keeps group-by hash tables compact.
+/// (five f64 + one u64) keeps group-by hash tables compact. The query
+/// pipeline, which knows its function up front, folds rows with the
+/// crate-private `fold` instead of [`update`](Self::update): it keeps
+/// only the fields that function's `finish` reads, in the same operation
+/// sequence, so the answer is the same to the bit (a NaN stays a NaN;
+/// Rust leaves the sign and payload of an arithmetic NaN unspecified).
 #[derive(Debug, Clone, Copy)]
 pub struct Accumulator {
     count: u64,
@@ -129,6 +134,35 @@ impl Accumulator {
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
         self.m2 += delta * (x - self.mean);
+    }
+
+    /// Fold one value in for `func` alone: `COUNT` keeps `count`, `SUM`
+    /// `count` and `sum`, `MIN`/`MAX` `count`, `min` and `max`, and only
+    /// `AVG`/`VAR`/`STD` run the full Welford [`update`](Self::update).
+    /// Each field kept goes through the same operations as in `update`,
+    /// and [`merge`](Self::merge) branches on `count` alone, so a
+    /// `fold`-built accumulator merges and finishes `func` to the same
+    /// bits as an `update`-built one, up to the sign and payload of a
+    /// NaN. Its other fields are meaningless.
+    #[inline]
+    pub(crate) fn fold(&mut self, func: AggFunc, x: f64) {
+        match func {
+            AggFunc::Count => self.count += 1,
+            AggFunc::Sum => {
+                self.count += 1;
+                self.sum += x;
+            }
+            AggFunc::Min | AggFunc::Max => {
+                self.count += 1;
+                if x < self.min {
+                    self.min = x;
+                }
+                if x > self.max {
+                    self.max = x;
+                }
+            }
+            AggFunc::Avg | AggFunc::Var | AggFunc::Std => self.update(x),
+        }
     }
 
     /// Merge another accumulator (parallel aggregation / sample union).
@@ -232,6 +266,7 @@ impl Accumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn acc(values: &[f64]) -> Accumulator {
         let mut a = Accumulator::new();
@@ -302,6 +337,75 @@ mod tests {
         let base = 1e9;
         let a = acc(&[base + 1.0, base + 2.0, base + 3.0]);
         assert!((a.variance() - 2.0 / 3.0).abs() < 1e-6);
+    }
+
+    const FUNCS: [AggFunc; 7] = [
+        AggFunc::Count,
+        AggFunc::Sum,
+        AggFunc::Avg,
+        AggFunc::Min,
+        AggFunc::Max,
+        AggFunc::Var,
+        AggFunc::Std,
+    ];
+
+    /// Values rich in the cases where float folds can diverge: NaN,
+    /// infinities, signed zeros, subnormals and large magnitudes.
+    fn tricky() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            6 => -1e3f64..1e3,
+            1 => prop::sample::select(vec![
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                0.0,
+                -0.0,
+                5e-324,
+                -f64::MIN_POSITIVE / 4.0,
+                1e300,
+                -1e300,
+            ]),
+        ]
+    }
+
+    proptest! {
+        /// For every function, a sequence cut at random merge points and
+        /// folded piece by piece, the pieces merged in order, finishes to
+        /// the same bits as the same pieces built with `update`. A NaN
+        /// compares as a NaN: the sign and payload of a NaN that
+        /// arithmetic produces are not specified, and an optimized build
+        /// may pick another one for the same sum in `fold` than in
+        /// `update`.
+        #[test]
+        fn fold_merges_and_finishes_like_update(
+            xs in prop::collection::vec(tricky(), 0..200),
+            cuts in prop::collection::vec(0usize..200, 0..6),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(xs.len())).collect();
+            cuts.extend([0, xs.len()]);
+            cuts.sort_unstable();
+            let bits = |v: f64| if v.is_nan() { f64::NAN.to_bits() } else { v.to_bits() };
+            for func in FUNCS {
+                let (mut folded, mut updated) = (Accumulator::new(), Accumulator::new());
+                for w in cuts.windows(2) {
+                    let (mut f, mut u) = (Accumulator::new(), Accumulator::new());
+                    for &x in &xs[w[0]..w[1]] {
+                        f.fold(func, x);
+                        u.update(x);
+                    }
+                    folded.merge(&f);
+                    updated.merge(&u);
+                }
+                prop_assert_eq!(
+                    bits(folded.finish(func)),
+                    bits(updated.finish(func)),
+                    "{} of {:?} cut at {:?}",
+                    func,
+                    xs,
+                    cuts
+                );
+            }
+        }
     }
 
     #[test]

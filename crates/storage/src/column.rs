@@ -184,6 +184,24 @@ impl Column {
         Ok(())
     }
 
+    /// [`extend_from`](Self::extend_from) by move: `other`'s values are
+    /// moved in, not cloned.
+    pub(crate) fn absorb(&mut self, other: Column) -> Result<()> {
+        match (self, other) {
+            (Column::Int64(a), Column::Int64(mut b)) => a.append(&mut b),
+            (Column::Float64(a), Column::Float64(mut b)) => a.append(&mut b),
+            (Column::Utf8(a), Column::Utf8(mut b)) => a.append(&mut b),
+            (a, b) => {
+                return Err(StorageError::TypeMismatch {
+                    column: String::new(),
+                    expected: a.data_type().name(),
+                    found: b.data_type().name(),
+                })
+            }
+        }
+        Ok(())
+    }
+
     /// Minimum and maximum as `f64` for numeric columns (`None` when the
     /// column is empty or non-numeric). Used by synopses and grid indexes.
     pub fn numeric_min_max(&self) -> Option<(f64, f64)> {

@@ -32,7 +32,9 @@
 //! repo benchmark pins in that summation order.)
 
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 
 use crate::agg::{Accumulator, AggFunc, Measure};
@@ -351,6 +353,9 @@ impl Query {
     /// order, and empty slices merge as exact no-ops. The semantic
     /// result cache leans on this to answer a contained range query from
     /// a cached superset without perturbing a single ulp.
+    ///
+    /// A `sel` that is not strictly ascending, or names a row id at or
+    /// past the table's end, is a [`StorageError::InvalidQuery`].
     pub fn replay_selection<D: MorselDispatch>(
         &self,
         table: &Table,
@@ -358,6 +363,11 @@ impl Query {
         dispatch: &D,
     ) -> Result<Table> {
         let n = table.num_rows();
+        if sel.windows(2).any(|w| w[0] >= w[1]) || sel.last().is_some_and(|&r| r as usize >= n) {
+            return Err(StorageError::InvalidQuery(format!(
+                "a replayed selection must be strictly ascending row ids below {n}"
+            )));
+        }
         let n_morsels = morsel_count(n);
         // `sel` is ascending, so each morsel's share is one contiguous
         // slice; cut at the same row offsets a direct run scans at.
@@ -413,7 +423,7 @@ impl Query {
                         let rows = self.scan_rows(parts[p], &sel)?;
                         match &mut piece {
                             None => piece = Some(rows),
-                            Some(piece) => piece.append(&rows)?,
+                            Some(piece) => piece.absorb(rows)?,
                         }
                     }
                     Ok(piece.expect("every morsel has a fragment"))
@@ -423,7 +433,7 @@ impl Query {
                 let mut iter = pieces.into_iter();
                 let mut out = iter.next().expect("at least one morsel");
                 for piece in iter {
-                    out.append(&piece)?;
+                    out.absorb(piece)?;
                 }
                 Ok(out)
             })?
@@ -481,17 +491,23 @@ impl Query {
 
     /// Apply the query's ORDER BY and LIMIT clauses to an already
     /// filtered/aggregated result: the pipeline sorts only after merging.
-    pub fn apply_order_limit(&self, mut result: Table) -> Result<Table> {
-        if let Some((col, order)) = &self.order_by {
-            result = sort_table(&result, col, *order)?;
-        }
-        if let Some(limit) = self.limit {
-            if result.num_rows() > limit {
-                let sel: Vec<u32> = (0..limit as u32).collect();
-                result = result.gather(&sel);
+    /// The output is the first `LIMIT` rows of [`sort_table`]'s order,
+    /// but under a limit below the row count only that many rows are
+    /// ordered and gathered.
+    pub fn apply_order_limit(&self, result: Table) -> Result<Table> {
+        let n = result.num_rows();
+        let k = self.limit.map_or(n, |limit| limit.min(n));
+        match &self.order_by {
+            Some((col, order)) => {
+                let sel = order_rows(result.column(col)?, *order, k);
+                Ok(result.gather(&sel))
             }
+            None if k < n => {
+                let sel: Vec<u32> = (0..k as u32).collect();
+                Ok(result.gather(&sel))
+            }
+            None => Ok(result),
         }
-        Ok(result)
     }
 }
 
@@ -608,16 +624,38 @@ fn key_matches_row(key: &[KeyPart], cols: &[&Column], row: usize) -> bool {
     })
 }
 
+/// The bucket map's hasher: its keys are [`hash_row`]/[`hash_key`]
+/// outputs, already mixed by [`mix64`], so they pass through as they
+/// are instead of being hashed a second time. A seeded second hash
+/// would not make the map resistant to crafted keys either: keys that
+/// collide in the unseeded `hash_row` share a bucket under any hasher.
+#[derive(Debug, Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the group bucket map is keyed by u64 hashes only")
+    }
+
+    fn write_u64(&mut self, h: u64) {
+        self.0 = h;
+    }
+}
+
 /// A group-key interner: maps group keys to dense slot ids, assigned in
 /// first-appearance order (which is what fixes group output order).
 /// Rows are hashed straight off the column storage, so the per-row hot
 /// path allocates a `Vec<KeyPart>` only the first time a group appears.
 /// The full-hash bucket map makes slot assignment independent of the
-/// `HashMap`'s seed: bucket contents are ordered by insertion, and
+/// map's hasher: bucket contents are ordered by insertion, and
 /// collisions fall back to exact key comparison.
 #[derive(Debug, Default)]
 struct GroupIndex {
-    buckets: HashMap<u64, Vec<u32>>,
+    buckets: HashMap<u64, Vec<u32>, BuildHasherDefault<PassThrough>>,
     keys: Vec<Vec<KeyPart>>,
 }
 
@@ -664,7 +702,8 @@ impl GroupIndex {
 #[derive(Debug)]
 struct AggColumns<'t> {
     group_cols: Vec<&'t Column>,
-    measures: Vec<Measure<'t>>,
+    /// Each aggregate's function and the values it folds.
+    measures: Vec<(AggFunc, Measure<'t>)>,
 }
 
 impl<'t> AggColumns<'t> {
@@ -678,7 +717,7 @@ impl<'t> AggColumns<'t> {
             .collect::<Result<_>>()?;
         let measures = aggs
             .iter()
-            .map(|a| Measure::resolve(table, a.func, &a.column))
+            .map(|a| Ok((a.func, Measure::resolve(table, a.func, &a.column)?)))
             .collect::<Result<_>>()?;
         Ok(AggColumns {
             group_cols,
@@ -845,8 +884,8 @@ impl WorkerAggState {
                 accs.resize(accs.len() + n_aggs, Accumulator::new());
                 local
             };
-            for (i, m) in cols.measures.iter().enumerate() {
-                accs[local * n_aggs + i].update(m.at(row));
+            for (i, &(func, m)) in cols.measures.iter().enumerate() {
+                accs[local * n_aggs + i].fold(func, m.at(row));
             }
         }
     }
@@ -857,21 +896,54 @@ impl WorkerAggState {
     }
 }
 
-/// Stable sort of a table by one column.
+/// Stable sort of a table by one column (floats by `total_cmp`); `Desc`
+/// is the ascending order reversed.
 pub fn sort_table(table: &Table, column: &str, order: SortOrder) -> Result<Table> {
-    let col = table.column(column)?;
-    let mut sel: Vec<u32> = (0..table.num_rows() as u32).collect();
-    match col {
-        Column::Int64(v) => sel.sort_by_key(|&i| v[i as usize]),
-        Column::Float64(v) => {
-            sel.sort_by(|&a, &b| v[a as usize].total_cmp(&v[b as usize]));
-        }
-        Column::Utf8(v) => sel.sort_by(|&a, &b| v[a as usize].cmp(&v[b as usize])),
-    }
-    if order == SortOrder::Desc {
-        sel.reverse();
-    }
+    let sel = order_rows(table.column(column)?, order, table.num_rows());
     Ok(table.gather(&sel))
+}
+
+/// The first `k` row ids of [`sort_table`]'s order of `col`. That order
+/// is the total order on (value, row id) — a stable ascending sort
+/// breaks ties by row id — reversed for `Desc`. For `k < len` the `k`
+/// least ids under it are selected in linear time and only they are
+/// sorted; being a total order, its first `k` are the same ids in the
+/// same order whichever algorithm finds them.
+fn order_rows(col: &Column, order: SortOrder, k: usize) -> Vec<u32> {
+    let mut sel: Vec<u32> = (0..col.len() as u32).collect();
+    match col {
+        Column::Int64(v) => first_k(&mut sel, k, order, |a, b| v[a].cmp(&v[b])),
+        Column::Float64(v) => first_k(&mut sel, k, order, |a, b| v[a].total_cmp(&v[b])),
+        Column::Utf8(v) => first_k(&mut sel, k, order, |a, b| v[a].cmp(&v[b])),
+    }
+    sel
+}
+
+/// Reorder the row ids `sel` (ascending on entry) by `by_value`, stably,
+/// reversed for `Desc`, and keep the first `k`.
+fn first_k(
+    sel: &mut Vec<u32>,
+    k: usize,
+    order: SortOrder,
+    by_value: impl Fn(usize, usize) -> Ordering,
+) {
+    if k < sel.len() {
+        let total = |a: &u32, b: &u32| {
+            let asc = by_value(*a as usize, *b as usize).then(a.cmp(b));
+            match order {
+                SortOrder::Asc => asc,
+                SortOrder::Desc => asc.reverse(),
+            }
+        };
+        sel.select_nth_unstable_by(k, total);
+        sel.truncate(k);
+        sel.sort_unstable_by(total);
+    } else {
+        sel.sort_by(|a, b| by_value(*a as usize, *b as usize));
+        if order == SortOrder::Desc {
+            sel.reverse();
+        }
+    }
 }
 
 #[cfg(test)]

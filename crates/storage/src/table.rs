@@ -132,15 +132,35 @@ impl Table {
 
     /// Append all rows of another table with an identical schema.
     pub fn append(&mut self, other: &Table) -> Result<()> {
+        self.check_same_schema(other)?;
+        for (a, b) in self.columns.iter_mut().zip(&other.columns) {
+            a.extend_from(b)?;
+        }
+        self.rows += other.rows;
+        Ok(())
+    }
+
+    /// [`append`](Self::append) by move: `other`'s cells are moved in,
+    /// not cloned (an empty `self` takes `other`'s columns whole).
+    pub(crate) fn absorb(&mut self, other: Table) -> Result<()> {
+        self.check_same_schema(&other)?;
+        if self.rows == 0 {
+            *self = other;
+            return Ok(());
+        }
+        for (a, b) in self.columns.iter_mut().zip(other.columns) {
+            a.absorb(b)?;
+        }
+        self.rows += other.rows;
+        Ok(())
+    }
+
+    fn check_same_schema(&self, other: &Table) -> Result<()> {
         if self.schema != other.schema {
             return Err(StorageError::InvalidQuery(
                 "append requires identical schemas".into(),
             ));
         }
-        for (a, b) in self.columns.iter_mut().zip(&other.columns) {
-            a.extend_from(b)?;
-        }
-        self.rows += other.rows;
         Ok(())
     }
 
@@ -310,6 +330,21 @@ mod tests {
         assert_eq!(t.num_rows(), 6);
         let different = Table::empty(Schema::of(&[("x", DataType::Int64)]));
         assert!(t.append(&different).is_err());
+    }
+
+    #[test]
+    fn absorb_is_append_by_move() {
+        let mut appended = sample();
+        appended.append(&sample()).unwrap();
+        let mut absorbed = sample();
+        absorbed.absorb(sample()).unwrap();
+        assert_eq!(absorbed, appended);
+        let mut empty = Table::empty(sample().schema().clone());
+        empty.absorb(sample()).unwrap();
+        assert_eq!(empty, sample());
+        let different = Table::empty(Schema::of(&[("x", DataType::Int64)]));
+        assert!(absorbed.absorb(different).is_err());
+        assert_eq!(absorbed, appended);
     }
 
     #[test]

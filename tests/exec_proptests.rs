@@ -8,7 +8,10 @@
 //! must match the whole table the same way, and every query must agree
 //! with the independent oracle (`tests/common/oracle.rs`). A further
 //! property pins cracked-range answers to full-scan equivalence on
-//! random crack sequences.
+//! random crack sequences. `kernel_bits_are_pinned` fixes the digest of
+//! every result bit over a grid of aggregates, keys, row counts and
+//! partitions, and `order_limit_is_a_prefix_of_the_full_sort` holds the
+//! top-k `ORDER BY … LIMIT` to the full stable sort.
 
 use std::sync::OnceLock;
 
@@ -17,8 +20,8 @@ use proptest::prelude::*;
 use exploration::cracking::CrackerColumn;
 use exploration::exec::{evaluate_selection, run_query, run_query_parts, ExecPolicy, QueryCtx};
 use exploration::storage::{
-    mask_to_sel, AggFunc, CmpOp, Column, DataType, Predicate, Query, Schema, SortOrder, Table,
-    MORSEL_ROWS,
+    mask_to_sel, sort_table, AggFunc, CmpOp, Column, DataType, Predicate, Query, Schema, SortOrder,
+    Table, MORSEL_ROWS,
 };
 use exploration::{FailPoints, Schedule};
 
@@ -249,6 +252,175 @@ fn split(table: &Table, cuts: &[usize]) -> Vec<Table> {
         .collect()
 }
 
+/// SplitMix64: the deterministic source of the pinned grid's cells.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// The pinned grid's table at `rows` rows: group keys `ki` (Int),
+/// `kf` (Float, with both NaNs and both zeros as distinct keys) and
+/// `ks` (Utf8), and measures `mi` (Int, with the i64 extremes) and `mf`
+/// (Float). `mf` is a plain value in most groups of `ki`; group 3 also
+/// holds NaNs, group −2 `+inf`, group 4 `−inf`, group 1 both
+/// infinities, and group 0 only signed zeros and subnormals.
+fn grid_table(rows: usize) -> Table {
+    let mut state = 0x5eed_0000 + rows as u64;
+    let (mut ki, mut kf, mut ks, mut mi, mut mf) = (vec![], vec![], vec![], vec![], vec![]);
+    let key_floats = [f64::NAN, -f64::NAN, -0.0, 0.0, 1.5, -2.25, f64::INFINITY];
+    let key_strs = ["", "east", "west", "nörd", "s", "south", "Ost"];
+    let tiny = [0.0, -0.0, 5e-324, -5e-324, f64::MIN_POSITIVE / 3.0, 1e-310];
+    for i in 0..rows {
+        let r = splitmix(&mut state);
+        let k = (r % 11) as i64 - 5;
+        ki.push(k);
+        kf.push(key_floats[(r >> 8) as usize % key_floats.len()]);
+        ks.push(key_strs[(r >> 16) as usize % key_strs.len()].to_string());
+        mi.push(match i % 4099 {
+            7 => i64::MAX,
+            8 => i64::MIN,
+            _ => ((r >> 24) % 2001) as i64 - 1000,
+        });
+        let plain = (r >> 11) as f64 / (1u64 << 53) as f64 * 2000.0 - 1000.0;
+        let rare = (r >> 40).is_multiple_of(40);
+        mf.push(match k {
+            3 if rare => f64::NAN,
+            -2 if rare => f64::INFINITY,
+            4 if rare => f64::NEG_INFINITY,
+            1 if rare => [f64::INFINITY, f64::NEG_INFINITY][(r >> 50) as usize % 2],
+            0 => tiny[(r >> 32) as usize % tiny.len()],
+            _ => plain,
+        });
+    }
+    Table::new(
+        Schema::of(&[
+            ("ki", DataType::Int64),
+            ("kf", DataType::Float64),
+            ("ks", DataType::Utf8),
+            ("mi", DataType::Int64),
+            ("mf", DataType::Float64),
+        ]),
+        vec![
+            Column::from(ki),
+            Column::from(kf),
+            Column::from(ks),
+            Column::from(mi),
+            Column::from(mf),
+        ],
+    )
+    .unwrap()
+}
+
+/// FNV-1a over a result's schema and every cell. Floats enter by their
+/// bits, except that every NaN enters as one canonical NaN: the sign and
+/// payload of a NaN an arithmetic operation produces are not specified
+/// across platforms.
+fn digest_table(h: &mut u64, t: &Table) {
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            *h = (*h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    eat(&(t.num_rows() as u64).to_le_bytes());
+    for (field, col) in t.schema().fields().iter().zip(t.columns()) {
+        eat(field.name().as_bytes());
+        match col {
+            Column::Int64(v) => v.iter().for_each(|x| eat(&x.to_le_bytes())),
+            Column::Float64(v) => v.iter().for_each(|x| {
+                let bits = if x.is_nan() {
+                    f64::NAN.to_bits()
+                } else {
+                    x.to_bits()
+                };
+                eat(&bits.to_le_bytes())
+            }),
+            Column::Utf8(v) => v.iter().for_each(|s| {
+                eat(&(s.len() as u64).to_le_bytes());
+                eat(s.as_bytes())
+            }),
+        }
+    }
+}
+
+/// Every result bit of the query kernels over a grid: all seven
+/// aggregate functions on an Int and a Float measure (NaN, ±inf, ±0.0,
+/// subnormals), unfiltered and filtered, under no key, an Int, a Float,
+/// a Utf8 and a two-column key; projections ordered by each column with
+/// heavy ties, ASC and DESC, under several limits; at row counts around
+/// the morsel grid, run whole and as three parts through
+/// `run_query_parts`. The digest was recorded before the per-function
+/// folds, the pass-through group hasher, the top-k order and the
+/// move-merge of scan pieces, and holds after them.
+#[test]
+fn kernel_bits_are_pinned() {
+    const PINNED: u64 = 0x6947_460c_7858_89ca;
+    let funcs = [
+        AggFunc::Count,
+        AggFunc::Sum,
+        AggFunc::Avg,
+        AggFunc::Min,
+        AggFunc::Max,
+        AggFunc::Var,
+        AggFunc::Std,
+    ];
+    let keys: [&[&str]; 5] = [&[], &["ki"], &["kf"], &["ks"], &["ks", "ki"]];
+    let filters = [Predicate::True, Predicate::cmp("mi", CmpOp::Ge, -300i64)];
+    let mut aggregates = Vec::new();
+    for key in keys {
+        for filter in &filters {
+            let mut q = Query::new()
+                .filter(filter.clone())
+                .agg(AggFunc::Count, "ks");
+            for col in ["mi", "mf"] {
+                for f in funcs {
+                    q = q.agg(f, col);
+                }
+            }
+            for k in key {
+                q = q.group(k);
+            }
+            aggregates.push(q);
+        }
+    }
+    let mut scans = Vec::new();
+    for col in ["ki", "kf", "ks", "mf"] {
+        for order in [SortOrder::Asc, SortOrder::Desc] {
+            for limit in [Some(0), Some(1), Some(777), None] {
+                let mut q = Query::new()
+                    .filter(Predicate::cmp("mi", CmpOp::Ge, -100i64).and(Predicate::cmp(
+                        "mi",
+                        CmpOp::Lt,
+                        100i64,
+                    )))
+                    .select(&["ks", "ki", "kf", "mf"])
+                    .order(col, order);
+                q.limit = limit;
+                scans.push(q);
+            }
+        }
+    }
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for rows in [0, 1, MORSEL_ROWS - 1, MORSEL_ROWS + 1, 3 * MORSEL_ROWS + 5] {
+        let t = grid_table(rows);
+        let cuts = [0, rows / 3, rows / 3 + rows.div_ceil(3), rows];
+        let owned = split(&t, &cuts);
+        let thirds: Vec<&Table> = owned.iter().collect();
+        for q in aggregates.iter().chain(&scans) {
+            let whole = run_query_parts(&[&t], q, &QueryCtx::none()).unwrap();
+            let parts = run_query_parts(&thirds, q, &QueryCtx::none()).unwrap();
+            let (mut a, mut b) = (h, h);
+            digest_table(&mut a, &whole);
+            digest_table(&mut b, &parts);
+            assert_eq!(a, b, "parts diverged on {q:?} at {rows} rows");
+            h = a;
+        }
+    }
+    assert_eq!(h, PINNED, "kernel digest moved: {h:#018x}");
+}
+
 fn brute_range_ids(base: &[i64], lo: i64, hi: i64) -> Vec<u32> {
     base.iter()
         .enumerate()
@@ -461,6 +633,50 @@ proptest! {
                 a.is_ok(),
                 b.is_ok()
             ),
+        }
+    }
+
+    /// `ORDER BY … LIMIT k` is the first `k` rows of the full stable
+    /// sort (`sort_table`), for Int, Float and Utf8 keys drawn from a few
+    /// values each (heavy ties, both NaNs, both zeros), ASC and DESC,
+    /// k ∈ {0, 1, n−1, n, n+1}, and without a limit.
+    #[test]
+    fn order_limit_is_a_prefix_of_the_full_sort(
+        cells in prop::collection::vec((0usize..4, 0usize..7, 0usize..4), 0..2000),
+    ) {
+        let n = cells.len();
+        let floats = [f64::NAN, -f64::NAN, -0.0, 0.0, 1.0, -1.0, f64::INFINITY];
+        let strs = ["a", "b", "", "bb"];
+        let t = Table::new(
+            Schema::of(&[
+                ("id", DataType::Int64),
+                ("i", DataType::Int64),
+                ("f", DataType::Float64),
+                ("s", DataType::Utf8),
+            ]),
+            vec![
+                Column::from((0..n as i64).collect::<Vec<_>>()),
+                Column::from(cells.iter().map(|c| c.0 as i64 - 1).collect::<Vec<_>>()),
+                Column::from(cells.iter().map(|c| floats[c.1]).collect::<Vec<_>>()),
+                Column::from(cells.iter().map(|c| strs[c.2]).collect::<Vec<_>>()),
+            ],
+        )
+        .unwrap();
+        for col in ["i", "f", "s"] {
+            for order in [SortOrder::Asc, SortOrder::Desc] {
+                let sorted = sort_table(&t, col, order).unwrap();
+                let q = Query::new().order(col, order);
+                let all = q.apply_order_limit(t.clone()).unwrap();
+                prop_assert!(tables_bitwise_equal(&all, &sorted), "{col} {order:?}");
+                for k in [0, 1, n.saturating_sub(1), n, n + 1] {
+                    let got = q.clone().take(k).apply_order_limit(t.clone()).unwrap();
+                    let prefix: Vec<u32> = (0..k.min(n) as u32).collect();
+                    prop_assert!(
+                        tables_bitwise_equal(&got, &sorted.gather(&prefix)),
+                        "{col} {order:?} limit {k} of {n}"
+                    );
+                }
+            }
         }
     }
 
