@@ -159,6 +159,20 @@ if sed '/#\[cfg(test)\]/q' crates/storage/src/query.rs | grep -nF '.update(' |
     exit 1
 fi
 
+echo "==> utf8-seam lint (only explore-storage knows how a string column is laid out)"
+# Outside crates/storage a string column is read through Column::str_at,
+# Column::strs and Column::heap_bytes, and grouped through
+# explore_storage::Dictionary (DESIGN.md §4). A match on Column::Utf8 or
+# a borrowed &[String] elsewhere is one more site a change of the string
+# representation has to edit. Test modules (each file stops at its first
+# #[cfg(test)]) are not checked.
+if find crates/*/src src examples -name '*.rs' -not -path 'crates/storage/*' | while read -r f; do
+    sed '/#\[cfg(test)\]/q' "$f" | grep -nE 'Column::Utf8|as_utf8' | sed "s|^|$f:|" || true
+done | grep .; then
+    echo "error: string column layout read outside crates/storage; use Column::str_at/strs/heap_bytes" >&2
+    exit 1
+fi
+
 echo "==> one-walk lint (one seeded row walk, one group interner for the approximate layers)"
 # Online aggregation, ordered bars and SeeDB's pruned phases consume rows
 # in one seeded order, explore_aqp::SeededWalk (crates/aqp/src/walk.rs),

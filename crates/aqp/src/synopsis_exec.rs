@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 
-use explore_storage::{Column, Result, StorageError, Table};
+use explore_storage::{Result, StorageError, Table};
 use explore_synopses::{CountMinSketch, Histogram, HyperLogLog};
 
 /// Which synopsis produced an answer.
@@ -51,29 +51,27 @@ impl SynopsisStore {
     pub fn build(table: &Table, buckets: usize) -> Self {
         let mut columns = HashMap::new();
         for (i, field) in table.schema().fields().iter().enumerate() {
-            let syn = match table.column_at(i) {
-                Column::Utf8(values) => {
-                    let mut sketch = CountMinSketch::with_error(0.001, 0.01);
-                    let mut distinct = HyperLogLog::new(12);
-                    for v in values {
-                        sketch.insert_str(v);
-                        distinct.insert_str(v);
-                    }
-                    ColumnSynopses {
-                        histogram: None,
-                        sketch: Some(sketch),
-                        distinct: Some(distinct),
-                    }
+            let col = table.column_at(i);
+            let syn = if let Some(values) = col.strs() {
+                let mut sketch = CountMinSketch::with_error(0.001, 0.01);
+                let mut distinct = HyperLogLog::new(12);
+                for v in values {
+                    sketch.insert_str(v);
+                    distinct.insert_str(v);
                 }
-                col => {
-                    let data: Vec<f64> = (0..table.num_rows())
-                        .filter_map(|r| col.numeric_at(r))
-                        .collect();
-                    ColumnSynopses {
-                        histogram: Some(Histogram::equi_depth(&data, buckets)),
-                        sketch: None,
-                        distinct: None,
-                    }
+                ColumnSynopses {
+                    histogram: None,
+                    sketch: Some(sketch),
+                    distinct: Some(distinct),
+                }
+            } else {
+                let data: Vec<f64> = (0..table.num_rows())
+                    .filter_map(|r| col.numeric_at(r))
+                    .collect();
+                ColumnSynopses {
+                    histogram: Some(Histogram::equi_depth(&data, buckets)),
+                    sketch: None,
+                    distinct: None,
                 }
             };
             columns.insert(field.name().to_owned(), syn);

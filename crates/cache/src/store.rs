@@ -626,22 +626,14 @@ impl ResultCache {
     }
 }
 
-/// Resident size estimate of a table: raw vector payloads plus a fixed
-/// per-table overhead. Strings count their byte length plus the
-/// `String` header.
+/// Resident size estimate of a table: each column's
+/// [`Column::heap_bytes`] plus a fixed per-table overhead.
 pub fn table_bytes(table: &Table) -> usize {
-    let mut bytes = 64;
-    for field in table.schema().fields() {
-        let Ok(col) = table.column(field.name()) else {
-            continue;
-        };
-        bytes += match col {
-            Column::Int64(v) => v.len() * 8,
-            Column::Float64(v) => v.len() * 8,
-            Column::Utf8(v) => v.iter().map(|s| s.len() + 24).sum(),
-        };
-    }
-    bytes
+    64 + table
+        .columns()
+        .iter()
+        .map(Column::heap_bytes)
+        .sum::<usize>()
 }
 
 #[cfg(test)]
@@ -931,5 +923,29 @@ mod tests {
             Fingerprint::for_query("t", &q),
             Fingerprint::for_query("t", &q.clone())
         );
+    }
+
+    #[test]
+    fn table_bytes_is_eight_per_number_and_len_plus_24_per_string() {
+        // "é" is two bytes of UTF-8; the empty label still pays the header.
+        let labels = ["", "é", "east", "north-west"];
+        let n = labels.len();
+        let t = Table::new(
+            Schema::of(&[
+                ("i", DataType::Int64),
+                ("f", DataType::Float64),
+                ("s", DataType::Utf8),
+            ]),
+            vec![
+                Column::from(vec![1i64, -2, 3, 4]),
+                Column::from(vec![0.5, f64::NAN, -0.0, 3.5]),
+                Column::from(labels.to_vec()),
+            ],
+        )
+        .unwrap();
+        let strings: usize = labels.iter().map(|s| s.len() + 24).sum();
+        assert_eq!(strings, 24 + 26 + 28 + 34);
+        assert_eq!(table_bytes(&t), 64 + 8 * n + 8 * n + strings);
+        assert_eq!(table_bytes(&t), 240);
     }
 }

@@ -1127,7 +1127,7 @@ impl ExploreDb {
     ) -> Result<CubeSession> {
         let c = self.resolve();
         let t = self.table(table)?;
-        let cube = DataCube::new((*t).clone(), dims, measure, func)?;
+        let cube = DataCube::new(t, dims, measure, func)?;
         let mut session = CubeSession::new(cube, speculate).with_cancel(c.session_token());
         if c.obs_on {
             session = session.with_metrics(Some(self.shared.obs.metrics()));

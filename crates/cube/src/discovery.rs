@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 
-use explore_storage::{AggFunc, Query, Result, StorageError, Table};
+use explore_storage::{AggFunc, Dictionary, Query, Result, StorageError, Table};
 
 /// One scored cube cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,30 +46,27 @@ impl DiscoveryView {
     /// result. Lets callers that obtained the grouped table elsewhere
     /// (e.g. through the engine's cached/traced pipeline) reuse it.
     pub fn from_grouped(grouped: &Table, dim_a: &str, dim_b: &str, measure: &str) -> Result<Self> {
-        let utf8 = |name: &str| -> Result<&[String]> {
-            grouped.column(name)?.as_utf8().ok_or_else(|| {
-                StorageError::Internal(format!("discovery dimension {name} is not Utf8"))
-            })
-        };
-        let a_vals = utf8(dim_a)?;
-        let b_vals = utf8(dim_b)?;
+        let a = Dictionary::encode(grouped, dim_a)?;
+        let b = Dictionary::encode(grouped, dim_b)?;
         let agg_name = format!("sum({measure})");
         let sums = grouped.column(&agg_name)?.as_f64().ok_or_else(|| {
             StorageError::Internal(format!("discovery aggregate {agg_name} is not Float64"))
         })?;
 
-        let mut row_tot: HashMap<&str, f64> = HashMap::new();
-        let mut col_tot: HashMap<&str, f64> = HashMap::new();
+        // Marginal totals per label, added in row order.
+        let mut row_tot = vec![0.0; a.labels().len()];
+        let mut col_tot = vec![0.0; b.labels().len()];
         let mut grand = 0.0;
-        for ((a, b), &s) in a_vals.iter().zip(b_vals).zip(sums) {
-            *row_tot.entry(a).or_insert(0.0) += s;
-            *col_tot.entry(b).or_insert(0.0) += s;
+        for ((&i, &j), &s) in a.codes().iter().zip(b.codes()).zip(sums) {
+            row_tot[i as usize] += s;
+            col_tot[j as usize] += s;
             grand += s;
         }
         let mut cells = Vec::with_capacity(sums.len());
-        for ((a, b), &actual) in a_vals.iter().zip(b_vals).zip(sums) {
+        for ((&i, &j), &actual) in a.codes().iter().zip(b.codes()).zip(sums) {
+            let (i, j) = (i as usize, j as usize);
             let expected = if grand != 0.0 {
-                row_tot[a.as_str()] * col_tot[b.as_str()] / grand
+                row_tot[i] * col_tot[j] / grand
             } else {
                 0.0
             };
@@ -79,8 +76,8 @@ impl DiscoveryView {
                 0.0
             };
             cells.push(CellScore {
-                dim_a: a.clone(),
-                dim_b: b.clone(),
+                dim_a: a.labels()[i].clone(),
+                dim_b: b.labels()[j].clone(),
                 actual,
                 expected,
                 surprise,
@@ -220,6 +217,16 @@ mod tests {
         let v = DiscoveryView::build(&t, "region", "product", "amount").unwrap();
         assert!(v.cells().iter().all(|c| c.surprise.abs() < 1e-9));
         assert!(v.exceptions(0.1).is_empty());
+    }
+
+    #[test]
+    fn numeric_dimension_is_a_type_mismatch() {
+        let t = anomalous_table();
+        let err = DiscoveryView::build(&t, "region", "amount", "amount").unwrap_err();
+        assert!(
+            matches!(err, StorageError::TypeMismatch { ref column, expected: "Utf8", .. } if column == "amount"),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -6,13 +6,14 @@
 //! cuboids; this module computes and caches them on demand.
 
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 use explore_storage::{AggFunc, Query, Result, SortOrder, StorageError, Table};
 
 /// A lazily-materialized data cube over one table.
 #[derive(Debug)]
 pub struct DataCube {
-    table: Table,
+    table: Arc<Table>,
     dims: Vec<String>,
     measure: String,
     func: AggFunc,
@@ -26,8 +27,15 @@ pub struct DataCube {
 
 impl DataCube {
     /// Define a cube. `dims` must be existing columns; `measure` must be
-    /// numeric unless `func` is COUNT.
-    pub fn new(table: Table, dims: &[&str], measure: &str, func: AggFunc) -> Result<Self> {
+    /// numeric unless `func` is COUNT. An `Arc<Table>` is shared, not
+    /// copied.
+    pub fn new(
+        table: impl Into<Arc<Table>>,
+        dims: &[&str],
+        measure: &str,
+        func: AggFunc,
+    ) -> Result<Self> {
+        let table = table.into();
         for d in dims {
             table.schema().index_of(d)?;
         }

@@ -66,8 +66,9 @@ pub fn discover_query(table: &Table, example_rows: &[usize]) -> Result<Discovere
                 // Half-open range: nudge the top to include the max.
                 Predicate::range(field.name(), lo, hi + hi.abs().max(1.0) * 1e-12)
             }
-            Column::Utf8(v) => {
-                let values: BTreeSet<&str> = example_rows.iter().map(|&r| v[r].as_str()).collect();
+            col => {
+                let values: BTreeSet<&str> =
+                    example_rows.iter().filter_map(|&r| col.str_at(r)).collect();
                 let eqs: Vec<Predicate> = values
                     .into_iter()
                     .map(|val| Predicate::eq(field.name(), Value::Str(val.to_owned())))

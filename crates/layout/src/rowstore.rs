@@ -5,13 +5,13 @@
 //! [`RowStore`] stores fixed-width numeric rows contiguously, which makes
 //! whole-row access one cache line instead of `k` scattered reads.
 
-use explore_storage::{Column, DataType, Result, Schema, StorageError, Table, Value};
+use explore_storage::{Column, DataType, Field, Result, Schema, StorageError, Table, Value};
 
 /// Row-major layout of the numeric columns of a table.
 ///
-/// Strings are kept in a side column-major vector (strings are variable
-/// width; the surveyed hybrid stores make the same choice for their
-/// fixed-width row regions).
+/// String columns are not stored: they are variable width, and the
+/// surveyed hybrid stores keep them out of their fixed-width row regions
+/// too.
 #[derive(Debug, Clone)]
 pub struct RowStore {
     schema: Schema,
@@ -21,8 +21,6 @@ pub struct RowStore {
     /// stored as their f64 widening (exact up to 2^53, which covers every
     /// generated workload).
     data: Vec<f64>,
-    /// One Vec per Utf8 field (schema order preserved).
-    strings: Vec<(usize, Vec<String>)>,
     rows: usize,
 }
 
@@ -41,35 +39,21 @@ impl RowStore {
         let width = numeric_fields.len();
         let mut data = vec![0.0f64; rows * width];
         for (slot, &fi) in numeric_fields.iter().enumerate() {
-            match table.column_at(fi) {
-                Column::Int64(v) => {
-                    for (r, &x) in v.iter().enumerate() {
-                        data[r * width + slot] = x as f64;
-                    }
+            let col = table.column_at(fi);
+            if let Some(v) = col.as_i64() {
+                for (r, &x) in v.iter().enumerate() {
+                    data[r * width + slot] = x as f64;
                 }
-                Column::Float64(v) => {
-                    for (r, &x) in v.iter().enumerate() {
-                        data[r * width + slot] = x;
-                    }
+            } else if let Some(v) = col.as_f64() {
+                for (r, &x) in v.iter().enumerate() {
+                    data[r * width + slot] = x;
                 }
-                Column::Utf8(_) => unreachable!("numeric_fields only"),
             }
         }
-        let strings = schema
-            .fields()
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.data_type() == DataType::Utf8)
-            .map(|(i, _)| {
-                let v = table.column_at(i).as_utf8().expect("type checked").to_vec();
-                (i, v)
-            })
-            .collect();
         RowStore {
             schema,
             numeric_fields,
             data,
-            strings,
             rows,
         }
     }
@@ -109,7 +93,8 @@ impl RowStore {
             })
     }
 
-    /// Full dynamic row (numeric + string fields in schema order).
+    /// The numeric fields of row `row` as dynamic values, in schema
+    /// order.
     pub fn row(&self, row: usize) -> Result<Vec<Value>> {
         if row >= self.rows {
             return Err(StorageError::RowOutOfBounds {
@@ -118,24 +103,12 @@ impl RowStore {
             });
         }
         let packed = self.numeric_row(row);
-        let mut out = Vec::with_capacity(self.schema.len());
-        for (fi, field) in self.schema.fields().iter().enumerate() {
-            match field.data_type() {
-                DataType::Int64 => {
-                    let slot = self.numeric_fields.iter().position(|&i| i == fi).unwrap();
-                    out.push(Value::Int(packed[slot] as i64));
-                }
-                DataType::Float64 => {
-                    let slot = self.numeric_fields.iter().position(|&i| i == fi).unwrap();
-                    out.push(Value::Float(packed[slot]));
-                }
-                DataType::Utf8 => {
-                    let v = &self.strings.iter().find(|(i, _)| *i == fi).unwrap().1;
-                    out.push(Value::Str(v[row].clone()));
-                }
-            }
-        }
-        Ok(out)
+        Ok((self.numeric_fields.iter().zip(packed))
+            .map(|(&fi, &x)| match self.schema.fields()[fi].data_type() {
+                DataType::Int64 => Value::Int(x as i64),
+                _ => Value::Float(x),
+            })
+            .collect())
     }
 
     /// Sum a window of full rows across all numeric fields — the
@@ -147,33 +120,24 @@ impl RowStore {
         self.data[start * w..end * w].iter().sum()
     }
 
-    /// Reconstruct a column-major [`Table`] (used in tests to verify the
-    /// layouts agree).
+    /// Reconstruct the numeric columns as a column-major [`Table`] (used
+    /// in tests to verify the layouts agree).
     pub fn to_table(&self) -> Table {
         let w = self.row_width();
-        let mut columns: Vec<Column> = self
-            .schema
-            .fields()
-            .iter()
-            .map(|f| Column::with_capacity(f.data_type(), self.rows))
+        let fields: Vec<Field> = (self.numeric_fields.iter())
+            .map(|&fi| self.schema.fields()[fi].clone())
             .collect();
-        for (fi, col) in columns.iter_mut().enumerate() {
-            match col {
-                Column::Int64(v) => {
-                    let slot = self.numeric_fields.iter().position(|&i| i == fi).unwrap();
-                    v.extend((0..self.rows).map(|r| self.data[r * w + slot] as i64));
+        let columns = (fields.iter().enumerate())
+            .map(|(slot, f)| {
+                let vals = (0..self.rows).map(|r| self.data[r * w + slot]);
+                match f.data_type() {
+                    DataType::Int64 => Column::from(vals.map(|x| x as i64).collect::<Vec<_>>()),
+                    _ => Column::from(vals.collect::<Vec<_>>()),
                 }
-                Column::Float64(v) => {
-                    let slot = self.numeric_fields.iter().position(|&i| i == fi).unwrap();
-                    v.extend((0..self.rows).map(|r| self.data[r * w + slot]));
-                }
-                Column::Utf8(v) => {
-                    let src = &self.strings.iter().find(|(i, _)| *i == fi).unwrap().1;
-                    v.extend(src.iter().cloned());
-                }
-            }
-        }
-        Table::new(self.schema.clone(), columns).expect("shape preserved")
+            })
+            .collect();
+        Table::new(Schema::new(fields).expect("fields of a schema"), columns)
+            .expect("shape preserved")
     }
 }
 
@@ -191,7 +155,10 @@ mod tests {
         let rs = RowStore::from_table(&t);
         assert_eq!(rs.num_rows(), 100);
         assert_eq!(rs.row_width(), 3); // price, discount, qty
-        assert_eq!(rs.to_table(), t);
+        assert_eq!(
+            rs.to_table(),
+            t.project(&["price", "discount", "qty"]).unwrap()
+        );
     }
 
     #[test]
@@ -201,8 +168,9 @@ mod tests {
             ..SalesConfig::default()
         });
         let rs = RowStore::from_table(&t);
+        let numeric = t.project(&["price", "discount", "qty"]).unwrap();
         for r in [0usize, 7, 19] {
-            assert_eq!(rs.row(r).unwrap(), t.row(r).unwrap());
+            assert_eq!(rs.row(r).unwrap(), numeric.row(r).unwrap());
         }
         assert!(rs.row(20).is_err());
     }

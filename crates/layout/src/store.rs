@@ -124,8 +124,21 @@ impl AdaptiveStore {
     }
 
     /// Execute one operation, recording it and adapting if warranted.
+    /// Every column of the op must exist and be numeric; otherwise the
+    /// op fails the same way on every call and is not recorded. Both
+    /// layouts read each distinct column once.
     pub fn execute(&mut self, op: &AccessOp) -> Result<ExecReport> {
         let pattern = op.pattern();
+        for name in &pattern.columns {
+            let found = self.table.column(name)?.data_type();
+            if !found.is_numeric() {
+                return Err(StorageError::TypeMismatch {
+                    column: name.clone(),
+                    expected: "numeric",
+                    found: found.name(),
+                });
+            }
+        }
         let rows = match op {
             AccessOp::Aggregate { .. } => self.table.num_rows() as u64,
             AccessOp::FetchRows { len, .. } => *len as u64,
@@ -133,12 +146,8 @@ impl AdaptiveStore {
         self.monitor.record(&pattern, rows);
         self.maybe_adapt(&pattern)?;
         match op {
-            AccessOp::Aggregate { columns } => self.run_aggregate(columns),
-            AccessOp::FetchRows {
-                start,
-                len,
-                columns,
-            } => self.run_fetch(&pattern, *start, *len, columns),
+            AccessOp::Aggregate { .. } => self.run_aggregate(&pattern),
+            AccessOp::FetchRows { start, len, .. } => self.run_fetch(&pattern, *start, *len),
         }
     }
 
@@ -159,28 +168,17 @@ impl AdaptiveStore {
         Ok(())
     }
 
-    fn run_aggregate(&self, columns: &[String]) -> Result<ExecReport> {
+    fn run_aggregate(&self, pattern: &AccessPattern) -> Result<ExecReport> {
         let mut checksum = 0.0;
         let mut cells = 0u64;
-        for name in columns {
+        for name in &pattern.columns {
             let col = self.table.column(name)?;
-            match col {
-                explore_storage::Column::Int64(v) => {
-                    checksum += v.iter().map(|&x| x as f64).sum::<f64>();
-                    cells += v.len() as u64;
-                }
-                explore_storage::Column::Float64(v) => {
-                    checksum += v.iter().sum::<f64>();
-                    cells += v.len() as u64;
-                }
-                explore_storage::Column::Utf8(_) => {
-                    return Err(StorageError::TypeMismatch {
-                        column: name.clone(),
-                        expected: "numeric",
-                        found: "Utf8",
-                    })
-                }
+            if let Some(v) = col.as_i64() {
+                checksum += v.iter().map(|&x| x as f64).sum::<f64>();
+            } else if let Some(v) = col.as_f64() {
+                checksum += v.iter().sum::<f64>();
             }
+            cells += col.len() as u64;
         }
         Ok(ExecReport {
             checksum,
@@ -189,13 +187,7 @@ impl AdaptiveStore {
         })
     }
 
-    fn run_fetch(
-        &self,
-        pattern: &AccessPattern,
-        start: usize,
-        len: usize,
-        columns: &[String],
-    ) -> Result<ExecReport> {
+    fn run_fetch(&self, pattern: &AccessPattern, start: usize, len: usize) -> Result<ExecReport> {
         let n = self.table.num_rows();
         let start = start.min(n);
         let end = (start + len).min(n);
@@ -209,26 +201,18 @@ impl AdaptiveStore {
             });
         }
         // Columnar fallback: touch each column's slice separately —
-        // correct, but strided across `columns.len()` arrays.
+        // correct, but strided across the pattern's column arrays.
         let mut checksum = 0.0;
-        let mut cells = 0u64;
-        for name in columns {
+        for name in &pattern.columns {
             let col = self.table.column(name)?;
             for row in start..end {
-                checksum += col
-                    .numeric_at(row)
-                    .ok_or_else(|| StorageError::TypeMismatch {
-                        column: name.clone(),
-                        expected: "numeric",
-                        found: "Utf8",
-                    })?;
-                cells += 1;
+                checksum += col.numeric_at(row).expect("execute checked numeric");
             }
         }
         Ok(ExecReport {
             checksum,
             layout: LayoutUsed::Columnar,
-            cells_touched: cells,
+            cells_touched: ((end - start) * pattern.columns.len()) as u64,
         })
     }
 }
@@ -298,6 +282,40 @@ mod tests {
         let hot = s.execute(&op).unwrap();
         assert_eq!(hot.layout, LayoutUsed::RowGroup);
         assert!((hot.checksum - cold).abs() < 1e-6);
+
+        // One answer per op on every call, before and after adaptation:
+        // a string column is rejected each time and never gets a row
+        // group, and a repeated column counts once on both layouts.
+        let calls = StoreConfig::default().adapt_after + 2;
+        let fetch = |columns: [&str; 2]| AccessOp::FetchRows {
+            start: 100,
+            len: 10,
+            columns: columns.iter().map(|c| c.to_string()).collect(),
+        };
+        let mut s = store();
+        let mixed = fetch(["region", "price"]);
+        for call in 1..=calls {
+            let err = s.execute(&mixed).err();
+            assert!(
+                matches!(err, Some(StorageError::TypeMismatch { ref column, .. }) if column == "region"),
+                "call {call}: {err:?}"
+            );
+        }
+        assert_eq!(s.num_layouts(), 0);
+        let twice = fetch(["price", "price"]);
+        let first = s.execute(&twice).unwrap();
+        assert_eq!(first.cells_touched, 10);
+        for call in 2..=calls {
+            let r = s.execute(&twice).unwrap();
+            assert_eq!(r.cells_touched, 10, "call {call}");
+            assert_eq!(
+                r.checksum.to_bits(),
+                first.checksum.to_bits(),
+                "call {call}"
+            );
+        }
+        assert_eq!(s.num_layouts(), 1);
+        assert_eq!(s.execute(&twice).unwrap().layout, LayoutUsed::RowGroup);
     }
 
     #[test]

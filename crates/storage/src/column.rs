@@ -12,6 +12,11 @@ use crate::value::{DataType, Value};
 /// there is no null bitmap — exploration workloads in the surveyed papers
 /// operate on cleaned numeric/categorical data, and `Value::Null` exists
 /// only at the API edge.
+///
+/// Code outside this crate reads a string column through
+/// [`str_at`](Self::str_at), [`strs`](Self::strs) and
+/// [`heap_bytes`](Self::heap_bytes) and never matches `Column::Utf8`, so
+/// how strings are laid out is decided here alone.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Column {
     Int64(Vec<i64>),
@@ -108,6 +113,33 @@ impl Column {
             Column::Int64(v) => Some(v[row] as f64),
             Column::Float64(v) => Some(v[row]),
             Column::Utf8(_) => None,
+        }
+    }
+
+    /// Read row `row` of a string column. Returns `None` for numeric
+    /// columns and panics if `row` is out of bounds, like
+    /// [`numeric_at`](Self::numeric_at).
+    #[inline]
+    pub fn str_at(&self, row: usize) -> Option<&str> {
+        match self {
+            Column::Utf8(v) => Some(&v[row]),
+            _ => None,
+        }
+    }
+
+    /// Every row of a string column in row order, or `None` for numeric
+    /// columns.
+    pub fn strs(&self) -> Option<impl ExactSizeIterator<Item = &str>> {
+        self.as_utf8().map(|v| v.iter().map(String::as_str))
+    }
+
+    /// Resident size estimate of the column's values: 8 bytes per
+    /// number, a string's byte length plus its 24-byte header per string.
+    pub fn heap_bytes(&self) -> usize {
+        match self {
+            Column::Int64(v) => v.len() * 8,
+            Column::Float64(v) => v.len() * 8,
+            Column::Utf8(v) => v.iter().map(|s| s.len() + 24).sum(),
         }
     }
 
@@ -283,6 +315,26 @@ mod tests {
         let s = Column::from(vec!["a", "b"]);
         assert_eq!(s.as_utf8().unwrap()[1], "b");
         assert_eq!(s.numeric_at(0), None);
+    }
+
+    #[test]
+    fn string_accessors() {
+        let s = Column::from(vec!["", "é", "ab"]);
+        assert_eq!(s.str_at(1), Some("é"));
+        assert_eq!(s.strs().unwrap().len(), 3);
+        assert_eq!(s.strs().unwrap().collect::<Vec<_>>(), ["", "é", "ab"]);
+        assert_eq!(s.heap_bytes(), 24 + 26 + 26);
+        let n = Column::from(vec![1i64, 2]);
+        assert_eq!(n.str_at(0), None);
+        assert!(n.strs().is_none());
+        assert_eq!(n.heap_bytes(), 16);
+        assert_eq!(Column::from(vec![0.5]).heap_bytes(), 8);
+    }
+
+    #[test]
+    #[should_panic]
+    fn str_at_panics_out_of_bounds() {
+        Column::from(vec!["a"]).str_at(1);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use std::collections::HashSet;
 
-use explore_storage::{Column, Result, Table};
+use explore_storage::{Result, Table};
 
 /// Chart types the deck can deal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -38,17 +38,15 @@ pub fn propose_charts(table: &Table, k: usize) -> Result<Vec<ChartProposal>> {
     let mut categorical = Vec::new();
     let mut numeric = Vec::new();
     for f in table.schema().fields() {
-        match table.column(f.name())? {
-            Column::Utf8(v) => {
-                let distinct: HashSet<&str> = v.iter().map(String::as_str).collect();
-                categorical.push((f.name().to_owned(), distinct.len()));
-            }
-            col => {
-                let vals: Vec<f64> = (0..table.num_rows())
-                    .filter_map(|i| col.numeric_at(i))
-                    .collect();
-                numeric.push((f.name().to_owned(), moments(&vals)));
-            }
+        let col = table.column(f.name())?;
+        if let Some(labels) = col.strs() {
+            let distinct: HashSet<&str> = labels.collect();
+            categorical.push((f.name().to_owned(), distinct.len()));
+        } else {
+            let vals: Vec<f64> = (0..table.num_rows())
+                .filter_map(|i| col.numeric_at(i))
+                .collect();
+            numeric.push((f.name().to_owned(), moments(&vals)));
         }
     }
     // Bars: categorical dims with few distinct values pair well with

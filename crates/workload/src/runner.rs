@@ -199,8 +199,8 @@ fn table_digest(t: &Table) -> u64 {
             d = v.iter().fold(d, |d, &x| fold(d, x as u64));
         } else if let Some(v) = col.as_f64() {
             d = v.iter().fold(d, |d, &x| fold(d, x.to_bits()));
-        } else if let Some(v) = col.as_utf8() {
-            d = v.iter().fold(d, |d, s| {
+        } else if let Some(v) = col.strs() {
+            d = v.fold(d, |d, s| {
                 s.bytes().fold(fold(d, 0x5F), |d, b| fold(d, b as u64))
             });
         }

@@ -47,6 +47,9 @@ fn pred_leaf() -> BoxedStrategy<Predicate> {
         (0i64..12).prop_map(|v| Predicate::cmp("qty", CmpOp::Ge, v)),
         prop::sample::select(vec!["region0", "region1", "region5", "no_such_region"])
             .prop_map(|r| Predicate::eq("region", r)),
+        Just(Predicate::eq("region", "")),
+        prop::sample::select(vec![("", "e"), ("E", "e"), ("e", "é"), ("reg", "region0")])
+            .prop_map(|(lo, hi)| Predicate::range("region", lo, hi)),
         prop::sample::select(vec!["price", "discount", "qty", "ghost_column"])
             .prop_map(|c| Predicate::cmp(c, CmpOp::Lt, 400.0)),
     ]
@@ -133,7 +136,7 @@ fn build_query(
 
 /// Tables of assorted sizes around the morsel boundaries (built once),
 /// so worker-count sweeps hit sub-morsel, exact-boundary, and
-/// multi-morsel decompositions.
+/// multi-morsel decompositions, plus [`string_edge_table`].
 fn sized_tables() -> &'static Vec<Table> {
     static TABLES: OnceLock<Vec<Table>> = OnceLock::new();
     TABLES.get_or_init(|| {
@@ -148,8 +151,27 @@ fn sized_tables() -> &'static Vec<Table> {
         ]
         .iter()
         .map(|&rows| sales(rows))
+        .chain([string_edge_table()])
         .collect()
     })
+}
+
+/// A small sales table whose `region` labels are string edge cases: the
+/// empty string, labels that differ only in case, a two-byte character,
+/// and a label that is a prefix of another.
+fn string_edge_table() -> Table {
+    let t = sales(600);
+    let labels = ["", "e", "E", "é", "reg", "region0"];
+    let region = (0..t.num_rows())
+        .map(|r| labels[(7 * r + r / 5) % labels.len()])
+        .collect::<Vec<_>>();
+    let columns = (t.schema().fields().iter().enumerate())
+        .map(|(i, f)| match f.name() {
+            "region" => Column::from(region.clone()),
+            _ => t.column_at(i).clone(),
+        })
+        .collect();
+    Table::new(t.schema().clone(), columns).unwrap()
 }
 
 /// Float values rich in boundary cases for the vectorized-vs-scalar
@@ -221,7 +243,7 @@ fn partition_table(idx: usize) -> &'static Table {
 /// the first morsel boundary (one-row parts, so one morsel spans many),
 /// optionally every cut twice (empty parts).
 fn table_and_cuts() -> BoxedStrategy<(usize, Vec<usize>)> {
-    (0usize..8)
+    (0..=sized_tables().len())
         .prop_flat_map(|idx| {
             let rows = partition_table(idx).num_rows();
             (
@@ -490,7 +512,7 @@ proptest! {
     /// must be invisible in the output.
     #[test]
     fn random_sizes_and_worker_counts_agree_with_serial(
-        table_idx in 0usize..7,
+        table_idx in 0..sized_tables().len(),
         workers in prop::sample::select(vec![1usize, 2, 3, 8]),
         pred in pred_tree(),
         groups in group_cols(),
@@ -522,7 +544,7 @@ proptest! {
     /// AVG / VAR / STD to rounding, everything else exact).
     #[test]
     fn random_queries_agree_with_the_oracle(
-        table_idx in 0usize..7,
+        table_idx in 0..sized_tables().len(),
         pred in pred_tree(),
         groups in group_cols(),
         aggs in agg_list(),
