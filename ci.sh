@@ -222,6 +222,43 @@ if ! diff -u api-surface.txt target/api-surface.txt; then
     exit 1
 fi
 
+echo "==> dead-pub lint (every public fn has a caller outside its own file)"
+# A `pub fn` of target/api-surface.txt (names of 4+ characters) must
+# appear as a word in some other file: in the non-test part of a file
+# under crates/*/src, src, benchmark/src, examples or crates/bench/benches
+# (each file stops at its first #[cfg(test)]), or anywhere in a file
+# under tests/. Comment lines are not callers. A function only its own
+# file calls is private; one only its own unit tests call is dead code.
+# Names are matched, not resolved, so two functions sharing a name count
+# as callers of each other. No allow-list.
+dead=$(awk -v surface=target/api-surface.txt '
+    FNR == 1 { cut = 0; file = (FILENAME ~ /^tests\//) ? "tests/" : FILENAME }
+    cut || /^[ \t]*\/\// { next }
+    {
+        if (file != "tests/" && index($0, "#[cfg(test)]")) cut = 1
+        n = split($0, w, /[^A-Za-z0-9_]+/)
+        for (i = 1; i <= n; i++) {
+            if (length(w[i]) < 4 || (w[i], file) in seen) continue
+            seen[w[i], file] = 1
+            files[w[i]]++
+            last[w[i]] = file
+        }
+    }
+    END {
+        while ((getline line < surface) > 0) {
+            if (line !~ /: pub (const |async |unsafe )*fn /) continue
+            f = line; sub(/: .*/, "", f)
+            name = line; sub(/.* fn /, "", name)
+            if (length(name) >= 4 && (files[name] == 0 || (files[name] == 1 && last[name] == f)))
+                print line
+        }
+    }' $(find crates/*/src src benchmark/src examples crates/bench/benches tests -name '*.rs' | LC_ALL=C sort))
+if [[ -n "$dead" ]]; then
+    echo "$dead" >&2
+    echo "error: public fn with no caller outside its own file; delete it or make it private" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

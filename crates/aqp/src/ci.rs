@@ -47,14 +47,6 @@ impl ConfidenceInterval {
         let (lo, hi) = self.bounds();
         value >= lo && value <= hi
     }
-
-    /// True when two intervals overlap — used by SeeDB-style pruning to
-    /// decide whether one view is *certainly* better than another.
-    pub fn overlaps(&self, other: &ConfidenceInterval) -> bool {
-        let (a_lo, a_hi) = self.bounds();
-        let (b_lo, b_hi) = other.bounds();
-        a_lo <= b_hi && b_lo <= a_hi
-    }
 }
 
 /// Standard normal quantile `z` such that `P(Z <= z) = p`, via Acklam's
@@ -225,18 +217,6 @@ mod tests {
         assert!((ci.relative_error() - 0.1).abs() < 1e-12);
         assert!(ci.contains(95.0));
         assert!(!ci.contains(111.0));
-        let other = ConfidenceInterval {
-            estimate: 115.0,
-            half_width: 4.0,
-            confidence: 0.95,
-        };
-        assert!(!ci.overlaps(&other));
-        let near = ConfidenceInterval {
-            estimate: 112.0,
-            half_width: 4.0,
-            confidence: 0.95,
-        };
-        assert!(ci.overlaps(&near));
     }
 
     #[test]

@@ -50,9 +50,6 @@ use crate::region::Region;
 pub struct CacheConfig {
     /// Resident-byte budget across all entries.
     pub byte_budget: usize,
-    /// Serve subsumption hits (contained range queries re-filtered from
-    /// cached supersets). Exact hits are always served.
-    pub subsumption: bool,
     /// Cost-aware admission floor: a freshly computed result is only
     /// admitted when its observed compute cost is at least this many
     /// nanoseconds. Caching a result that was nearly free buys nothing
@@ -68,7 +65,6 @@ impl Default for CacheConfig {
     fn default() -> Self {
         CacheConfig {
             byte_budget: 64 << 20,
-            subsumption: true,
             admit_min_cost_ns: 2_000,
         }
     }
@@ -407,11 +403,6 @@ impl ResultCache {
         self.inner.lock().faults = faults;
     }
 
-    /// Whether subsumption serving is enabled.
-    pub fn subsumption_enabled(&self) -> bool {
-        self.inner.lock().config.subsumption
-    }
-
     /// Current epoch of a table (0 if never mutated).
     pub fn epoch(&self, table: &str) -> u64 {
         self.inner.lock().epoch_of(table)
@@ -482,9 +473,6 @@ impl ResultCache {
     /// per-table index of selection-bearing entries, not the entry map.
     pub fn find_subsuming(&self, table: &str, query_region: &Region) -> Option<SubsumeCandidate> {
         let inner = self.inner.lock();
-        if !inner.config.subsumption {
-            return None;
-        }
         if inner.fire("cache.lookup") {
             return None;
         }
@@ -696,7 +684,6 @@ mod tests {
         let budget = 3 * table_bytes(&tiny(&[0.0; 8]));
         let cache = ResultCache::new(CacheConfig {
             byte_budget: budget,
-            subsumption: true,
             ..CacheConfig::default()
         });
         // Same size, different measured costs → "cheap" has the lowest
@@ -724,7 +711,6 @@ mod tests {
         let small = table_bytes(&tiny(&[0.0; 4]));
         let cache = ResultCache::new(CacheConfig {
             byte_budget: small * 2 + 1,
-            subsumption: true,
             ..CacheConfig::default()
         });
         // Result bigger than budget/2 is refused outright.
@@ -792,14 +778,6 @@ mod tests {
         cache.bump_epoch("t");
         assert!(cache.find_subsuming("t", &narrow).is_none());
         assert_eq!(cache.stats().reuse_entries, 0);
-        // Subsumption can be configured off.
-        let off = ResultCache::new(CacheConfig {
-            subsumption: false,
-            ..CacheConfig::default()
-        });
-        insert_reuse(&off, "broad", &broad, 1);
-        assert!(off.find_subsuming("t", &narrow).is_none());
-        assert!(off.get(&fp("broad")).is_some());
     }
 
     #[test]
@@ -909,14 +887,11 @@ mod tests {
         assert_eq!(cache.len(), 1);
         cache.clear();
         assert!(cache.is_empty());
-        assert!(cache.subsumption_enabled());
         cache.set_config(CacheConfig {
             byte_budget: 123,
-            subsumption: false,
             ..CacheConfig::default()
         });
         assert_eq!(cache.config().byte_budget, 123);
-        assert!(!cache.subsumption_enabled());
         // Query canonicalization is visible through the public API.
         let q = Query::new().filter(Predicate::range("x", 0.0, 1.0));
         assert_eq!(

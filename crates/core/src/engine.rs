@@ -419,24 +419,6 @@ impl ExploreDb {
         self.shared.result_cache.epoch(table)
     }
 
-    /// Conservative whole-table invalidation: bumps the table's cache
-    /// epoch and every shard-scope epoch (so no earlier result is ever
-    /// served again) and drops the table's adaptive indexes. The engine
-    /// never needs it — rows sit behind immutable `Arc` snapshots that
-    /// only the mutation APIs below replace, and those invalidate
-    /// precisely (only the owning shards' epochs and indexes) — so this
-    /// is for callers whose own derived state went stale and who want
-    /// the engine's to restart with it.
-    pub fn note_mutation(&self, table: &str) {
-        if let Some(st) = self.shared.catalog.read().get(table).cloned() {
-            let store = st.store();
-            self.note_shard_epochs(table, &store, 0..store.shard_count());
-            store.drop_indexes();
-        } else {
-            self.shared.result_cache.bump_epoch(table);
-        }
-    }
-
     /// Record a change to the `mutated` shards of `store`: bump the base
     /// epoch (whole-table results die) and, where the store fans out,
     /// only those shards' scope epochs — the other shards' cached
@@ -1436,16 +1418,6 @@ mod tests {
         db.append_rows("sales", &copy).unwrap();
         assert_eq!(db.table_epoch("sales"), 4);
         assert_eq!(db.table("sales").unwrap().num_rows(), 2 * copy.num_rows());
-
-        // `note_mutation` bumps the epoch and drops the adaptive index;
-        // the rows are the same `Arc` as before.
-        db.cracked_range("sales", "qty", 3, 7).unwrap();
-        let epoch = db.table_epoch("sales");
-        let rows = db.table("sales").unwrap();
-        db.note_mutation("sales");
-        assert_eq!(db.table_epoch("sales"), epoch + 1);
-        assert!(db.index_pieces("sales", "qty").is_none());
-        assert!(Arc::ptr_eq(&rows, &db.table("sales").unwrap()));
     }
 
     #[test]
@@ -1704,24 +1676,6 @@ mod tests {
             2_001.0
         );
         assert_eq!(db.table("sales").unwrap().num_rows(), 2_001);
-
-        // `note_mutation` is conservative: every scope bumps and every
-        // shard's index goes, while the rows and their layout stay put.
-        db.cracked_range("sales", "qty", 3, 7).unwrap();
-        let layout = db.shard_stats("sales").unwrap();
-        assert!(layout.iter().all(|s| s.crackers == 1));
-        let scopes: Vec<u64> = layout.iter().map(|s| s.epoch).collect();
-        let view = db.table("sales").unwrap();
-        db.note_mutation("sales");
-        for (s, &epoch) in scopes.iter().enumerate() {
-            assert_eq!(db.table_epoch(&scoped_name("sales", s)), epoch + 1);
-        }
-        let after = db.shard_stats("sales").unwrap();
-        assert!(after.iter().all(|s| s.crackers == 0));
-        for (a, b) in layout.iter().zip(&after) {
-            assert_eq!((a.start, a.rows), (b.start, b.rows));
-        }
-        assert!(Arc::ptr_eq(&view, &db.table("sales").unwrap()));
     }
 
     #[test]

@@ -372,6 +372,18 @@ impl Parser {
         }
     }
 
+    /// A count (`TOP`, `SUPPORT`, `BUCKETS`, `INTO`, `CAP`): a whole
+    /// number in `0..=u32::MAX`. Anything else is an error here, not a
+    /// saturating cast that a later allocation would overflow on.
+    fn expect_count(&mut self) -> Result<usize, StorageError> {
+        let v = self.expect_number()?;
+        if v.is_finite() && v >= 0.0 && v.fract() == 0.0 && v <= f64::from(u32::MAX) {
+            Ok(v as usize)
+        } else {
+            Err(self.err(&format!("expected a whole count, got {v}")))
+        }
+    }
+
     fn eat_symbol(&mut self, c: char) -> bool {
         if self.peek() == Some(&Token::Symbol(c)) {
             self.pos += 1;
@@ -411,7 +423,7 @@ impl Parser {
             }
             let value = self.parse_value()?;
             let top = if self.eat_kw("top") {
-                self.expect_number()? as usize
+                self.expect_count()?
             } else {
                 5
             };
@@ -425,12 +437,12 @@ impl Parser {
             }
             let value = self.parse_value()?;
             let support = if self.eat_kw("support") {
-                self.expect_number()? as usize
+                self.expect_count()?
             } else {
                 10
             };
             let top = if self.eat_kw("top") {
-                self.expect_number()? as usize
+                self.expect_count()?
             } else {
                 5
             };
@@ -453,7 +465,7 @@ impl Parser {
             }
             let predicate = self.parse_where()?;
             let top = if self.eat_kw("top") {
-                self.expect_number()? as usize
+                self.expect_count()?
             } else {
                 10
             };
@@ -472,7 +484,7 @@ impl Parser {
         }
         if self.eat_kw("charts") {
             let top = if self.eat_kw("top") {
-                self.expect_number()? as usize
+                self.expect_count()?
             } else {
                 5
             };
@@ -480,7 +492,7 @@ impl Parser {
         }
         if self.eat_kw("synopses") {
             let buckets = if self.eat_kw("buckets") {
-                self.expect_number()? as usize
+                self.expect_count()?
             } else {
                 64
             };
@@ -494,7 +506,7 @@ impl Parser {
                 None
             };
             self.expect_kw("into")?;
-            let k = self.expect_number()? as usize;
+            let k = self.expect_count()?;
             return Ok(Statement::Segment { measure, column, k });
         }
         if self.eat_kw("estimate") {
@@ -577,7 +589,7 @@ impl Parser {
             }
         }
         let top = if self.eat_kw("top") {
-            Some(self.expect_number()? as usize)
+            Some(self.expect_count()?)
         } else {
             None
         };
@@ -624,7 +636,7 @@ impl Parser {
         let stratify = if self.eat_kw("stratify") {
             let col = self.expect_word()?;
             self.expect_kw("cap")?;
-            let cap = self.expect_number()? as usize;
+            let cap = self.expect_count()?;
             Some((col, cap))
         } else {
             None
@@ -1049,6 +1061,13 @@ mod tests {
         assert!(parse("SELECT avg(price) extra junk").is_err(), "trailing");
         assert!(parse("SELECT frobnicate(price)").is_err(), "unknown agg");
         assert!(parse("CRACK qty BETWEEN 3").is_err());
+        // Counts are whole and in range, or the parse fails.
+        assert!(parse("SELECT avg(price) TOP -3").is_err(), "negative");
+        assert!(parse("SELECT avg(price) TOP 2.5").is_err(), "fraction");
+        assert!(parse("SYNOPSES BUCKETS 1e30").is_err(), "out of range");
+        assert!(parse("SAMPLES 0.1 STRATIFY region CAP -1").is_err());
+        assert!(parse("SEGMENT price INTO 2.7").is_err());
+        assert!(parse("SYNOPSES BUCKETS 4294967295").is_ok(), "u32::MAX");
         assert!(parse("SELECT avg(price) WHERE region ! 3").is_err());
         assert!(parse("SELECT avg(price) WHERE region = \"unterminated").is_err());
     }

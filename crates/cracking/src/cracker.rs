@@ -275,8 +275,8 @@ impl CrackerColumn {
         (start, end)
     }
 
-    /// Sizes of all current pieces (for tests and the ablation bench).
-    pub fn piece_sizes(&self) -> Vec<usize> {
+    /// Sizes of all current pieces.
+    fn piece_sizes(&self) -> Vec<usize> {
         let mut cuts: Vec<usize> = self.index.values().copied().collect();
         cuts.sort_unstable();
         cuts.dedup();

@@ -106,21 +106,6 @@ impl DataCube {
             .ok_or_else(|| StorageError::Internal("cuboid vanished after insert".into()))
     }
 
-    /// Materialize the full lattice (2^k cuboids). Exponential — only
-    /// sensible for the small dimensionalities of interactive cubes.
-    pub fn materialize_all(&mut self) -> Result<usize> {
-        let dims = self.dims.clone();
-        let k = dims.len();
-        for mask in 0..(1u32 << k) {
-            let subset: Vec<&str> = (0..k)
-                .filter(|i| mask & (1 << i) != 0)
-                .map(|i| dims[i].as_str())
-                .collect();
-            self.cuboid(&subset)?;
-        }
-        Ok(self.cache.len())
-    }
-
     /// Cuboids adjacent to `group_dims` in the lattice: one dimension
     /// added (drill-down) or removed (roll-up). These are DICE's
     /// speculation targets.
@@ -218,8 +203,16 @@ mod tests {
 
     #[test]
     fn full_lattice_size() {
+        // Every subset of the three dimensions is its own cuboid.
         let mut c = cube();
-        assert_eq!(c.materialize_all().unwrap(), 8);
+        let dims = ["region", "product", "channel"];
+        for mask in 0..8u32 {
+            let subset: Vec<&str> = (0..3)
+                .filter(|i| mask & (1 << i) != 0)
+                .map(|i| dims[i])
+                .collect();
+            c.cuboid(&subset).unwrap();
+        }
         assert_eq!(c.cached(), 8);
     }
 

@@ -171,13 +171,6 @@ impl<'a> Canvas<'a> {
             QueryIntent::None => Ok(CanvasResponse::Ignored),
         }
     }
-
-    /// Reset zoom to the full table (a double-tap in the real UI).
-    pub fn reset(&mut self) {
-        self.start = 0;
-        self.end = self.table.num_rows();
-        self.slide = None;
-    }
 }
 
 #[cfg(test)]
@@ -280,8 +273,6 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        c.reset();
-        assert_eq!(c.viewport(), (0, 1000));
     }
 
     #[test]

@@ -53,19 +53,6 @@ impl WorkloadMonitor {
         self.rows_touched.get(pattern).copied().unwrap_or(0)
     }
 
-    /// All row-wise patterns seen at least `min_count` times, most
-    /// frequent first — the materialization candidates.
-    pub fn hot_row_patterns(&self, min_count: u64) -> Vec<(&AccessPattern, u64)> {
-        let mut v: Vec<(&AccessPattern, u64)> = self
-            .counts
-            .iter()
-            .filter(|(p, &c)| p.row_wise && c >= min_count)
-            .map(|(p, &c)| (p, c))
-            .collect();
-        v.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
-        v
-    }
-
     /// Number of distinct patterns observed.
     pub fn distinct_patterns(&self) -> usize {
         self.counts.len()
@@ -95,24 +82,5 @@ mod tests {
         assert_eq!(m.rows(&p), 150);
         assert_eq!(m.count(&AccessPattern::new(&["y"], true)), 0);
         assert_eq!(m.distinct_patterns(), 1);
-    }
-
-    #[test]
-    fn hot_patterns_filter_and_order() {
-        let mut m = WorkloadMonitor::new();
-        let hot = AccessPattern::new(&["a", "b"], true);
-        let cold = AccessPattern::new(&["c"], true);
-        let colwise = AccessPattern::new(&["d"], false);
-        for _ in 0..5 {
-            m.record(&hot, 10);
-        }
-        m.record(&cold, 10);
-        for _ in 0..9 {
-            m.record(&colwise, 10);
-        }
-        let hots = m.hot_row_patterns(3);
-        assert_eq!(hots.len(), 1);
-        assert_eq!(hots[0].0, &hot);
-        assert_eq!(hots[0].1, 5);
     }
 }

@@ -75,22 +75,9 @@ impl RowStore {
 
     /// The packed numeric row at `row`.
     #[inline]
-    pub fn numeric_row(&self, row: usize) -> &[f64] {
+    fn numeric_row(&self, row: usize) -> &[f64] {
         let w = self.row_width();
         &self.data[row * w..(row + 1) * w]
-    }
-
-    /// Slot (offset within the packed row) of a numeric column.
-    pub fn numeric_slot(&self, name: &str) -> Result<usize> {
-        let fi = self.schema.index_of(name)?;
-        self.numeric_fields
-            .iter()
-            .position(|&i| i == fi)
-            .ok_or_else(|| StorageError::TypeMismatch {
-                column: name.to_owned(),
-                expected: "numeric",
-                found: "Utf8",
-            })
     }
 
     /// The numeric fields of row `row` as dynamic values, in schema
@@ -173,19 +160,6 @@ mod tests {
             assert_eq!(rs.row(r).unwrap(), numeric.row(r).unwrap());
         }
         assert!(rs.row(20).is_err());
-    }
-
-    #[test]
-    fn numeric_slot_lookup() {
-        let t = sales_table(&SalesConfig {
-            rows: 5,
-            ..SalesConfig::default()
-        });
-        let rs = RowStore::from_table(&t);
-        assert_eq!(rs.numeric_slot("price").unwrap(), 0);
-        assert_eq!(rs.numeric_slot("qty").unwrap(), 2);
-        assert!(rs.numeric_slot("region").is_err());
-        assert!(rs.numeric_slot("missing").is_err());
     }
 
     #[test]

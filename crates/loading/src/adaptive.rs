@@ -147,11 +147,6 @@ impl AdaptiveLoader {
         self.cache.iter().filter(|c| c.is_some()).count()
     }
 
-    /// True when the whole file has been migrated into memory.
-    pub fn fully_loaded(&self) -> bool {
-        self.cache.iter().all(Option::is_some)
-    }
-
     /// Ensure a column is parsed and cached; returns whether any file
     /// work happened.
     pub fn ensure_column(&mut self, name: &str) -> Result<bool> {
@@ -366,7 +361,6 @@ mod tests {
         let q = Query::new().agg(AggFunc::Avg, "price");
         l.query(&q, &QueryCtx::none()).unwrap();
         assert_eq!(l.columns_loaded(), 1);
-        assert!(!l.fully_loaded());
         // price is field 3 of 6: parsed fields = rows × 1.
         assert_eq!(l.metrics().fields_parsed, 300);
     }
@@ -414,7 +408,7 @@ mod tests {
         for name in t.schema().names() {
             l.ensure_column(name).unwrap();
         }
-        assert!(l.fully_loaded());
+        assert_eq!(l.columns_loaded(), t.schema().fields().len());
         // Everything now answers from memory.
         let q = Query::new().select(&["region", "qty"]).take(5);
         let before = l.metrics().fields_tokenized;

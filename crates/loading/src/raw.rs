@@ -78,11 +78,6 @@ impl RawCsv {
         &self.text[self.line_starts[row]..self.line_ends[row]]
     }
 
-    /// Byte offset of a data line.
-    pub fn line_start(&self, row: usize) -> usize {
-        self.line_starts[row]
-    }
-
     /// The whole document.
     pub fn text(&self) -> &str {
         &self.text

@@ -57,7 +57,7 @@ fn bucket_mid(b: usize) -> u64 {
 
 impl Histogram {
     /// Record one observation.
-    pub fn observe(&self, v: u64) {
+    fn observe(&self, v: u64) {
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
@@ -179,8 +179,8 @@ impl MetricsRegistry {
         self.counter(name).fetch_add(by, Ordering::Relaxed);
     }
 
-    /// Get-or-create a histogram; hold the `Arc` to observe lock-free.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
+    /// Get-or-create a histogram.
+    fn histogram(&self, name: &str) -> Arc<Histogram> {
         if let Some(h) = self.histograms.read().get(name) {
             return Arc::clone(h);
         }

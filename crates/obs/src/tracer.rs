@@ -272,11 +272,6 @@ impl Tracer {
         self.ring.lock().clone()
     }
 
-    /// Drop all retained traces (metrics are unaffected).
-    pub fn clear_traces(&self) {
-        self.ring.lock().clear();
-    }
-
     fn push_trace(&self, trace: QueryTrace) {
         let cap = self.ring_capacity.load(Ordering::Relaxed).max(1);
         let mut ring = self.ring.lock();

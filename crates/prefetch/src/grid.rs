@@ -113,11 +113,6 @@ impl GridIndex {
             ids.len() as u64,
         )
     }
-
-    /// Total points indexed.
-    pub fn total_points(&self) -> usize {
-        self.measure.len()
-    }
 }
 
 fn min_max(v: &[f64]) -> (f64, f64) {
@@ -152,7 +147,7 @@ mod tests {
             .map(|(cx, cy)| g.fetch_cell(cx, cy).0.count)
             .sum();
         assert_eq!(total, 5000);
-        assert_eq!(g.total_points(), 5000);
+        assert_eq!(g.measure.len(), 5000);
     }
 
     #[test]

@@ -159,14 +159,6 @@ impl<'a> PanSession<'a> {
         self.stats
     }
 
-    /// Cached cells (all shared-cache entries when one is wired).
-    pub fn cached_cells(&self) -> usize {
-        match &self.shared {
-            Some(s) => s.cache.len(),
-            None => self.cache.len(),
-        }
-    }
-
     /// Serve one cell: cache probe, then foreground fetch + admit.
     fn cell(&mut self, cx: usize, cy: usize) -> Result<CellAgg> {
         if let Some(s) = &self.shared {
@@ -405,8 +397,8 @@ mod tests {
                 h: 3,
             };
             s.view(vp).unwrap();
-            assert!(s.cached_cells() >= cached_prev);
-            cached_prev = s.cached_cells();
+            assert!(s.cache.len() >= cached_prev);
+            cached_prev = s.cache.len();
         }
     }
 }

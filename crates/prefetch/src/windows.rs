@@ -137,7 +137,12 @@ mod tests {
         let g = grid();
         let (_, naive_cost) = find_windows_naive(&g, 3, 3, 800);
         let (_, prefix_cost) = find_windows_prefix(&g, 3, 3, 800);
-        assert_eq!(prefix_cost, g.total_points() as u64);
+        // The prefix pass touches each indexed point once.
+        let points: u64 = (0..g.rows())
+            .flat_map(|cy| (0..g.cols()).map(move |cx| (cx, cy)))
+            .map(|(cx, cy)| g.fetch_cell(cx, cy).0.count)
+            .sum();
+        assert_eq!(prefix_cost, points);
         assert!(
             naive_cost > prefix_cost * 5,
             "naive {naive_cost} vs prefix {prefix_cost}"

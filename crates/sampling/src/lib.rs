@@ -26,7 +26,7 @@
 //!     &QueryCtx::none(),
 //! ).unwrap();
 //! assert_eq!(catalog.uniform_ladder().len(), 2);
-//! assert!(catalog.best_stratified("region").is_some());
+//! assert!(catalog.get(&SampleKey::stratified("region", 100)).is_some());
 //! ```
 
 pub mod catalog;

@@ -4,10 +4,7 @@
 //! gets ~0 sample rows at 1% sampling, so its per-group aggregate is
 //! garbage. BlinkDB's stratified samples instead cap each group at `k`
 //! rows — small groups are kept *whole* (exact answers), large groups are
-//! uniformly subsampled — and record per-group scale factors for
-//! unbiased estimation.
-
-use std::collections::HashMap;
+//! uniformly subsampled.
 
 use explore_storage::rng::SplitMix64;
 use explore_storage::{Dictionary, Result, Table};
@@ -18,8 +15,6 @@ pub struct StratifiedSample {
     table: Table,
     column: String,
     cap: usize,
-    /// Group label → (rows in base, rows in sample).
-    group_sizes: HashMap<String, (usize, usize)>,
     base_rows: usize,
 }
 
@@ -36,8 +31,7 @@ impl StratifiedSample {
         }
         let mut rng = SplitMix64::new(seed);
         let mut sel: Vec<u32> = Vec::new();
-        let mut group_sizes = HashMap::with_capacity(groups.labels().len());
-        for (label, rows) in groups.labels().iter().zip(strata) {
+        for rows in strata {
             let take = rows.len().min(cap);
             if take == rows.len() {
                 sel.extend_from_slice(&rows);
@@ -45,14 +39,12 @@ impl StratifiedSample {
                 let idx = rng.sample_indices(rows.len(), take);
                 sel.extend(idx.into_iter().map(|i| rows[i]));
             }
-            group_sizes.insert(label.clone(), (rows.len(), take));
         }
         sel.sort_unstable();
         Ok(StratifiedSample {
             table: base.gather(&sel),
             column: column.to_owned(),
             cap,
-            group_sizes,
             base_rows: base.num_rows(),
         })
     }
@@ -75,24 +67,6 @@ impl StratifiedSample {
     /// Rows in the base table.
     pub fn base_rows(&self) -> usize {
         self.base_rows
-    }
-
-    /// Scale factor for a group's COUNT/SUM estimates (base rows /
-    /// sampled rows for that group), or `None` for unseen groups.
-    pub fn group_scale(&self, label: &str) -> Option<f64> {
-        self.group_sizes
-            .get(label)
-            .map(|&(base, sampled)| base as f64 / sampled as f64)
-    }
-
-    /// True when the group was kept whole (its aggregates are exact).
-    pub fn group_is_exact(&self, label: &str) -> bool {
-        matches!(self.group_sizes.get(label), Some(&(b, s)) if b == s)
-    }
-
-    /// Number of distinct groups represented.
-    pub fn num_groups(&self) -> usize {
-        self.group_sizes.len()
     }
 }
 
@@ -131,7 +105,6 @@ mod tests {
             .iter()
             .collect();
         assert_eq!(base_groups, sample_groups);
-        assert_eq!(s.num_groups(), base_groups.len());
     }
 
     #[test]
@@ -152,17 +125,11 @@ mod tests {
         let b = base();
         let s = StratifiedSample::build(&b, "region", 10_000, 3).unwrap();
         // With a huge cap every group is whole.
-        for label in ["region0", "region9"] {
-            if s.group_scale(label).is_some() {
-                assert!(s.group_is_exact(label), "{label}");
-                assert_eq!(s.group_scale(label), Some(1.0));
-            }
-        }
         assert_eq!(s.table().num_rows(), b.num_rows());
     }
 
     #[test]
-    fn group_scale_unbiases_counts() {
+    fn each_group_keeps_its_rows_up_to_the_cap() {
         let b = base();
         let s = StratifiedSample::build(&b, "region", 200, 4).unwrap();
         let truth = Query::new()
@@ -173,7 +140,6 @@ mod tests {
         let labels = truth.column("region").unwrap().as_utf8().unwrap();
         let counts = truth.column("count(qty)").unwrap().as_f64().unwrap();
         for (label, &truth_count) in labels.iter().zip(counts) {
-            let scale = s.group_scale(label).unwrap();
             let sampled = s
                 .table()
                 .column("region")
@@ -183,11 +149,7 @@ mod tests {
                 .iter()
                 .filter(|l| *l == label)
                 .count() as f64;
-            let est = sampled * scale;
-            assert!(
-                (est - truth_count).abs() < 1e-9,
-                "{label}: est {est} truth {truth_count}"
-            );
+            assert_eq!(sampled, truth_count.min(200.0), "{label}");
         }
     }
 
@@ -209,13 +171,5 @@ mod tests {
             let again = StratifiedSample::build(&b, "region", 100, 8).unwrap();
             assert_eq!(again.table(), first.table());
         }
-    }
-
-    #[test]
-    fn unseen_group_scale_is_none() {
-        let b = base();
-        let s = StratifiedSample::build(&b, "region", 10, 6).unwrap();
-        assert!(s.group_scale("regionX").is_none());
-        assert!(!s.group_is_exact("regionX"));
     }
 }

@@ -64,32 +64,9 @@ impl WeightedSample {
         &self.table
     }
 
-    /// Per-row inclusion probabilities, aligned with the sample.
-    pub fn inclusion(&self) -> &[f64] {
-        &self.inclusion
-    }
-
     /// Rows in the base table.
     pub fn base_rows(&self) -> usize {
         self.base_rows
-    }
-
-    /// Horvitz–Thompson estimate of the base-table SUM of a numeric
-    /// column: Σ xᵢ / πᵢ over sampled rows.
-    pub fn ht_sum(&self, column: &str) -> Result<f64> {
-        let col = self.table.column(column)?;
-        let mut sum = 0.0;
-        for (i, &pi) in self.inclusion.iter().enumerate() {
-            let x =
-                col.numeric_at(i)
-                    .ok_or_else(|| explore_storage::StorageError::TypeMismatch {
-                        column: column.to_owned(),
-                        expected: "numeric",
-                        found: col.data_type().name(),
-                    })?;
-            sum += x / pi;
-        }
-        Ok(sum)
     }
 
     /// Horvitz–Thompson estimate of the base-table row COUNT satisfying
@@ -110,9 +87,9 @@ mod tests {
     use explore_storage::gen::sky_table;
 
     #[test]
-    fn ht_sum_is_unbiased() {
+    fn ht_count_is_unbiased_under_continuous_weights() {
         let base = sky_table(20_000, 3, 100.0, 1);
-        let truth: f64 = base.column("mag").unwrap().as_f64().unwrap().iter().sum();
+        let truth = base.num_rows() as f64;
         // Average HT estimates over several impressions.
         let mut est = 0.0;
         let trials = 30;
@@ -122,7 +99,7 @@ mod tests {
                 tab.column("mag").unwrap().numeric_at(i).unwrap()
             })
             .unwrap();
-            est += s.ht_sum("mag").unwrap();
+            est += s.ht_count(|_, _| true);
         }
         est /= trials as f64;
         let rel = (est - truth).abs() / truth;
@@ -185,7 +162,7 @@ mod tests {
         let base = sky_table(100, 1, 10.0, 5);
         let s = WeightedSample::build(&base, 10, 6, |_, _| 0.0).unwrap();
         assert_eq!(s.table().num_rows(), 0);
-        assert_eq!(s.ht_sum("mag").unwrap(), 0.0);
+        assert_eq!(s.ht_count(|_, _| true), 0.0);
         assert_eq!(s.base_rows(), 100);
     }
 
@@ -195,16 +172,5 @@ mod tests {
         let s = WeightedSample::build(&base, 1000, 8, |_, _| 1.0).unwrap();
         let got = s.table().num_rows();
         assert!((800..1200).contains(&got), "size {got}");
-    }
-
-    #[test]
-    fn ht_sum_on_string_column_errors() {
-        let base = explore_storage::gen::sales_table(&explore_storage::gen::SalesConfig {
-            rows: 100,
-            ..Default::default()
-        });
-        let s = WeightedSample::build(&base, 50, 9, |_, _| 1.0).unwrap();
-        assert!(s.ht_sum("region").is_err());
-        assert!(s.ht_sum("missing").is_err());
     }
 }

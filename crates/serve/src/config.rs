@@ -2,9 +2,19 @@
 
 use std::time::Duration;
 
-/// Everything that shapes the scheduler: worker count, admission bound,
-/// the fairness quantum, and how often in-query boundaries yield the OS
-/// thread.
+/// Fairness quantum. A session's accumulated service time is divided by
+/// this to produce its priority bucket: sessions that have consumed more
+/// whole quanta sort behind lighter ones, so a heavy session can never
+/// starve light ones of dispatch slots.
+pub(crate) const QUANTUM: Duration = Duration::from_millis(1);
+
+/// Cooperative-yield stride: every `YIELD_EVERY`-th `check_cancel`
+/// boundary inside a scheduled query calls `thread::yield_now()`, letting
+/// same-core neighbors (pan sessions, submitters) make progress under
+/// load.
+pub(crate) const YIELD_EVERY: u64 = 64;
+
+/// The scheduler's two settings: worker count and admission bound.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Worker threads draining the run queue. The engine's query path
@@ -19,17 +29,6 @@ pub struct ServeConfig {
     /// [`Overloaded`](explore_storage::StorageError::Overloaded) error
     /// once this many tasks are queued (in-flight tasks don't count).
     pub queue_limit: usize,
-    /// Fairness quantum. A session's accumulated service time is divided
-    /// by this to produce its priority bucket: sessions that have
-    /// consumed more whole quanta sort behind lighter ones, so a heavy
-    /// session can never starve light ones of dispatch slots.
-    pub quantum: Duration,
-    /// Cooperative-yield stride: every `yield_every`-th
-    /// `check_cancel` boundary inside a scheduled query calls
-    /// `thread::yield_now()`, letting same-core neighbors (pan sessions,
-    /// submitters) make progress under load. `0` disables in-query
-    /// yielding without disabling quantum accounting.
-    pub yield_every: u64,
 }
 
 impl Default for ServeConfig {
@@ -37,8 +36,6 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 4,
             queue_limit: 256,
-            quantum: Duration::from_millis(1),
-            yield_every: 64,
         }
     }
 }
@@ -57,12 +54,6 @@ impl ServeConfig {
         self.queue_limit = limit;
         self
     }
-
-    /// Set the fairness quantum.
-    pub fn with_quantum(mut self, quantum: Duration) -> ServeConfig {
-        self.quantum = quantum;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -74,16 +65,12 @@ mod tests {
         let c = ServeConfig::default();
         assert!(c.workers >= 1);
         assert!(c.queue_limit >= 1);
-        assert!(!c.quantum.is_zero());
     }
 
     #[test]
     fn builders_compose() {
-        let c = ServeConfig::with_workers(2)
-            .with_queue_limit(8)
-            .with_quantum(Duration::from_micros(100));
+        let c = ServeConfig::with_workers(2).with_queue_limit(8);
         assert_eq!(c.workers, 2);
         assert_eq!(c.queue_limit, 8);
-        assert_eq!(c.quantum, Duration::from_micros(100));
     }
 }

@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::Instant;
 
-use crate::config::ServeConfig;
+use crate::config::{ServeConfig, YIELD_EVERY};
 use crate::ticket::{Payload, TicketShared};
 use explore_core::{ExploreDb, SessionCtx};
 use explore_exec::YieldHook;
@@ -201,22 +201,19 @@ impl Shared {
     /// The per-query cooperative hook: every `check_cancel` boundary
     /// fires the `serve.yield` fail point (armed = skip the yield,
     /// counted as `fault.serve.yield_skipped` — scheduling degrades,
-    /// answers don't), and every `yield_every`-th boundary yields the
+    /// answers don't), and every `YIELD_EVERY`-th boundary yields the
     /// OS thread.
     fn yield_hook(&self) -> YieldHook {
         let faults = Arc::clone(&self.faults);
-        let every = self.cfg.yield_every;
         let boundaries = AtomicU64::new(0);
         Arc::new(move || {
             if faults.fire("serve.yield") {
                 faults.note("fault.serve.yield_skipped");
                 return Ok(());
             }
-            if every > 0 {
-                let n = boundaries.fetch_add(1, Ordering::Relaxed) + 1;
-                if n.is_multiple_of(every) {
-                    std::thread::yield_now();
-                }
+            let n = boundaries.fetch_add(1, Ordering::Relaxed) + 1;
+            if n.is_multiple_of(YIELD_EVERY) {
+                std::thread::yield_now();
             }
             Ok(())
         })

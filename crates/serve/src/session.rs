@@ -11,6 +11,7 @@ use explore_fault::CancelToken;
 use explore_obs::ObsPolicy;
 use explore_storage::{Query, Result, Table};
 
+use crate::config::QUANTUM;
 use crate::scheduler::{Job, Shared, TaskKey};
 use crate::ticket::{Payload, Ticket, TicketShared};
 
@@ -111,7 +112,7 @@ impl Session {
         let ticket = Arc::new(TicketShared::new());
         let run = Box::new(move |db: &ExploreDb| f(db).map(|r| Box::new(r) as Payload));
         let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed);
-        let quantum_ns = (self.shared.cfg.quantum.as_nanos() as u64).max(1);
+        let quantum_ns = QUANTUM.as_nanos() as u64;
         let key = TaskKey {
             quanta: self.consumed_ns.load(Ordering::Relaxed) / quantum_ns,
             deadline_ns: match self.ctx.deadline {

@@ -426,14 +426,6 @@ impl ShardedTable {
         (!counts.is_empty()).then(|| counts.iter().sum())
     }
 
-    /// Drop every shard's adaptive indexes; the next lookup rebuilds
-    /// them from current rows.
-    pub fn drop_indexes(&self) {
-        for shard in &self.shards {
-            shard.crackers.lock().clear();
-        }
-    }
-
     /// Per-shard statistics; `epoch_of(i)` supplies shard `i`'s cache
     /// epoch (the engine reads it off the shared result cache).
     pub fn stats(&self, epoch_of: impl Fn(usize) -> u64) -> Vec<ShardStats> {
@@ -581,8 +573,6 @@ mod tests {
         st.push_row(t.row(0).unwrap()).unwrap();
         let crackers: Vec<usize> = st.stats(|_| 0).iter().map(|s| s.crackers).collect();
         assert_eq!(crackers, [1, 1, 1, 0]);
-        st.drop_indexes();
-        assert!(st.index_pieces("qty").is_none());
     }
 
     #[test]

@@ -233,33 +233,6 @@ impl Column {
         }
         Ok(())
     }
-
-    /// Minimum and maximum as `f64` for numeric columns (`None` when the
-    /// column is empty or non-numeric). Used by synopses and grid indexes.
-    pub fn numeric_min_max(&self) -> Option<(f64, f64)> {
-        match self {
-            Column::Int64(v) => {
-                let min = *v.iter().min()?;
-                let max = *v.iter().max()?;
-                Some((min as f64, max as f64))
-            }
-            Column::Float64(v) => {
-                let mut it = v.iter().copied();
-                let first = it.next()?;
-                let (mut lo, mut hi) = (first, first);
-                for x in it {
-                    if x < lo {
-                        lo = x;
-                    }
-                    if x > hi {
-                        hi = x;
-                    }
-                }
-                Some((lo, hi))
-            }
-            Column::Utf8(_) => None,
-        }
-    }
 }
 
 impl From<Vec<i64>> for Column {
@@ -359,19 +332,5 @@ mod tests {
         a.extend_from(&Column::from(vec![2i64, 3])).unwrap();
         assert_eq!(a.as_i64().unwrap(), &[1, 2, 3]);
         assert!(a.extend_from(&Column::from(vec![1.0])).is_err());
-    }
-
-    #[test]
-    fn min_max() {
-        assert_eq!(
-            Column::from(vec![3i64, -1, 7]).numeric_min_max(),
-            Some((-1.0, 7.0))
-        );
-        assert_eq!(
-            Column::from(vec![2.0f64, 0.5]).numeric_min_max(),
-            Some((0.5, 2.0))
-        );
-        assert_eq!(Column::from(vec!["x"]).numeric_min_max(), None);
-        assert_eq!(Column::empty(DataType::Int64).numeric_min_max(), None);
     }
 }

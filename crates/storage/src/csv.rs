@@ -12,7 +12,6 @@ use crate::column::Column;
 use crate::error::{Result, StorageError};
 use crate::schema::Schema;
 use crate::table::Table;
-use crate::value::DataType;
 
 /// Serialize a table to CSV with a header row.
 pub fn write_csv(table: &Table) -> String {
@@ -101,47 +100,11 @@ pub fn push_parsed(col: &mut Column, raw: &str, line: usize) -> Result<()> {
     Ok(())
 }
 
-/// Infer a schema from a header and first data row: fields that parse as
-/// i64 become Int64, else f64 → Float64, else Utf8.
-pub fn infer_schema(text: &str) -> Result<Schema> {
-    let mut lines = text.lines();
-    let header = lines.next().ok_or(StorageError::Csv {
-        line: 1,
-        message: "empty input".into(),
-    })?;
-    let first = lines.next().ok_or(StorageError::Csv {
-        line: 2,
-        message: "need at least one data row to infer types".into(),
-    })?;
-    let names: Vec<&str> = header.split(',').collect();
-    let samples: Vec<&str> = first.split(',').collect();
-    if names.len() != samples.len() {
-        return Err(StorageError::Csv {
-            line: 2,
-            message: "first row width differs from header".into(),
-        });
-    }
-    let fields = names
-        .iter()
-        .zip(&samples)
-        .map(|(n, s)| {
-            let t = if s.parse::<i64>().is_ok() {
-                DataType::Int64
-            } else if s.parse::<f64>().is_ok() {
-                DataType::Float64
-            } else {
-                DataType::Utf8
-            };
-            crate::schema::Field::new(*n, t)
-        })
-        .collect();
-    Schema::new(fields)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen::{sales_table, SalesConfig};
+    use crate::value::DataType;
 
     #[test]
     fn roundtrip_preserves_table() {
@@ -178,15 +141,6 @@ mod tests {
         let schema = Schema::of(&[("a", DataType::Int64)]);
         let t = read_csv("a\n1\n\n2\n", &schema).unwrap();
         assert_eq!(t.num_rows(), 2);
-    }
-
-    #[test]
-    fn infer_schema_types() {
-        let s = infer_schema("id,price,name\n3,4.5,widget\n").unwrap();
-        assert_eq!(s.data_type("id").unwrap(), DataType::Int64);
-        assert_eq!(s.data_type("price").unwrap(), DataType::Float64);
-        assert_eq!(s.data_type("name").unwrap(), DataType::Utf8);
-        assert!(infer_schema("a\n").is_err());
     }
 
     #[test]

@@ -18,22 +18,6 @@ pub fn uniform_i64(n: usize, low: i64, high: i64, seed: u64) -> Vec<i64> {
     (0..n).map(|_| rng.range_i64(low, high)).collect()
 }
 
-/// A uniformly random `f64` column over `[low, high)`.
-pub fn uniform_f64(n: usize, low: f64, high: f64, seed: u64) -> Vec<f64> {
-    let mut rng = SplitMix64::new(seed);
-    (0..n).map(|_| rng.range_f64(low, high)).collect()
-}
-
-/// A zipf-skewed categorical column with `k` distinct labels `v0..v{k-1}`,
-/// label 0 most frequent.
-pub fn zipf_labels(n: usize, k: usize, skew: f64, seed: u64) -> Vec<String> {
-    let mut rng = SplitMix64::new(seed);
-    let zipf = Zipf::new(k, skew);
-    (0..n)
-        .map(|_| format!("v{}", zipf.sample(&mut rng)))
-        .collect()
-}
-
 /// Configuration for the synthetic sales fact table used across the
 /// AQP, SeeDB and diversification experiments.
 #[derive(Debug, Clone)]
@@ -189,16 +173,6 @@ mod tests {
         assert!(a.iter().all(|&x| (-10..10).contains(&x)));
         assert_eq!(a, uniform_i64(1000, -10, 10, 1));
         assert_ne!(a, uniform_i64(1000, -10, 10, 2));
-        let f = uniform_f64(1000, 0.0, 1.0, 1);
-        assert!(f.iter().all(|&x| (0.0..1.0).contains(&x)));
-    }
-
-    #[test]
-    fn zipf_labels_skew_to_v0() {
-        let labels = zipf_labels(10_000, 5, 1.0, 3);
-        let head = labels.iter().filter(|l| l.as_str() == "v0").count();
-        let tail = labels.iter().filter(|l| l.as_str() == "v4").count();
-        assert!(head > tail * 2, "head={head} tail={tail}");
     }
 
     #[test]

@@ -17,7 +17,6 @@
 //! * [`Predicate`] — filter ASTs with vectorized evaluation.
 //! * [`Query`] — filter → group/aggregate → order → limit, and the one
 //!   morsel pipeline that executes it ([`Query::run`] is its serial walk).
-//! * [`hash_join`] — an equi-join for cross-table exploration.
 //! * [`rng`] / [`gen`] — deterministic randomness and synthetic workloads
 //!   shared by tests, examples and the benchmark harness.
 //!
@@ -43,7 +42,6 @@ pub mod csv;
 pub mod dict;
 pub mod error;
 pub mod gen;
-pub mod join;
 pub mod predicate;
 pub mod query;
 pub mod rng;
@@ -55,7 +53,6 @@ pub use agg::{Accumulator, AggFunc, Measure};
 pub use column::Column;
 pub use dict::Dictionary;
 pub use error::{Result, StorageError};
-pub use join::hash_join;
 pub use predicate::{mask_to_sel, CmpOp, Predicate};
 /// The morsel grid and the dispatch seam of the one query pipeline
 /// (see [`query`]). `explore-exec` implements the seam with cancellation,

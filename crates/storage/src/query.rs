@@ -480,7 +480,7 @@ impl Query {
 
     /// The scan output for the rows of `sel`: the projected columns (all
     /// columns when the projection is empty), gathered at those rows only.
-    pub fn scan_rows(&self, table: &Table, sel: &[u32]) -> Result<Table> {
+    fn scan_rows(&self, table: &Table, sel: &[u32]) -> Result<Table> {
         if self.projection.is_empty() {
             Ok(table.gather(sel))
         } else {

@@ -92,11 +92,6 @@ impl Value {
         }
     }
 
-    /// True if the value is `Null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     /// Total ordering used for sorting result rows and computing
     /// top-k: Null < Int/Float (numerically) < Str (lexicographically).
     /// Float NaNs sort after all other floats.
@@ -169,7 +164,6 @@ mod tests {
         assert_eq!(Value::Float(2.5).as_float(), Some(2.5));
         assert_eq!(Value::Float(2.5).as_int(), None);
         assert_eq!(Value::from("x").as_str(), Some("x"));
-        assert!(Value::Null.is_null());
         assert_eq!(Value::Null.data_type(), None);
     }
 

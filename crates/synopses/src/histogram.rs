@@ -41,9 +41,10 @@ impl Histogram {
         }
     }
 
-    /// Build an equi-depth histogram with `buckets` buckets (sorts a copy).
+    /// Build an equi-depth histogram with `buckets` buckets (sorts a copy),
+    /// at most one per row.
     pub fn equi_depth(data: &[f64], buckets: usize) -> Self {
-        let buckets = buckets.max(1);
+        let buckets = buckets.clamp(1, data.len().max(1));
         if data.is_empty() {
             return Histogram {
                 edges: vec![0.0; buckets + 1],
@@ -73,19 +74,9 @@ impl Histogram {
         }
     }
 
-    /// Number of buckets.
-    pub fn num_buckets(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Total rows summarized.
     pub fn total(&self) -> u64 {
         self.total
-    }
-
-    /// Bucket boundaries.
-    pub fn edges(&self) -> &[f64] {
-        &self.edges
     }
 
     /// Per-bucket counts.
@@ -188,7 +179,7 @@ mod tests {
         ] {
             assert_eq!(h.counts().iter().sum::<u64>(), 10_000);
             assert_eq!(h.total(), 10_000);
-            assert_eq!(h.num_buckets(), 32);
+            assert_eq!(h.counts().len(), 32);
         }
     }
 
@@ -243,6 +234,14 @@ mod tests {
         assert!((h.estimate_range(4.9, 5.1) - 100.0).abs() < 1.0);
         let h = Histogram::equi_depth(&[5.0; 100], 8);
         assert_eq!(h.counts().iter().sum::<u64>(), 100);
+    }
+
+    #[test]
+    fn equi_depth_has_at_most_one_bucket_per_row() {
+        let data = uniform(10, 6);
+        let h = Histogram::equi_depth(&data, usize::MAX);
+        assert_eq!(h.counts(), &[1; 10]);
+        assert_eq!(Histogram::equi_depth(&[], usize::MAX).counts(), &[0]);
     }
 
     #[test]

@@ -24,11 +24,6 @@ impl HyperLogLog {
         }
     }
 
-    /// Number of registers.
-    pub fn num_registers(&self) -> usize {
-        self.registers.len()
-    }
-
     /// Add a 64-bit hashed item. Callers hash their keys first (use
     /// [`crate::sketch::fnv1a`] for strings); feeding raw sequential
     /// integers would not be uniform, so we re-mix here defensively.
@@ -165,7 +160,7 @@ mod tests {
 
     #[test]
     fn precision_is_clamped() {
-        assert_eq!(HyperLogLog::new(1).num_registers(), 16);
-        assert_eq!(HyperLogLog::new(30).num_registers(), 1 << 18);
+        assert_eq!(HyperLogLog::new(1).registers.len(), 16);
+        assert_eq!(HyperLogLog::new(30).registers.len(), 1 << 18);
     }
 }

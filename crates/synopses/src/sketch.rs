@@ -68,7 +68,7 @@ impl CountMinSketch {
     }
 
     /// Record `n` occurrences of `key`.
-    pub fn insert_n(&mut self, key: u64, n: u64) {
+    fn insert_n(&mut self, key: u64, n: u64) {
         for row in 0..self.depth {
             let s = self.slot(row, key);
             self.counters[s] += n;

@@ -304,11 +304,6 @@ impl WorkloadRunner {
         })
     }
 
-    /// The generated trajectories (for inspection and tests).
-    pub fn specs(&self) -> &[SessionSpec] {
-        &self.specs
-    }
-
     /// The engine's fail-point registry, for chaos workloads.
     pub fn fail_points(&self) -> Arc<FailPoints> {
         Arc::clone(&self.faults)
@@ -505,7 +500,7 @@ mod tests {
     #[test]
     fn runs_and_accounts_every_interaction() {
         let runner = WorkloadRunner::new(quick_config()).unwrap();
-        assert_eq!(runner.specs().len(), 3);
+        assert_eq!(runner.specs.len(), 3);
         let report = runner.run().unwrap();
         assert_eq!(report.sessions, 3);
         assert_eq!(report.interactions, 36);

@@ -216,7 +216,6 @@ fn admission_rejection_is_bit_identical_and_observed() {
         on.set_cache_policy(CachePolicy::On(CacheConfig {
             byte_budget: 1 << 30,
             admit_min_cost_ns: u64::MAX,
-            ..CacheConfig::default()
         }));
         on.register("sales", t.clone());
 
@@ -260,7 +259,6 @@ fn admission_threshold_zero_admits_everything() {
     let on = ExploreDb::with_cache_policy(CachePolicy::On(CacheConfig {
         byte_budget: 1 << 30,
         admit_min_cost_ns: 0,
-        ..CacheConfig::default()
     }));
     on.register("sales", t);
 
@@ -422,7 +420,6 @@ fn chains_survive_evictions() {
     let tight = CachePolicy::On(CacheConfig {
         byte_budget: 1 << 20,
         admit_min_cost_ns: 0,
-        ..CacheConfig::default()
     });
     for stats in run_chain(&t, tight.clone(), &chain, "evicting chains") {
         assert!(stats.evictions > 0, "the budget must bind: {stats:?}");
@@ -445,7 +442,6 @@ fn cache_counters_are_a_function_of_the_op_stream() {
         let db = ExploreDb::with_cache_policy(CachePolicy::On(CacheConfig {
             byte_budget: 1 << 30,
             admit_min_cost_ns: 0,
-            ..CacheConfig::default()
         }));
         db.register("sales", t.clone());
         db.register("sky", sky.clone());

@@ -249,7 +249,6 @@ fn epochs_are_per_table() {
 fn zero_byte_budget_serves_through_compute() {
     let mut db = ExploreDb::with_cache_policy(CachePolicy::On(CacheConfig {
         byte_budget: 0,
-        subsumption: true,
         ..CacheConfig::default()
     }));
     db.register("sales", sales(3_000));
@@ -265,7 +264,6 @@ fn entry_larger_than_budget_is_never_admitted() {
     let budget = 64; // smaller than any real result table
     let mut db = ExploreDb::with_cache_policy(CachePolicy::On(CacheConfig {
         byte_budget: budget,
-        subsumption: true,
         ..CacheConfig::default()
     }));
     db.register("sales", sales(3_000));
@@ -286,7 +284,6 @@ fn injected_eviction_failure_degrades_to_clear_all() {
     let budget = 4 << 10;
     let mut db = ExploreDb::with_cache_policy(CachePolicy::On(CacheConfig {
         byte_budget: budget,
-        subsumption: true,
         ..CacheConfig::default()
     }));
     db.register("sales", sales(3_000));
@@ -325,7 +322,6 @@ fn admission_rejection_composes_with_invalidation() {
     let mut db = ExploreDb::with_cache_policy(CachePolicy::On(CacheConfig {
         byte_budget: 1 << 30,
         admit_min_cost_ns: u64::MAX,
-        ..CacheConfig::default()
     }));
     db.register("sales", sales(10_000));
     warm(&mut db);

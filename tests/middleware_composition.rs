@@ -1,5 +1,5 @@
 //! Cross-layer composition tests for the pieces added beyond the
-//! initial reproduction: joins, group-wise online aggregation, synopsis
+//! initial reproduction: group-wise online aggregation, synopsis
 //! answering, faceted recommendations and the dbtouch canvas — each
 //! exercised *together with* the layers it serves.
 
@@ -12,7 +12,7 @@ use exploration::interact::faceted_recommendations;
 use exploration::interact::gesture::QueryIntent;
 use exploration::sampling::SampleCatalog;
 use exploration::storage::gen::{sales_table, SalesConfig};
-use exploration::storage::{hash_join, AggFunc, Column, DataType, Predicate, Query, Schema, Table};
+use exploration::storage::{AggFunc, Predicate, Query};
 use exploration::viz::{
     candidate_views, ordered_bars, recommend_naive, recommend_pruned, recommend_shared, ScoredView,
     SeedbStats,
@@ -164,54 +164,6 @@ fn facets_keep_their_bits() {
         }
     }
     assert_eq!(format!("{h:#018x}"), "0xaa3d4d02e902953a");
-}
-
-#[test]
-fn join_then_explore_the_joined_table() {
-    // A dimension table joins onto the fact table; exploration
-    // machinery (SeeDB-style grouping) then runs on the result.
-    let sales = sales_table(&SalesConfig {
-        rows: 5_000,
-        ..SalesConfig::default()
-    });
-    let regions: Vec<String> = (0..8).map(|i| format!("region{i}")).collect();
-    let zones: Vec<&str> = [
-        "north", "north", "south", "south", "east", "east", "west", "west",
-    ]
-    .to_vec();
-    let dim = Table::new(
-        Schema::of(&[("region_name", DataType::Utf8), ("zone", DataType::Utf8)]),
-        vec![Column::from(regions), Column::from(zones)],
-    )
-    .unwrap();
-    let joined = hash_join(&sales, &dim, "region", "region_name").unwrap();
-    assert_eq!(
-        joined.num_rows(),
-        sales.num_rows(),
-        "FK join preserves facts"
-    );
-    // Aggregate over the joined-in attribute.
-    let by_zone = Query::new()
-        .group("zone")
-        .agg(AggFunc::Sum, "price")
-        .run(&joined)
-        .unwrap();
-    assert!(by_zone.num_rows() <= 4);
-    let total: f64 = by_zone
-        .column("sum(price)")
-        .unwrap()
-        .as_f64()
-        .unwrap()
-        .iter()
-        .sum();
-    let truth: f64 = sales
-        .column("price")
-        .unwrap()
-        .as_f64()
-        .unwrap()
-        .iter()
-        .sum();
-    assert!((total - truth).abs() < 1e-6, "join loses no mass");
 }
 
 #[test]

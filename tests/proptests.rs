@@ -216,42 +216,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Hash join agrees with a nested-loop model on arbitrary key
-    /// multisets (including duplicates and misses on both sides).
-    #[test]
-    fn hash_join_matches_nested_loop(
-        left_keys in prop::collection::vec(0i64..20, 0..60),
-        right_keys in prop::collection::vec(0i64..20, 0..60),
-    ) {
-        use exploration::storage::{hash_join, Column, DataType, Schema, Table};
-        let left = Table::new(
-            Schema::of(&[("k", DataType::Int64), ("l", DataType::Int64)]),
-            vec![
-                Column::from(left_keys.clone()),
-                Column::from((0..left_keys.len() as i64).collect::<Vec<_>>()),
-            ],
-        ).expect("left");
-        let right = Table::new(
-            Schema::of(&[("k", DataType::Int64), ("r", DataType::Int64)]),
-            vec![
-                Column::from(right_keys.clone()),
-                Column::from((0..right_keys.len() as i64).collect::<Vec<_>>()),
-            ],
-        ).expect("right");
-        let joined = hash_join(&left, &right, "k", "k").expect("join");
-        let mut want = 0usize;
-        for &lk in &left_keys {
-            want += right_keys.iter().filter(|&&rk| rk == lk).count();
-        }
-        prop_assert_eq!(joined.num_rows(), want);
-        // Every output row's two key columns agree.
-        let lk = joined.column("k").expect("k").as_i64().expect("i64");
-        let rk = joined.column("right_k").expect("right_k").as_i64().expect("i64");
-        for (a, b) in lk.iter().zip(rk) {
-            prop_assert_eq!(a, b);
-        }
-    }
-
     /// Segmentation always partitions the rows exactly, with in-order
     /// non-overlapping bounds, for any numeric data.
     #[test]
