@@ -8,13 +8,15 @@
 #   ./ci.sh fast     # skip the overhead check
 #
 # Knobs: CHAOS_ITERS (the chaos-smoke step's seeded fault schedules,
-# default 200 — the depth gate; the suite's own default under
-# `cargo test` is 40),
+# default 200 — the depth gate; under `cargo test` the seeded chaos
+# loop's exec stream (chaos_differential) defaults to 40 and its shard
+# stream (shard_differential) to 150, and chaos_differential's other
+# loops to 40),
 # WORKLOAD_ITERS (default 8 seeded workload replays per test in
 # tests/workload_determinism.rs; raise for soak runs),
 # STRESS_ITERS (default 4 seeded reader/mutator/chaos rounds per test in
 # tests/concurrent_stress.rs; raise for soak runs),
-# SPEEDUP_ITERS (best-of-N sampling in tests/parallel_speedup.rs; its
+# SPEEDUP_ITERS (best-of-N sampling in tests/parallel_differential.rs; its
 # wall-clock assertion only arms on hosts with >= 4 cores).
 #
 # Cross-commit performance numbers come from BENCHMARK.json + benchmark/
@@ -259,6 +261,16 @@ if [[ -n "$dead" ]]; then
     exit 1
 fi
 
+echo "==> test-helpers lint (shared test helpers live in tests/common/ only)"
+# The suites share one copy of the chaos depth knob, the fault schedule,
+# the roomy cache, the table sizes and the bitwise comparison
+# (tests/common/mod.rs). A second definition in a suite is a copy that
+# can drift from the one the differential matrix runs.
+if grep -nE 'fn (chaos_iters|random_schedule|roomy_policy|table_sizes|assert_bitwise_eq)\b' tests/*.rs; then
+    echo "error: shared test helper defined in a suite; use the one in tests/common/" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -280,9 +292,9 @@ echo "==> chaos smoke (CHAOS_ITERS=${CHAOS_ITERS:-200} seeded fault schedules," 
     "STRESS_ITERS=${STRESS_ITERS:-4} reader/mutator stress rounds)"
 CHAOS_ITERS="${CHAOS_ITERS:-200}" WORKLOAD_ITERS="${WORKLOAD_ITERS:-8}" \
     STRESS_ITERS="${STRESS_ITERS:-4}" \
-    cargo test -q --test chaos_differential --test cancel_proptests \
-    --test shard_differential --test workload_determinism \
-    --test serve_differential --test serve_fairness --test concurrent_stress
+    cargo test -q --test chaos_differential --test shard_differential \
+    --test cancel_proptests --test workload_determinism --test serve_fairness \
+    --test concurrent_stress
 
 # The repo benchmark (BENCHMARK.json, benchmark/) as a smoke step: its own
 # unit tests, then every workload at a twentieth of the rows for 2 s each.

@@ -384,6 +384,16 @@ impl Parser {
         }
     }
 
+    fn expect_i64(&mut self) -> Result<i64, StorageError> {
+        let v = self.expect_number()?;
+        // `i64::MIN as f64` is exactly -2^63; 2^63 itself is one past MAX.
+        if v.is_finite() && v.fract() == 0.0 && v >= i64::MIN as f64 && v < -(i64::MIN as f64) {
+            Ok(v as i64)
+        } else {
+            Err(self.err(&format!("expected a whole number, got {v}")))
+        }
+    }
+
     fn eat_symbol(&mut self, c: char) -> bool {
         if self.peek() == Some(&Token::Symbol(c)) {
             self.pos += 1;
@@ -409,9 +419,9 @@ impl Parser {
         if self.eat_kw("crack") {
             let column = self.expect_word()?;
             self.expect_kw("between")?;
-            let low = self.expect_number()? as i64;
+            let low = self.expect_i64()?;
             self.expect_kw("and")?;
-            let high = self.expect_number()? as i64;
+            let high = self.expect_i64()?;
             return Ok(Statement::Crack { column, low, high });
         }
         if self.eat_kw("recommend") {
@@ -1061,6 +1071,20 @@ mod tests {
         assert!(parse("SELECT avg(price) extra junk").is_err(), "trailing");
         assert!(parse("SELECT frobnicate(price)").is_err(), "unknown agg");
         assert!(parse("CRACK qty BETWEEN 3").is_err());
+        // Crack bounds are whole and fit an i64, or the parse fails.
+        assert!(parse("CRACK qty BETWEEN 2.7 AND 5").is_err(), "fraction");
+        assert!(
+            parse("CRACK qty BETWEEN 0 AND 1e30").is_err(),
+            "out of range"
+        );
+        assert!(matches!(
+            parse("CRACK qty BETWEEN -3 AND 9"),
+            Ok(Statement::Crack {
+                low: -3,
+                high: 9,
+                ..
+            })
+        ));
         // Counts are whole and in range, or the parse fails.
         assert!(parse("SELECT avg(price) TOP -3").is_err(), "negative");
         assert!(parse("SELECT avg(price) TOP 2.5").is_err(), "fraction");

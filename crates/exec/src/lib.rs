@@ -10,8 +10,8 @@
 //! Because [`ExecPolicy::Serial`] and [`ExecPolicy::Parallel`] share the
 //! morsel decomposition and the merge order, the two policies produce
 //! bit-identical result tables for every supported query shape — the
-//! property the repo's differential test harness
-//! (`tests/parallel_differential.rs`) asserts exhaustively.
+//! property the repo's differential matrix
+//! (`tests/differential_matrix.rs`) asserts exhaustively.
 //!
 //! Interactive exploration sessions are latency-bound scans over a
 //! single hot table; morsel-driven parallelism is the standard way to

@@ -20,7 +20,7 @@
 //!
 //! With [`ObsPolicy::Off`] (the default) the only residue is a relaxed
 //! atomic load per query and a never-taken branch per morsel — results
-//! are bit-identical either way, which `tests/obs_differential.rs`
+//! are bit-identical either way, which `tests/differential_matrix.rs`
 //! asserts across every supported query shape and exec policy.
 //!
 //! # Example
@@ -45,7 +45,7 @@ pub mod span;
 pub mod tracer;
 
 pub use metrics::{Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
-pub use policy::{ObsConfig, ObsPolicy};
+pub use policy::ObsPolicy;
 pub use render::{fmt_ns, render_trace};
 pub use span::{CacheOutcome, QueryTrace, Span, SpanId, SpanKind, ROOT_SPAN};
 pub use tracer::{ActiveTrace, Tracer};

@@ -1,30 +1,10 @@
 //! The observability knob: `Off` by default, and *zero-cost* when off.
 //!
 //! Mirrors the shape of `ExecPolicy` and `CachePolicy`: a plain enum the
-//! engine carries, with an attached config when enabled. Every
-//! instrumentation site guards on one relaxed atomic load (see
-//! [`crate::Tracer::start`]), so an `Off` engine executes the exact same
-//! instruction stream as a build without the obs crate wired in.
-
-/// Tuning knobs for an enabled tracer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ObsConfig {
-    /// How many finished [`crate::QueryTrace`]s the ring retains.
-    pub ring_capacity: usize,
-    /// Per-trace span budget. Spans past the budget are counted
-    /// (`QueryTrace::dropped_spans`) rather than recorded, so a
-    /// pathological query cannot balloon trace memory.
-    pub max_spans_per_trace: usize,
-}
-
-impl Default for ObsConfig {
-    fn default() -> Self {
-        ObsConfig {
-            ring_capacity: 64,
-            max_spans_per_trace: 4096,
-        }
-    }
-}
+//! engine carries. Every instrumentation site guards on one relaxed
+//! atomic load (see [`crate::Tracer::start`]), so an `Off` engine
+//! executes the exact same instruction stream as a build without the obs
+//! crate wired in.
 
 /// Whether the engine records traces and metrics.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -35,26 +15,18 @@ pub enum ObsPolicy {
     Off,
     /// Record per-query traces into a bounded ring and aggregate
     /// counters/histograms in the metrics registry.
-    On(ObsConfig),
+    On,
 }
 
 impl ObsPolicy {
-    /// Enabled with default configuration.
+    /// Enabled.
     pub fn on() -> Self {
-        ObsPolicy::On(ObsConfig::default())
+        ObsPolicy::On
     }
 
     /// Is observability enabled?
     pub fn is_on(&self) -> bool {
-        matches!(self, ObsPolicy::On(_))
-    }
-
-    /// The configuration when enabled.
-    pub fn config(&self) -> Option<&ObsConfig> {
-        match self {
-            ObsPolicy::Off => None,
-            ObsPolicy::On(c) => Some(c),
-        }
+        matches!(self, ObsPolicy::On)
     }
 }
 
@@ -65,9 +37,6 @@ mod tests {
     #[test]
     fn defaults_are_off() {
         assert!(!ObsPolicy::default().is_on());
-        assert!(ObsPolicy::default().config().is_none());
-        let on = ObsPolicy::on();
-        assert!(on.is_on());
-        assert_eq!(on.config().unwrap().ring_capacity, 64);
+        assert!(ObsPolicy::on().is_on());
     }
 }

@@ -31,6 +31,14 @@ use crate::metrics::MetricsRegistry;
 use crate::policy::ObsPolicy;
 use crate::span::{QueryTrace, Span, SpanId, SpanKind, ROOT_SPAN};
 
+/// How many finished [`QueryTrace`]s the ring retains.
+const RING_CAPACITY: usize = 64;
+
+/// Per-trace span budget. Spans past it are counted
+/// (`QueryTrace::dropped_spans`) rather than recorded, so a pathological
+/// query cannot balloon trace memory.
+const MAX_SPANS_PER_TRACE: usize = 4096;
+
 /// Fixed-capacity, lock-free, write-only span buffer. Slots are claimed
 /// with `fetch_add` and read only after every writer is done (enforced
 /// by `ActiveTrace::finish(self)` consuming the unique owner).
@@ -187,8 +195,6 @@ impl ActiveTrace {
 #[derive(Debug)]
 pub struct Tracer {
     enabled: AtomicBool,
-    ring_capacity: AtomicUsize,
-    max_spans: AtomicUsize,
     seq: AtomicU64,
     ring: Mutex<Vec<QueryTrace>>,
     metrics: Arc<MetricsRegistry>,
@@ -205,28 +211,17 @@ impl Tracer {
     pub fn new() -> Self {
         Tracer {
             enabled: AtomicBool::new(false),
-            ring_capacity: AtomicUsize::new(64),
-            max_spans: AtomicUsize::new(4096),
             seq: AtomicU64::new(0),
             ring: Mutex::new(Vec::new()),
             metrics: Arc::new(MetricsRegistry::new()),
         }
     }
 
-    /// Apply a policy: `On` enables recording with its config, `Off`
-    /// disables it (the ring and metrics keep their contents — turning
-    /// tracing back on resumes the same history).
+    /// Apply a policy: `On` enables recording, `Off` disables it (the
+    /// ring and metrics keep their contents — turning tracing back on
+    /// resumes the same history).
     pub fn set_policy(&self, policy: &ObsPolicy) {
-        match policy.config() {
-            Some(config) => {
-                self.ring_capacity
-                    .store(config.ring_capacity.max(1), Ordering::Relaxed);
-                self.max_spans
-                    .store(config.max_spans_per_trace.max(1), Ordering::Relaxed);
-                self.enabled.store(true, Ordering::Relaxed);
-            }
-            None => self.enabled.store(false, Ordering::Relaxed),
-        }
+        self.enabled.store(policy.is_on(), Ordering::Relaxed);
     }
 
     /// Is recording on? (One relaxed load — the whole off-cost.)
@@ -260,7 +255,7 @@ impl Tracer {
             started: Instant::now(),
             table: table.to_owned(),
             query,
-            buf: SpanBuf::new(self.max_spans.load(Ordering::Relaxed)),
+            buf: SpanBuf::new(MAX_SPANS_PER_TRACE),
             // Id 0 is the implicit root; children allocate from 1.
             next_id: AtomicU32::new(ROOT_SPAN + 1),
             dropped: AtomicU32::new(0),
@@ -273,11 +268,10 @@ impl Tracer {
     }
 
     fn push_trace(&self, trace: QueryTrace) {
-        let cap = self.ring_capacity.load(Ordering::Relaxed).max(1);
         let mut ring = self.ring.lock();
         ring.push(trace);
-        if ring.len() > cap {
-            let overflow = ring.len() - cap;
+        if ring.len() > RING_CAPACITY {
+            let overflow = ring.len() - RING_CAPACITY;
             ring.drain(..overflow);
         }
     }
@@ -286,7 +280,6 @@ impl Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::ObsConfig;
     use crate::span::CacheOutcome;
 
     fn on_tracer() -> Arc<Tracer> {
@@ -372,27 +365,24 @@ mod tests {
 
     #[test]
     fn span_budget_drops_not_corrupts() {
-        let t = Arc::new(Tracer::new());
-        t.set_policy(&ObsPolicy::On(ObsConfig {
-            ring_capacity: 2,
-            max_spans_per_trace: 8,
-        }));
+        let t = on_tracer();
         let active = t.start("sales", || "q".into()).expect("enabled");
-        for i in 0..20u32 {
+        for i in 0..=MAX_SPANS_PER_TRACE as u32 {
             let start = active.now_ns();
             active.record(ROOT_SPAN, SpanKind::Morsel { index: i }, start, start);
         }
         let finished = active.finish();
-        assert_eq!(finished.spans_labelled("morsel").len(), 8);
-        assert_eq!(finished.dropped_spans, 12);
+        assert_eq!(finished.spans_labelled("morsel").len(), MAX_SPANS_PER_TRACE);
+        assert_eq!(finished.dropped_spans, 1);
 
-        // Ring keeps only the newest `ring_capacity` traces.
-        for _ in 0..3 {
+        // Ring keeps only the newest `RING_CAPACITY` traces.
+        for _ in 0..RING_CAPACITY {
             t.start("sales", || "q".into()).expect("enabled").finish();
         }
         let recent = t.recent_traces();
-        assert_eq!(recent.len(), 2);
-        assert!(recent[0].seq < recent[1].seq);
+        assert_eq!(recent.len(), RING_CAPACITY);
+        assert!(recent.windows(2).all(|w| w[0].seq < w[1].seq));
+        assert_eq!(recent[0].seq, 1, "the first trace fell out");
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! Cache-on/off differential harness for the semantic result cache.
 //!
-//! Every query shape from the serial/parallel differential suite replays
-//! against a cache-enabled engine — cold (first touch) and warm (second
-//! touch, served from cache), under both execution policies — and must
-//! be **bit-identical** (floats via `to_bits`) to the cache-off engine.
-//! A separate battery drives contained range predicates through the
-//! subsumption path and pins those to the uncached answers too: single
+//! The differential matrix (`tests/differential_matrix.rs`) replays
+//! every query shape cold and warm; this suite drives contained range
+//! predicates through the subsumption path and pins those to the
+//! uncached answers, **bit-identical** (floats via `to_bits`): single
 //! serves, refinement chains many steps deep, multi-column and
 //! string-bounded regions, and chains whose entries are evicted under
-//! them. A last test replays one op stream twice and requires identical
-//! cache counters.
+//! them. It also holds admission thresholds and policy toggles to the
+//! uncached answers, and replays one op stream twice to require
+//! identical cache counters.
 
 use exploration::cache::{CacheConfig, CachePolicy, CacheStats};
 use exploration::exec::ExecPolicy;
@@ -19,82 +18,7 @@ use exploration::storage::{AggFunc, CmpOp, Predicate, Query, SortOrder, Table, M
 use exploration::ExploreDb;
 
 mod common;
-use common::{assert_bitwise_eq, query_shapes, sales};
-
-/// The two table scales of the parallel differential suite: several
-/// morsels with a ragged tail, and a sub-morsel degenerate.
-fn table_sizes() -> [usize; 2] {
-    [777, 2 * MORSEL_ROWS + 4321]
-}
-
-/// A budget large enough that this workload never evicts — the harness
-/// tests serve-path correctness; eviction policy is unit-tested in
-/// `explore-cache`.
-fn roomy_policy() -> CachePolicy {
-    CachePolicy::On(CacheConfig {
-        byte_budget: 1 << 30,
-        ..CacheConfig::default()
-    })
-}
-
-/// Cold and warm cache passes equal the cache-off engine for every
-/// shape, at both table scales, under both execution policies.
-#[test]
-fn every_shape_is_bit_identical_with_cache_off_cold_and_warm() {
-    for rows in table_sizes() {
-        let t = sales(rows);
-        for policy in [ExecPolicy::Serial, ExecPolicy::Parallel { workers: 4 }] {
-            let off = ExploreDb::with_exec_policy(policy);
-            off.register("sales", t.clone());
-            let on = ExploreDb::with_exec_policy(policy);
-            on.set_cache_policy(roomy_policy());
-            on.register("sales", t.clone());
-
-            let shapes = query_shapes();
-            let baselines: Vec<Table> = shapes
-                .iter()
-                .map(|(name, q)| {
-                    off.query("sales", q)
-                        .unwrap_or_else(|e| panic!("{name} baseline: {e}"))
-                })
-                .collect();
-
-            for ((name, q), baseline) in shapes.iter().zip(&baselines) {
-                let cold = on
-                    .query("sales", q)
-                    .unwrap_or_else(|e| panic!("{name} cold: {e}"));
-                assert_bitwise_eq(
-                    baseline,
-                    &cold,
-                    &format!("{name} cold ({rows} rows, {policy:?})"),
-                );
-            }
-            let stats_cold = on.cache_stats();
-            assert_eq!(stats_cold.hits, 0, "cold pass must not hit");
-            assert!(
-                stats_cold.insertions > 0,
-                "cold pass populates the cache: {stats_cold:?}"
-            );
-
-            for ((name, q), baseline) in shapes.iter().zip(&baselines) {
-                let warm = on
-                    .query("sales", q)
-                    .unwrap_or_else(|e| panic!("{name} warm: {e}"));
-                assert_bitwise_eq(
-                    baseline,
-                    &warm,
-                    &format!("{name} warm ({rows} rows, {policy:?})"),
-                );
-            }
-            let stats_warm = on.cache_stats();
-            assert_eq!(
-                stats_warm.hits,
-                shapes.len() as u64,
-                "every warm query is an exact hit: {stats_warm:?}"
-            );
-        }
-    }
-}
+use common::{assert_bitwise_eq, query_shapes, roomy_policy, sales};
 
 /// Subsumption serving: a narrow range answered from a cached broader
 /// range equals the uncached answer bit-for-bit, scans and aggregates

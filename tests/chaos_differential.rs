@@ -3,14 +3,16 @@
 //! error** — never a panic, never a silently wrong answer, never a
 //! corrupted engine.
 //!
-//! The harness runs the executor's supported query shapes against
-//! seeded random fault schedules (`Schedule::Seeded` decisions are pure
-//! functions of the seed and hit index, so every failure is replayable
-//! from its iteration number), across Serial/Parallel execution and
-//! cache off/warm. After each faulty run the faults are disarmed and
-//! the *same engine* answers the same query again — it must match the
-//! fault-free truth bit-for-bit, proving no fault corrupted persistent
-//! state (cache, loaders, cracker indexes, parallel fan-out).
+//! The seeded loop over `ExploreDb::query` runs the differential
+//! matrix's exec/cache fault stream (`tests/common/matrix.rs`; the shard
+//! stream runs in `tests/shard_differential.rs`). Seeded random fault
+//! schedules (`Schedule::Seeded` decisions are pure functions of the
+//! seed and hit index, so every failure is replayable from its
+//! iteration number) drive `diversified_topk` and the serving layer;
+//! after each faulty run the faults are disarmed and the *same engine*
+//! answers again — it must match the fault-free truth bit-for-bit,
+//! proving no fault corrupted persistent state. Single fail points,
+//! armed `Always`, are held to their documented degradations.
 //!
 //! The iteration count defaults to a budget sized for the everyday
 //! `cargo test` run; `ci.sh`'s chaos-smoke step pins `CHAOS_ITERS=200`
@@ -26,125 +28,21 @@ use exploration::storage::{AggFunc, Predicate, Query, SortOrder, StorageError, T
 use exploration::{CancelToken, ExploreDb, Schedule, SessionCtx};
 
 mod common;
-use common::{assert_bitwise_eq, multi_morsel_table, query_shapes, sales};
+use common::{
+    assert_bitwise_eq, chaos_iters, multi_morsel_table, query_shapes, random_schedule, sales,
+    QUERY_POINTS,
+};
 
-/// Fail points reachable through `ExploreDb::query`.
-const POINTS: &[&str] = &[
-    "exec.spawn",
-    "exec.morsel",
-    "cache.admit",
-    "cache.lookup",
-    "cache.evict",
-];
+#[path = "common/matrix.rs"]
+mod matrix;
+use matrix::Stream;
 
-/// Iteration budget: 40 seeded schedules by default, so the suite is
-/// not half of tier-1's wall clock; the ≥200-schedule acceptance bar is
-/// the chaos-smoke step's explicit `CHAOS_ITERS=200`.
-fn chaos_iters() -> usize {
-    std::env::var("CHAOS_ITERS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(40)
-}
-
-/// A random fault schedule derived deterministically from the rng.
-fn random_schedule(rng: &mut SplitMix64) -> Schedule {
-    match rng.range_i64(0, 4) {
-        0 => Schedule::Always,
-        1 => Schedule::Nth(rng.range_i64(1, 5) as u64),
-        2 => Schedule::FirstN(rng.range_i64(1, 4) as u64),
-        _ => Schedule::Seeded {
-            seed: rng.next_u64(),
-            one_in: rng.range_i64(1, 5) as u64,
-        },
-    }
-}
-
-/// The main chaos loop. Every iteration arms a random subset of fail
-/// points with random seeded schedules, sometimes adds a cancellation
-/// budget, runs one query shape, and requires bit-identical output or a
-/// clean typed error — then disarms and proves the engine undamaged.
+/// Seeded exec and cache fail points over `ExploreDb::query`: every
+/// answer is the truth or a typed cancellation, and the disarmed engine
+/// answers the truth again.
 #[test]
 fn seeded_fault_schedules_never_corrupt_results() {
-    let table = multi_morsel_table();
-    let shapes = query_shapes();
-    // Fault-free truth per shape, computed once on a pristine engine.
-    let truths: Vec<Table> = {
-        let db = ExploreDb::with_exec_policy(ExecPolicy::Serial);
-        db.register("sales", table.clone());
-        shapes
-            .iter()
-            .map(|(name, q)| {
-                db.query("sales", q)
-                    .unwrap_or_else(|e| panic!("truth for {name}: {e}"))
-            })
-            .collect()
-    };
-
-    for iter in 0..chaos_iters() {
-        let mut rng = SplitMix64::new(0xC4A0_5000 + iter as u64);
-        let (shape_idx, policy, cache_on) = (
-            rng.range_i64(0, shapes.len() as i64) as usize,
-            if rng.range_i64(0, 2) == 0 {
-                ExecPolicy::Serial
-            } else {
-                ExecPolicy::Parallel {
-                    workers: rng.range_i64(1, 5) as usize,
-                }
-            },
-            rng.range_i64(0, 2) == 0,
-        );
-        let (name, query) = &shapes[shape_idx];
-        let context = format!("iter {iter}: {name} policy={policy:?} cache={cache_on}");
-
-        let db = ExploreDb::with_exec_policy(policy);
-        if cache_on {
-            db.set_cache_policy(CachePolicy::on());
-        }
-        db.register("sales", table.clone());
-        if cache_on {
-            // Warm the cache fault-free so lookup/evict faults have
-            // entries to chew on.
-            for (_, q) in &shapes {
-                db.query("sales", q).unwrap();
-            }
-        }
-
-        let faults = db.fail_points();
-        let n_armed = rng.range_i64(1, 4) as usize;
-        for _ in 0..n_armed {
-            let point = POINTS[rng.range_i64(0, POINTS.len() as i64) as usize];
-            let schedule = random_schedule(&mut rng);
-            faults.arm(point, schedule);
-        }
-        // One run in four also races a cancellation budget against the
-        // faulty query.
-        let cancel = (rng.range_i64(0, 4) == 0)
-            .then(|| CancelToken::after_checks(rng.range_i64(0, 12) as u64));
-
-        let overlay = SessionCtx::default().with_cancel(cancel.clone());
-        let result = db.with_session(&overlay, |db| db.query("sales", query));
-        match result {
-            Ok(got) => assert_bitwise_eq(&truths[shape_idx], &got, &context),
-            Err(StorageError::Cancelled) => assert!(
-                cancel.is_some(),
-                "{context}: Cancelled without a cancel token"
-            ),
-            Err(e) => panic!("{context}: fault leaked as non-typed error: {e}"),
-        }
-
-        // Disarm and re-query the SAME engine: any corruption a fault
-        // left behind (cache entry, fan-out state) would surface here.
-        faults.disarm_all();
-        let clean = db
-            .query("sales", query)
-            .unwrap_or_else(|e| panic!("{context}: post-fault query failed: {e}"));
-        assert_bitwise_eq(
-            &truths[shape_idx],
-            &clean,
-            &format!("{context} (post-fault)"),
-        );
-    }
+    matrix::seeded_fault_schedules(Stream::Exec);
 }
 
 /// An injected worker panic inside a parallel morsel degrades to a full
@@ -298,7 +196,7 @@ fn seeded_chaos_over_diversified_topk_is_exact_or_typed() {
     };
     assert_eq!(truth.len(), 10);
 
-    for iter in 0..chaos_iters().min(100) {
+    for iter in 0..chaos_iters(40).min(100) {
         let mut rng = SplitMix64::new(0xD1BE_7000 + iter as u64);
         let policy = if rng.range_i64(0, 2) == 0 {
             ExecPolicy::Serial
@@ -313,7 +211,7 @@ fn seeded_chaos_over_diversified_topk_is_exact_or_typed() {
 
         let faults = db.fail_points();
         for _ in 0..rng.range_i64(1, 3) {
-            let point = POINTS[rng.range_i64(0, POINTS.len() as i64) as usize];
+            let point = QUERY_POINTS[rng.range_i64(0, QUERY_POINTS.len() as i64) as usize];
             faults.arm(point, random_schedule(&mut rng));
         }
         let cancel = (rng.range_i64(0, 3) == 0)
@@ -429,7 +327,7 @@ fn seeded_serve_chaos_is_exact_or_typed() {
     };
     const SERVE_POINTS: &[&str] = &["serve.admit", "serve.yield"];
 
-    for iter in 0..chaos_iters().min(60) {
+    for iter in 0..chaos_iters(40).min(60) {
         let mut rng = SplitMix64::new(0x5E2E_9000 + iter as u64);
         let shape_idx = rng.range_i64(0, shapes.len() as i64) as usize;
         let policy = if rng.range_i64(0, 2) == 0 {
@@ -453,7 +351,7 @@ fn seeded_serve_chaos_is_exact_or_typed() {
             random_schedule(&mut rng),
         );
         for _ in 0..rng.range_i64(0, 3) {
-            let point = POINTS[rng.range_i64(0, POINTS.len() as i64) as usize];
+            let point = QUERY_POINTS[rng.range_i64(0, QUERY_POINTS.len() as i64) as usize];
             faults.arm(point, random_schedule(&mut rng));
         }
         // One run in four races a zero deadline budget against it.

@@ -1,115 +1,35 @@
-//! Sharded/unsharded differential suite: every query shape, at every
-//! shard count, under either execution policy and with the cache off,
-//! cold, or warm, must be **bit-identical** (floats via `to_bits`) to
-//! the unsharded engine. On top of the exactness matrix: per-shard
-//! epoch locality (a mutation to one shard must not evict the other
-//! shards' cache entries) and seeded chaos over the `shard.dispatch` /
-//! `shard.merge` fail points, which may only degrade gracefully.
+//! Sharded/unsharded differential suite. The differential matrix
+//! (`tests/differential_matrix.rs`) holds every query shape at every
+//! shard count to the unsharded truth; this suite replays its seeded
+//! chaos stream over the `shard.dispatch` / `shard.merge` fail points
+//! (`tests/common/matrix.rs`) and checks what a shape list does not
+//! reach: per-shard epoch locality (a
+//! mutation to one shard must not evict the other shards' cache
+//! entries), one stored copy of the rows, mutations carried across
+//! layout changes, and forced degradation that stays
+//! **bit-identical** (floats via `to_bits`) and counted.
 
-use exploration::cache::{CacheConfig, CachePolicy, Fingerprint};
+use exploration::cache::Fingerprint;
 use exploration::exec::ExecPolicy;
-use exploration::shard::{scoped_name, ShardConfig, ShardPolicy};
-use exploration::storage::rng::SplitMix64;
+use exploration::shard::{scoped_name, ShardPolicy};
 use exploration::storage::{
-    CmpOp, Column, DataType, Predicate, Query, Schema, StorageError, Table, Value, MORSEL_ROWS,
+    CmpOp, Column, DataType, Predicate, Query, Schema, Table, Value, MORSEL_ROWS,
 };
-use exploration::{CancelToken, ExploreDb, Schedule, SessionCtx};
+use exploration::{ExploreDb, Schedule, SessionCtx};
 
 mod common;
-use common::{assert_bitwise_eq, query_shapes, sales};
+use common::{assert_bitwise_eq, query_shapes, roomy_policy, sales, shard_policy};
 
-/// The two table scales of the parallel differential suite: several
-/// morsels with a ragged tail (shard boundaries fall mid-morsel), and a
-/// sub-morsel degenerate where every shard is a morsel fragment.
-fn table_sizes() -> [usize; 2] {
-    [777, 2 * MORSEL_ROWS + 4321]
-}
+#[path = "common/matrix.rs"]
+mod matrix;
+use matrix::Stream;
 
-/// The shard counts under test: trivial, even, the default, and a prime
-/// that never divides the table evenly.
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
-
-fn shard_policy(count: usize) -> ShardPolicy {
-    ShardPolicy::On(ShardConfig {
-        count,
-        // The matrix includes sub-morsel tables; let them shard anyway.
-        min_rows_per_shard: 1,
-    })
-}
-
-/// A budget large enough that this workload never evicts.
-fn roomy_policy() -> CachePolicy {
-    CachePolicy::On(CacheConfig {
-        byte_budget: 1 << 30,
-        ..CacheConfig::default()
-    })
-}
-
-/// The exactness matrix: 12 shapes × {1, 2, 4, 7} shards ×
-/// {Serial, Parallel} × cache {off, cold, warm}, bitwise vs unsharded.
+/// Seeded shard fail points, sometimes with exec and cache ones, over a
+/// sharded engine: every answer is the truth or a typed cancellation,
+/// and the disarmed engine answers the truth again.
 #[test]
-fn every_shape_is_bitwise_for_every_shard_count() {
-    for rows in table_sizes() {
-        let t = sales(rows);
-        for policy in [ExecPolicy::Serial, ExecPolicy::Parallel { workers: 4 }] {
-            // Unsharded, uncached truth.
-            let plain = ExploreDb::with_exec_policy(policy);
-            plain.register("sales", t.clone());
-            let shapes = query_shapes();
-            let truths: Vec<Table> = shapes
-                .iter()
-                .map(|(name, q)| {
-                    plain
-                        .query("sales", q)
-                        .unwrap_or_else(|e| panic!("{name} truth: {e}"))
-                })
-                .collect();
-
-            for count in SHARD_COUNTS {
-                // Cache off.
-                let off = ExploreDb::with_shard_policy(shard_policy(count));
-                off.set_exec_policy(policy);
-                off.register("sales", t.clone());
-                for ((name, q), truth) in shapes.iter().zip(&truths) {
-                    let got = off
-                        .query("sales", q)
-                        .unwrap_or_else(|e| panic!("{name}: {e}"));
-                    assert_bitwise_eq(
-                        truth,
-                        &got,
-                        &format!("{name} uncached ({rows} rows, {count} shards, {policy:?})"),
-                    );
-                }
-
-                // Cache cold then warm.
-                let on = ExploreDb::with_shard_policy(shard_policy(count));
-                on.set_exec_policy(policy);
-                on.set_cache_policy(roomy_policy());
-                on.register("sales", t.clone());
-                for pass in ["cold", "warm"] {
-                    for ((name, q), truth) in shapes.iter().zip(&truths) {
-                        let got = on
-                            .query("sales", q)
-                            .unwrap_or_else(|e| panic!("{name} {pass}: {e}"));
-                        assert_bitwise_eq(
-                            truth,
-                            &got,
-                            &format!("{name} {pass} ({rows} rows, {count} shards, {policy:?})"),
-                        );
-                    }
-                    if pass == "cold" {
-                        let stats = on.cache_stats();
-                        assert!(stats.insertions > 0, "cold pass populates: {stats:?}");
-                        assert_eq!(stats.hits, 0, "cold pass must not hit: {stats:?}");
-                    }
-                }
-                assert!(
-                    on.cache_stats().hits > 0,
-                    "warm pass serves from cache ({count} shards)"
-                );
-            }
-        }
-    }
+fn seeded_shard_fault_schedules_never_corrupt_results() {
+    matrix::seeded_fault_schedules(Stream::Shard);
 }
 
 /// Epoch locality: a mutation routed to one shard invalidates only that
@@ -407,124 +327,6 @@ fn policy_toggle_preserves_mutations() {
             .unwrap();
     }
     check("7 shards, mutated again");
-}
-
-/// Fail points reachable through a sharded `ExploreDb::query`, the two
-/// shard-specific sites composed with the generic exec/cache ones.
-const POINTS: &[&str] = &[
-    "shard.dispatch",
-    "shard.merge",
-    "exec.spawn",
-    "exec.morsel",
-    "cache.lookup",
-    "cache.admit",
-];
-
-fn chaos_iters() -> usize {
-    std::env::var("CHAOS_ITERS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(150)
-}
-
-/// A random fault schedule derived deterministically from the rng.
-fn random_schedule(rng: &mut SplitMix64) -> Schedule {
-    match rng.range_i64(0, 4) {
-        0 => Schedule::Always,
-        1 => Schedule::Nth(rng.range_i64(1, 5) as u64),
-        2 => Schedule::FirstN(rng.range_i64(1, 4) as u64),
-        _ => Schedule::Seeded {
-            seed: rng.next_u64(),
-            one_in: rng.range_i64(1, 5) as u64,
-        },
-    }
-}
-
-/// Seeded chaos over the shard fail points (composed with exec/cache
-/// ones): every run is bit-identical to the fault-free truth or a clean
-/// typed cancellation — and the same engine, disarmed, still answers
-/// exactly.
-#[test]
-fn seeded_shard_fault_schedules_never_corrupt_results() {
-    let t = sales(2 * MORSEL_ROWS + 4321);
-    let shapes = query_shapes();
-    let truths: Vec<Table> = {
-        let db = ExploreDb::with_exec_policy(ExecPolicy::Serial);
-        db.register("sales", t.clone());
-        shapes
-            .iter()
-            .map(|(name, q)| {
-                db.query("sales", q)
-                    .unwrap_or_else(|e| panic!("truth for {name}: {e}"))
-            })
-            .collect()
-    };
-
-    for iter in 0..chaos_iters() {
-        let mut rng = SplitMix64::new(0x5AA2_D000 + iter as u64);
-        let shape_idx = rng.range_i64(0, shapes.len() as i64) as usize;
-        let policy = if rng.range_i64(0, 2) == 0 {
-            ExecPolicy::Serial
-        } else {
-            ExecPolicy::Parallel {
-                workers: rng.range_i64(1, 5) as usize,
-            }
-        };
-        let cache_on = rng.range_i64(0, 2) == 0;
-        let count = SHARD_COUNTS[rng.range_i64(1, SHARD_COUNTS.len() as i64) as usize];
-        let (name, query) = &shapes[shape_idx];
-        let context =
-            format!("iter {iter}: {name} policy={policy:?} cache={cache_on} shards={count}");
-
-        let db = ExploreDb::with_shard_policy(shard_policy(count));
-        db.set_exec_policy(policy);
-        if cache_on {
-            db.set_cache_policy(roomy_policy());
-        }
-        db.register("sales", t.clone());
-        if cache_on {
-            // Warm this shape fault-free so lookup faults have entries.
-            db.query("sales", query).unwrap();
-        }
-
-        let faults = db.fail_points();
-        // Always at least one shard point; sometimes generic ones too.
-        faults.arm(
-            POINTS[rng.range_i64(0, 2) as usize],
-            random_schedule(&mut rng),
-        );
-        for _ in 0..rng.range_i64(0, 3) {
-            faults.arm(
-                POINTS[rng.range_i64(0, POINTS.len() as i64) as usize],
-                random_schedule(&mut rng),
-            );
-        }
-        let cancel = (rng.range_i64(0, 4) == 0)
-            .then(|| CancelToken::after_checks(rng.range_i64(0, 12) as u64));
-
-        let overlay = SessionCtx::default().with_cancel(cancel.clone());
-        let result = db.with_session(&overlay, |db| db.query("sales", query));
-        match result {
-            Ok(got) => assert_bitwise_eq(&truths[shape_idx], &got, &context),
-            Err(StorageError::Cancelled) => assert!(
-                cancel.is_some(),
-                "{context}: Cancelled without a cancel token"
-            ),
-            Err(e) => panic!("{context}: fault leaked as non-typed error: {e}"),
-        }
-
-        // Disarm and re-query the SAME engine: any corruption a fault
-        // left behind (cache entry, shard mirror, fan-out) surfaces here.
-        faults.disarm_all();
-        let clean = db
-            .query("sales", query)
-            .unwrap_or_else(|e| panic!("{context}: post-fault query failed: {e}"));
-        assert_bitwise_eq(
-            &truths[shape_idx],
-            &clean,
-            &format!("{context} (post-fault)"),
-        );
-    }
 }
 
 /// Forced degradation is graceful and observed: with `shard.dispatch`

@@ -26,7 +26,9 @@ use exploration::exec::ExecPolicy;
 use exploration::shard::{ShardConfig, ShardPolicy};
 use exploration::storage::rng::SplitMix64;
 use exploration::workload::{DriveMode, WorkloadConfig, WorkloadReport, WorkloadRunner};
-use exploration::Schedule;
+
+mod common;
+use common::random_schedule;
 
 /// Small-but-concurrent config: several sessions on several threads, so
 /// scheduling nondeterminism has every chance to leak if it can.
@@ -152,20 +154,6 @@ fn checksum_is_identical_across_exec_cache_shard_policies() {
         })
         .deterministic();
         assert_eq!(got, truth, "policy variant {name} changed the results");
-    }
-}
-
-/// A random fault schedule derived deterministically from the rng
-/// (mirrors the chaos-differential suite).
-fn random_schedule(rng: &mut SplitMix64) -> Schedule {
-    match rng.range_i64(0, 4) {
-        0 => Schedule::Always,
-        1 => Schedule::Nth(rng.range_i64(1, 5) as u64),
-        2 => Schedule::FirstN(rng.range_i64(1, 4) as u64),
-        _ => Schedule::Seeded {
-            seed: rng.next_u64(),
-            one_in: rng.range_i64(1, 5) as u64,
-        },
     }
 }
 
