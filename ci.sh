@@ -195,6 +195,25 @@ if grep -rnE 'HashMap<(String|&str), Accumulator>|HashMap<String, \[f64|HashMap<
     exit 1
 fi
 
+echo "==> one-predicate-kernel lint (the bitmap kernel is the only predicate evaluator)"
+# Whether a row satisfies a predicate is decided in one place: the u64
+# bitmap kernel of crates/storage/src/predicate.rs, cmp_bits and
+# range_bits folded by eval_bits (DESIGN.md §6). Selections, bool masks
+# and id lists are views of its bitmap, and tests/common/oracle.rs is
+# the reference the tests hold it to. A third Int64 column arm in that
+# file (its test module, from the first #[cfg(test)], is not checked),
+# or a row-at-a-time or Vec<bool> evaluator anywhere under crates, is a
+# second predicate semantics growing back.
+arms=$(sed '/#\[cfg(test)\]/q' crates/storage/src/predicate.rs | grep -cF 'Column::Int64(' || true)
+if [[ "$arms" != 2 ]]; then
+    echo "error: $arms Column::Int64 arms in crates/storage/src/predicate.rs, want 2 (cmp_bits, range_bits)" >&2
+    exit 1
+fi
+if grep -rnE 'fn (matches_row|value_cmp|cmp_mask|range_mask)\b' --include='*.rs' crates/*/src; then
+    echo "error: second predicate evaluator; evaluate through Predicate's bitmap kernel" >&2
+    exit 1
+fi
+
 echo "==> one-measurement-authority lint (the retired bench harness stays retired)"
 # benchmark/ is the only source of a cross-commit number. The Criterion
 # shim, the gate binary and their env knobs were deleted; a reference

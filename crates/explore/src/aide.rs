@@ -12,7 +12,7 @@
 //! predicate — the evaluation device the original paper uses.
 
 use explore_storage::rng::SplitMix64;
-use explore_storage::{Predicate, Result, Table};
+use explore_storage::{Predicate, Result, StorageError, Table};
 
 use crate::tree::{TreeConfig, TreeNode};
 
@@ -35,10 +35,14 @@ impl<'a> LabelOracle<'a> {
         }
     }
 
-    /// Label one row.
+    /// Label one row: does it survive the target's evaluation, the one
+    /// [`LabelOracle::truth`] runs over every row?
     pub fn label(&mut self, row: usize) -> Result<bool> {
         self.labels_given += 1;
-        self.target.matches_row(self.table, row)
+        let len = self.table.num_rows();
+        let id =
+            u32::try_from(row).map_err(|_| StorageError::RowOutOfBounds { index: row, len })?;
+        Ok(!self.target.evaluate_at(self.table, &[id])?.is_empty())
     }
 
     /// Ground-truth row set (for evaluation only, not visible to the
@@ -272,7 +276,7 @@ impl<'a> AideSession<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use explore_storage::gen::feature_table;
+    use explore_storage::gen::{feature_table, sales_table, SalesConfig};
 
     fn target() -> Predicate {
         Predicate::range("f0", 20.0, 60.0).and(Predicate::range("f1", 30.0, 70.0))
@@ -288,6 +292,28 @@ mod tests {
         let last = reports.last().unwrap().f1;
         assert!(last > first, "first {first} last {last}");
         assert!(last > 0.8, "final F1 {last}");
+    }
+
+    #[test]
+    fn labels_and_truth_share_one_evaluator() {
+        let t = feature_table(200, 2, 5);
+        let mut oracle = LabelOracle::new(&t, Predicate::range("f0", 20.0, 60.0));
+        let truth = oracle.truth().unwrap();
+        let labelled: Vec<u32> = (0..t.num_rows())
+            .filter(|&row| oracle.label(row).unwrap())
+            .map(|row| row as u32)
+            .collect();
+        assert_eq!(labelled, truth);
+        // A literal of the wrong type is the same error either way, not
+        // a label of `false` for every row.
+        let sales = sales_table(&SalesConfig {
+            rows: 200,
+            ..SalesConfig::default()
+        });
+        let mut oracle = LabelOracle::new(&sales, Predicate::eq("qty", 2.5));
+        let err = oracle.truth().unwrap_err();
+        assert!(matches!(err, StorageError::TypeMismatch { .. }), "{err}");
+        assert_eq!(oracle.label(0).unwrap_err(), err);
     }
 
     #[test]

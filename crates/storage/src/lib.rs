@@ -14,7 +14,9 @@
 //! * [`Table`] — a schema plus equal-length columns.
 //! * [`Dictionary`] / [`Measure`] — a Utf8 column as dense group codes;
 //!   an aggregate's input, type-checked once.
-//! * [`Predicate`] — filter ASTs with vectorized evaluation.
+//! * [`Predicate`] — filter ASTs, evaluated by one vectorized kernel
+//!   that fills `u64` bitmaps column-at-a-time; selections, masks and
+//!   id lists are all views of that bitmap.
 //! * [`Query`] — filter → group/aggregate → order → limit, and the one
 //!   morsel pipeline that executes it ([`Query::run`] is its serial walk).
 //! * [`rng`] / [`gen`] — deterministic randomness and synthetic workloads
@@ -53,13 +55,13 @@ pub use agg::{Accumulator, AggFunc, Measure};
 pub use column::Column;
 pub use dict::Dictionary;
 pub use error::{Result, StorageError};
-pub use predicate::{mask_to_sel, CmpOp, Predicate};
+pub use predicate::{CmpOp, Predicate};
 /// The morsel grid and the dispatch seam of the one query pipeline
 /// (see [`query`]). `explore-exec` implements the seam with cancellation,
 /// fail points, spans and helper threads; everything else runs queries through
 /// [`Query::run`] or `explore_exec::run_query`, which return the same bits.
 pub use query::{morsel_count, morsel_range, morsel_rows_for, MorselDispatch, MAX_MORSELS};
-pub use query::{sort_table, Aggregate, Query, SortOrder, MORSEL_ROWS};
+pub use query::{Aggregate, Query, SortOrder, MORSEL_ROWS};
 pub use schema::{Field, Schema};
 pub use table::Table;
 pub use value::{DataType, Value};

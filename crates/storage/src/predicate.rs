@@ -3,7 +3,9 @@
 //! Predicates are small ASTs built at the API edge; evaluation produces a
 //! *selection vector* of qualifying row ids. Evaluation is column-at-a-time:
 //! each comparison matches on the column type once and then runs a tight
-//! loop over the raw slice.
+//! loop over the raw slice, filling a `u64` bitmap. That bitmap kernel is
+//! the one evaluator: selections, bool masks and id lists are views of
+//! it, and the tests hold it to an independent row-at-a-time oracle.
 
 use std::fmt;
 use std::ops::Range;
@@ -192,17 +194,11 @@ impl Predicate {
     /// word-wise, and the final bitmap converts to row ids via
     /// `trailing_zeros`. Bitmap buffers are recycled across the nodes of
     /// one evaluation, so it allocates one per `And`/`Or` nesting level,
-    /// not one per node. [`Predicate::evaluate_mask_range`] remains the
-    /// scalar reference the differential suites compare against; both paths
-    /// share literal resolution and `CmpOp::holds`, so results —
-    /// including NaN comparisons and error precedence — are identical.
+    /// not one per node. These kernels are the only code that decides
+    /// whether a row satisfies a predicate: every other evaluation here
+    /// is a view of their bitmap.
     pub fn evaluate_range(&self, table: &Table, rows: Range<usize>) -> Result<Vec<u32>> {
-        if rows.end > table.num_rows() || rows.start > rows.end {
-            return Err(StorageError::RowOutOfBounds {
-                index: rows.end,
-                len: table.num_rows(),
-            });
-        }
+        check_window(table, &rows)?;
         let start = rows.start;
         self.eval_rows(table, RowSet::Window(rows), |bits| bits_to_sel(bits, start))
     }
@@ -246,8 +242,8 @@ impl Predicate {
     /// Fill `out` (one bit per row in `rows`, LSB-first within each
     /// word) with the predicate's truth values. Every arm writes every
     /// word, and all arms keep bits past the window clear, so callers
-    /// never mask the tail. Child evaluation order (and therefore error
-    /// precedence) matches [`Predicate::evaluate_mask_range`] exactly.
+    /// never mask the tail. Children run in order and the first error
+    /// ends the evaluation, so error precedence is the tree's order.
     fn eval_bits(
         &self,
         table: &Table,
@@ -311,86 +307,14 @@ impl Predicate {
     }
 
     /// Evaluate to a dense boolean mask over the row window `rows`
-    /// (`mask[i]` corresponds to table row `rows.start + i`). Each
-    /// comparison slices the column once, so a window scan touches only
-    /// its own rows.
+    /// (`mask[i]` corresponds to table row `rows.start + i`): the bitmap
+    /// of [`Predicate::evaluate_range`], one bool per bit.
     pub fn evaluate_mask_range(&self, table: &Table, rows: Range<usize>) -> Result<Vec<bool>> {
-        if rows.end > table.num_rows() || rows.start > rows.end {
-            return Err(StorageError::RowOutOfBounds {
-                index: rows.end,
-                len: table.num_rows(),
-            });
-        }
+        check_window(table, &rows)?;
         let n = rows.len();
-        match self {
-            Predicate::True => Ok(vec![true; n]),
-            Predicate::Cmp { column, op, value } => {
-                cmp_mask(table.column(column)?, column, *op, value, rows)
-            }
-            Predicate::Range { column, low, high } => {
-                range_mask(table.column(column)?, column, low, high, rows)
-            }
-            Predicate::And(ps) => {
-                let mut acc = vec![true; n];
-                for p in ps {
-                    let m = p.evaluate_mask_range(table, rows.clone())?;
-                    for (a, b) in acc.iter_mut().zip(&m) {
-                        *a &= *b;
-                    }
-                }
-                Ok(acc)
-            }
-            Predicate::Or(ps) => {
-                let mut acc = vec![false; n];
-                for p in ps {
-                    let m = p.evaluate_mask_range(table, rows.clone())?;
-                    for (a, b) in acc.iter_mut().zip(&m) {
-                        *a |= *b;
-                    }
-                }
-                Ok(acc)
-            }
-            Predicate::Not(p) => {
-                let mut m = p.evaluate_mask_range(table, rows)?;
-                m.iter_mut().for_each(|b| *b = !*b);
-                Ok(m)
-            }
-        }
-    }
-
-    /// Evaluate the predicate against a single row expressed as dynamic
-    /// values aligned with the table schema. Used by the user-interaction
-    /// layer (labeling oracles, query-by-output verification) where row
-    /// counts are tiny.
-    pub fn matches_row(&self, table: &Table, row: usize) -> Result<bool> {
-        match self {
-            Predicate::True => Ok(true),
-            Predicate::Cmp { column, op, value } => {
-                let v = table.column(column)?.value(row)?;
-                Ok(value_cmp(&v, *op, value))
-            }
-            Predicate::Range { column, low, high } => {
-                let v = table.column(column)?.value(row)?;
-                Ok(value_cmp(&v, CmpOp::Ge, low) && value_cmp(&v, CmpOp::Lt, high))
-            }
-            Predicate::And(ps) => {
-                for p in ps {
-                    if !p.matches_row(table, row)? {
-                        return Ok(false);
-                    }
-                }
-                Ok(true)
-            }
-            Predicate::Or(ps) => {
-                for p in ps {
-                    if p.matches_row(table, row)? {
-                        return Ok(true);
-                    }
-                }
-                Ok(false)
-            }
-            Predicate::Not(p) => Ok(!p.matches_row(table, row)?),
-        }
+        self.eval_rows(table, RowSet::Window(rows), |bits| {
+            (0..n).map(|i| bits[i / 64] >> (i % 64) & 1 == 1).collect()
+        })
     }
 }
 
@@ -441,100 +365,15 @@ impl fmt::Display for Predicate {
     }
 }
 
-/// Convert a boolean mask to a selection vector.
-pub fn mask_to_sel(mask: &[bool]) -> Vec<u32> {
-    mask.iter()
-        .enumerate()
-        .filter_map(|(i, &b)| b.then_some(i as u32))
-        .collect()
-}
-
-fn value_cmp(a: &Value, op: CmpOp, b: &Value) -> bool {
-    match (a, b) {
-        (Value::Str(x), Value::Str(y)) => op.holds(x, y),
-        _ => match (a.as_float(), b.as_float()) {
-            (Some(x), Some(y)) => op.holds(&x, &y),
-            _ => false,
-        },
+/// `rows` must be a window of `table`'s rows.
+fn check_window(table: &Table, rows: &Range<usize>) -> Result<()> {
+    if rows.end > table.num_rows() || rows.start > rows.end {
+        return Err(StorageError::RowOutOfBounds {
+            index: rows.end,
+            len: table.num_rows(),
+        });
     }
-}
-
-fn cmp_mask(
-    col: &Column,
-    name: &str,
-    op: CmpOp,
-    value: &Value,
-    rows: Range<usize>,
-) -> Result<Vec<bool>> {
-    match col {
-        Column::Int64(v) => {
-            let lit = value.as_int().or_else(|| {
-                // Allow float literals against int columns only when exact.
-                value.as_float().and_then(|f| {
-                    let i = f as i64;
-                    (i as f64 == f).then_some(i)
-                })
-            });
-            let lit = lit.ok_or_else(|| type_err(name, "Int64", value))?;
-            Ok(v[rows].iter().map(|x| op.holds(x, &lit)).collect())
-        }
-        Column::Float64(v) => {
-            let lit = value
-                .as_float()
-                .ok_or_else(|| type_err(name, "Float64", value))?;
-            Ok(v[rows].iter().map(|x| op.holds(x, &lit)).collect())
-        }
-        Column::Utf8(v) => {
-            let lit = value
-                .as_str()
-                .ok_or_else(|| type_err(name, "Utf8", value))?;
-            Ok(v[rows]
-                .iter()
-                .map(|x| op.holds(&x.as_str(), &lit))
-                .collect())
-        }
-    }
-}
-
-fn range_mask(
-    col: &Column,
-    name: &str,
-    low: &Value,
-    high: &Value,
-    rows: Range<usize>,
-) -> Result<Vec<bool>> {
-    match col {
-        Column::Int64(v) => {
-            let lo = low.as_float().ok_or_else(|| type_err(name, "Int64", low))?;
-            let hi = high
-                .as_float()
-                .ok_or_else(|| type_err(name, "Int64", high))?;
-            Ok(v[rows]
-                .iter()
-                .map(|&x| {
-                    let x = x as f64;
-                    x >= lo && x < hi
-                })
-                .collect())
-        }
-        Column::Float64(v) => {
-            let lo = low
-                .as_float()
-                .ok_or_else(|| type_err(name, "Float64", low))?;
-            let hi = high
-                .as_float()
-                .ok_or_else(|| type_err(name, "Float64", high))?;
-            Ok(v[rows].iter().map(|&x| x >= lo && x < hi).collect())
-        }
-        Column::Utf8(v) => {
-            let lo = low.as_str().ok_or_else(|| type_err(name, "Utf8", low))?;
-            let hi = high.as_str().ok_or_else(|| type_err(name, "Utf8", high))?;
-            Ok(v[rows]
-                .iter()
-                .map(|x| x.as_str() >= lo && x.as_str() < hi)
-                .collect())
-        }
-    }
+    Ok(())
 }
 
 /// Set the first `n` bits of `out`, leaving the tail clear.
@@ -611,9 +450,10 @@ fn bits_to_sel(bits: &[u64], start: usize) -> Vec<u32> {
     sel
 }
 
-/// Bitmap twin of [`cmp_mask`]: identical literal resolution (including
-/// the exact-float-against-int rule) and identical per-element
-/// comparisons via [`CmpOp::holds`].
+/// `column <op> literal` for every row of `rows`, compared per element
+/// with [`CmpOp::holds`]. An Int64 column takes an Int literal, or a
+/// Float literal that names an `i64` exactly: integral and in
+/// `[-2^63, 2^63)`.
 fn cmp_bits(
     col: &Column,
     name: &str,
@@ -625,11 +465,11 @@ fn cmp_bits(
     match col {
         Column::Int64(v) => {
             let lit = value.as_int().or_else(|| {
-                // Allow float literals against int columns only when exact.
-                value.as_float().and_then(|f| {
-                    let i = f as i64;
-                    (i as f64 == f).then_some(i)
-                })
+                // `i64::MIN as f64` is exactly -2^63; 2^63 itself is one
+                // past MAX, where `f as i64` would saturate.
+                let f = value.as_float()?;
+                let exact = f.fract() == 0.0 && f >= i64::MIN as f64 && f < -(i64::MIN as f64);
+                exact.then_some(f as i64)
             });
             let lit = lit.ok_or_else(|| type_err(name, "Int64", value))?;
             rows.fill_bits(v, out, |x| op.holds(x, &lit));
@@ -650,8 +490,8 @@ fn cmp_bits(
     Ok(())
 }
 
-/// Bitmap twin of [`range_mask`]: same type coercions, same
-/// `lo <= x < hi` semantics per element.
+/// `lo <= x < hi` for every row of `rows`. Numeric bounds compare as
+/// `f64`, an Int64 column's values included.
 fn range_bits(
     col: &Column,
     name: &str,
@@ -786,13 +626,21 @@ mod tests {
     }
 
     #[test]
-    fn matches_row_agrees_with_mask() {
+    fn mask_and_single_ids_agree_with_the_selection() {
         let t = t();
         let p = Predicate::range("b", 0.15, 0.45).and(Predicate::eq("c", "x").not());
+        assert_eq!(p.evaluate(&t).unwrap(), vec![1, 3]);
         let mask = p.evaluate_mask(&t).unwrap();
+        assert_eq!(mask, vec![false, true, false, true, false]);
         for (row, &expected) in mask.iter().enumerate() {
-            assert_eq!(p.matches_row(&t, row).unwrap(), expected, "row {row}");
+            let hit = !p.evaluate_at(&t, &[row as u32]).unwrap().is_empty();
+            assert_eq!(hit, expected, "row {row}");
         }
+        assert_eq!(
+            p.evaluate_mask_range(&t, 1..4).unwrap(),
+            vec![true, false, true]
+        );
+        assert!(p.evaluate_mask_range(&t, 4..6).is_err());
     }
 
     #[test]
@@ -808,6 +656,35 @@ mod tests {
         let t = t();
         assert_eq!(Predicate::eq("a", 3.0f64).evaluate(&t).unwrap(), vec![2]);
         assert!(Predicate::eq("a", 3.5f64).evaluate(&t).is_err());
+    }
+
+    /// `2^63` is one past `i64::MAX`: no Int64 equals it, so it is no
+    /// Int64 literal, while `-2^63` is `i64::MIN` exactly.
+    #[test]
+    fn float_literal_against_int_column_must_fit_in_i64() {
+        let t = Table::new(
+            Schema::of(&[("i", DataType::Int64)]),
+            vec![Column::from(vec![i64::MAX, 0, i64::MIN])],
+        )
+        .unwrap();
+        let two_63 = 2f64.powi(63);
+        for p in [
+            Predicate::eq("i", two_63),
+            Predicate::cmp("i", CmpOp::Lt, two_63),
+            Predicate::eq("i", f64::MAX),
+        ] {
+            assert!(
+                matches!(p.evaluate(&t), Err(StorageError::TypeMismatch { .. })),
+                "{p}"
+            );
+        }
+        assert_eq!(Predicate::eq("i", -two_63).evaluate(&t).unwrap(), vec![2]);
+        assert_eq!(
+            Predicate::cmp("i", CmpOp::Gt, -two_63)
+                .evaluate(&t)
+                .unwrap(),
+            vec![0, 1]
+        );
     }
 
     #[test]
@@ -831,137 +708,5 @@ mod tests {
         assert!(Predicate::eq("missing", 1i64)
             .evaluate_range(&t, 0..2)
             .is_err());
-    }
-
-    #[test]
-    fn evaluate_at_keeps_the_qualifying_ids() {
-        let n = 150usize;
-        let t = Table::new(
-            Schema::of(&[
-                ("a", DataType::Int64),
-                ("b", DataType::Float64),
-                ("c", DataType::Utf8),
-            ]),
-            vec![
-                Column::from((0..n as i64).map(|i| (i * 37) % 19 - 9).collect::<Vec<_>>()),
-                Column::from(
-                    (0..n)
-                        .map(|i| if i % 7 == 0 { f64::NAN } else { i as f64 / 3.0 })
-                        .collect::<Vec<_>>(),
-                ),
-                Column::from((0..n).map(|i| format!("s{}", i % 11)).collect::<Vec<_>>()),
-            ],
-        )
-        .unwrap();
-        let preds = [
-            Predicate::True,
-            Predicate::range("b", 5.0, 30.0),
-            Predicate::range("a", -3i64, 4i64).and(Predicate::eq("c", "s3").not()),
-            Predicate::cmp("a", CmpOp::Le, 0i64).or(Predicate::range("c", "s1", "s4")),
-        ];
-        let id_sets: [Vec<u32>; 4] = [
-            Vec::new(),
-            (0..n as u32).collect(),
-            (0..n as u32).step_by(3).collect(),
-            vec![149, 2, 2, 64, 63],
-        ];
-        for p in &preds {
-            let mask = p.evaluate_mask(&t).unwrap();
-            for ids in &id_sets {
-                let expected: Vec<u32> =
-                    ids.iter().copied().filter(|&i| mask[i as usize]).collect();
-                assert_eq!(p.evaluate_at(&t, ids).unwrap(), expected, "pred {p}");
-            }
-        }
-        // Ids are checked against the table before any row is read, and
-        // errors match the window path's.
-        assert!(matches!(
-            Predicate::True.evaluate_at(&t, &[0, n as u32]),
-            Err(StorageError::RowOutOfBounds { .. })
-        ));
-        assert!(Predicate::eq("missing", 1i64)
-            .evaluate_at(&t, &[0])
-            .is_err());
-        assert!(Predicate::eq("a", "nope").evaluate_at(&t, &[0]).is_err());
-    }
-
-    #[test]
-    fn mask_to_sel_roundtrip() {
-        assert_eq!(mask_to_sel(&[true, false, true, true]), vec![0, 2, 3]);
-        assert!(mask_to_sel(&[]).is_empty());
-    }
-
-    /// The vectorized bitmap path must agree with the scalar mask path
-    /// on every window, for a table wider than one bitmap word and
-    /// floats including NaN / infinities / signed zero.
-    #[test]
-    fn vectorized_range_agrees_with_scalar_mask() {
-        let n = 200;
-        let ints: Vec<i64> = (0..n as i64).map(|i| (i * 37) % 19 - 9).collect();
-        let floats: Vec<f64> = (0..n)
-            .map(|i| match i % 7 {
-                0 => f64::NAN,
-                1 => f64::INFINITY,
-                2 => f64::NEG_INFINITY,
-                3 => -0.0,
-                4 => 0.0,
-                _ => (i as f64 - 100.0) / 3.0,
-            })
-            .collect();
-        let strs: Vec<String> = (0..n).map(|i| format!("s{}", i % 11)).collect();
-        let t = Table::new(
-            Schema::of(&[
-                ("a", DataType::Int64),
-                ("b", DataType::Float64),
-                ("c", DataType::Utf8),
-            ]),
-            vec![Column::from(ints), Column::from(floats), Column::from(strs)],
-        )
-        .unwrap();
-
-        let preds = vec![
-            Predicate::True,
-            Predicate::cmp("b", CmpOp::Eq, f64::NAN),
-            Predicate::cmp("b", CmpOp::Ne, f64::NAN),
-            Predicate::cmp("b", CmpOp::Ge, 0.0),
-            Predicate::cmp("b", CmpOp::Lt, f64::INFINITY),
-            Predicate::eq("b", -0.0f64),
-            Predicate::range("b", -5.0, 5.0),
-            Predicate::range("a", -3i64, 4i64),
-            Predicate::cmp("a", CmpOp::Le, 0i64),
-            Predicate::eq("c", "s3"),
-            Predicate::range("c", "s1", "s4"),
-            Predicate::cmp("a", CmpOp::Gt, -2i64)
-                .and(Predicate::cmp("b", CmpOp::Lt, 10.0))
-                .or(Predicate::eq("c", "s7").not()),
-            Predicate::And(Vec::new()),
-            Predicate::Or(Vec::new()),
-        ];
-        for p in &preds {
-            for window in [
-                0..n,
-                0..0,
-                0..1,
-                0..63,
-                0..64,
-                0..65,
-                63..129,
-                128..n,
-                199..n,
-            ] {
-                let scalar = mask_to_sel(&p.evaluate_mask_range(&t, window.clone()).unwrap())
-                    .iter()
-                    .map(|&i| i + window.start as u32)
-                    .collect::<Vec<u32>>();
-                let vectorized = p.evaluate_range(&t, window.clone()).unwrap();
-                assert_eq!(vectorized, scalar, "pred {p} window {window:?}");
-            }
-        }
-        // Error parity on the vectorized path.
-        assert!(Predicate::eq("missing", 1i64)
-            .evaluate_range(&t, 0..n)
-            .is_err());
-        assert!(Predicate::eq("a", "nope").evaluate_range(&t, 0..n).is_err());
-        assert!(Predicate::True.evaluate_range(&t, 100..(n + 1)).is_err());
     }
 }

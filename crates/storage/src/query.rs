@@ -491,9 +491,10 @@ impl Query {
 
     /// Apply the query's ORDER BY and LIMIT clauses to an already
     /// filtered/aggregated result: the pipeline sorts only after merging.
-    /// The output is the first `LIMIT` rows of [`sort_table`]'s order,
-    /// but under a limit below the row count only that many rows are
-    /// ordered and gathered.
+    /// The output is the first `LIMIT` rows of the stable sort on the
+    /// ORDER BY column (floats by `total_cmp`, `Desc` the ascending
+    /// order reversed), but under a limit below the row count only that
+    /// many rows are ordered and gathered.
     pub fn apply_order_limit(&self, result: Table) -> Result<Table> {
         let n = result.num_rows();
         let k = self.limit.map_or(n, |limit| limit.min(n));
@@ -896,14 +897,8 @@ impl WorkerAggState {
     }
 }
 
-/// Stable sort of a table by one column (floats by `total_cmp`); `Desc`
-/// is the ascending order reversed.
-pub fn sort_table(table: &Table, column: &str, order: SortOrder) -> Result<Table> {
-    let sel = order_rows(table.column(column)?, order, table.num_rows());
-    Ok(table.gather(&sel))
-}
-
-/// The first `k` row ids of [`sort_table`]'s order of `col`. That order
+/// The first `k` row ids of the stable sort of `col` (floats by
+/// `total_cmp`), whose `Desc` is the ascending order reversed. That order
 /// is the total order on (value, row id) — a stable ascending sort
 /// breaks ties by row id — reversed for `Desc`. For `k < len` the `k`
 /// least ids under it are selected in linear time and only they are
@@ -1069,10 +1064,14 @@ mod tests {
     #[test]
     fn sort_by_string_and_int() {
         let t = sales();
-        let r = sort_table(&t, "product", SortOrder::Asc).unwrap();
-        assert_eq!(r.column("product").unwrap().as_utf8().unwrap()[0], "a");
-        let r = sort_table(&t, "qty", SortOrder::Desc).unwrap();
-        assert_eq!(r.column("qty").unwrap().as_i64().unwrap()[0], 5);
+        let sort = |col, order| {
+            let r = Query::new().order(col, order).apply_order_limit(t.clone());
+            r.unwrap().column("qty").unwrap().as_i64().unwrap().to_vec()
+        };
+        // Stable: the three "a" rows keep their row order, then the "b"s.
+        assert_eq!(sort("product", SortOrder::Asc), vec![1, 2, 5, 3, 4]);
+        assert_eq!(sort("product", SortOrder::Desc), vec![4, 3, 5, 2, 1]);
+        assert_eq!(sort("qty", SortOrder::Desc), vec![5, 4, 3, 2, 1]);
     }
 
     #[test]

@@ -5,11 +5,15 @@
 //! morsels — so agreeing with it is agreeing with something other than
 //! the engine itself.
 //!
+//! [`selection`] is the filter step alone, the reference the predicate
+//! kernel's selections, masks and id lists are checked against.
+//!
 //! Aggregates are two-pass over each group's collected values, so SUM /
 //! AVG / VAR / STD match the engine's streaming arithmetic only to
 //! rounding: [`assert_matches`] is exact on scans, group sets, group
 //! order, COUNT / MIN / MAX, and relative `1e-9` on the rest.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use exploration::storage::{
@@ -22,12 +26,9 @@ use exploration::storage::{
 pub fn run(t: &Table, q: &Query) -> Option<Table> {
     let index = |name: &str| t.schema().index_of(name).ok();
     let dtype = |name: &str| t.schema().data_type(name).ok();
-    if !valid(&q.predicate, &dtype) {
-        return None;
-    }
-    let rows: Vec<Vec<Value>> = (0..t.num_rows())
-        .map(|r| t.row(r).unwrap())
-        .filter(|row| holds(&q.predicate, row, &|name| index(name).unwrap()))
+    let all = rows(t);
+    let rows: Vec<&Vec<Value>> = (selection_in(t, &all, &q.predicate)?.into_iter())
+        .map(|r| &all[r as usize])
         .collect();
 
     let (fields, mut out): (Vec<Field>, Vec<Vec<Value>>) = if q.aggregates.is_empty() {
@@ -37,7 +38,7 @@ pub fn run(t: &Table, q: &Query) -> Option<Table> {
         };
         let at: Vec<usize> = names.iter().map(|n| index(n)).collect::<Option<_>>()?;
         let fields = at.iter().map(|&i| t.schema().fields()[i].clone()).collect();
-        let project = |row: &Vec<Value>| at.iter().map(|&i| row[i].clone()).collect();
+        let project = |row: &&Vec<Value>| at.iter().map(|&i| row[i].clone()).collect();
         (fields, rows.iter().map(project).collect())
     } else {
         let group_at: Vec<usize> = q.group_by.iter().map(|g| index(g)).collect::<Option<_>>()?;
@@ -58,7 +59,7 @@ pub fn run(t: &Table, q: &Query) -> Option<Table> {
                 groups.push((key, Vec::new()));
                 groups.len() - 1
             });
-            groups[s].1.push(row);
+            groups[s].1.push(*row);
         }
         if q.group_by.is_empty() && groups.is_empty() {
             groups.push((Vec::new(), Vec::new()));
@@ -105,6 +106,32 @@ pub fn run(t: &Table, q: &Query) -> Option<Table> {
     Some(Table::new(Schema::new(fields).ok()?, columns).unwrap())
 }
 
+/// Every row of `t`, read one `Table::row` at a time: all the oracle
+/// ever sees of a table.
+pub fn rows(t: &Table) -> Vec<Vec<Value>> {
+    (0..t.num_rows()).map(|r| t.row(r).unwrap()).collect()
+}
+
+/// [`run`]'s filter step: the ids of the rows of `t` that satisfy `p`,
+/// ascending, or `None` when `p` is not a valid predicate on `t`.
+pub fn selection(t: &Table, p: &Predicate) -> Option<Vec<u32>> {
+    selection_in(t, &rows(t), p)
+}
+
+/// [`selection`] over `rows`, which must be [`rows`]`(t)`: a suite that
+/// asks many predicates of one large table reads its rows once.
+pub fn selection_in(t: &Table, rows: &[Vec<Value>], p: &Predicate) -> Option<Vec<u32>> {
+    if !valid(p, &|name| t.schema().data_type(name).ok()) {
+        return None;
+    }
+    let index = |name: &str| t.schema().index_of(name).unwrap();
+    let hits = rows
+        .iter()
+        .enumerate()
+        .filter(|(_, row)| holds(p, row, &index));
+    Some(hits.map(|(r, _)| r as u32).collect())
+}
+
 /// One aggregate over one group's values, the textbook way.
 fn fold(func: AggFunc, xs: &[f64]) -> f64 {
     let n = xs.len() as f64;
@@ -123,14 +150,17 @@ fn fold(func: AggFunc, xs: &[f64]) -> f64 {
 }
 
 /// Is every comparison of `p` between a column that exists and a
-/// literal of its kind? (An Int64 column takes a float only when it is
-/// integral, or as a range bound.)
+/// literal of its kind? (An Int64 column takes a float as a range bound,
+/// or when it names an `i64`: integral and in `[-2^63, 2^63)`.)
 fn valid(p: &Predicate, dtype: &impl Fn(&str) -> Option<DataType>) -> bool {
+    let two_63 = 2f64.powi(63);
     let fits = |column: &str, lit: &Value, bound: bool| match (dtype(column), lit) {
         (Some(DataType::Utf8), Value::Str(_)) => true,
         (Some(DataType::Float64), Value::Int(_) | Value::Float(_)) => true,
         (Some(DataType::Int64), Value::Int(_)) => true,
-        (Some(DataType::Int64), Value::Float(f)) => bound || f.fract() == 0.0,
+        (Some(DataType::Int64), Value::Float(f)) => {
+            bound || (f.fract() == 0.0 && (-two_63..two_63).contains(f))
+        }
         _ => false,
     };
     match p {
@@ -144,12 +174,24 @@ fn valid(p: &Predicate, dtype: &impl Fn(&str) -> Option<DataType>) -> bool {
     }
 }
 
+/// `x` against `b` as the numbers they name, exactly: `x as f64` rounds
+/// past 2^53, but rounding is monotonic, so it can only turn an order
+/// into a tie, and a tie means `b` is integral and at most 2^63.
+fn int_float_cmp(x: i64, b: f64) -> Option<Ordering> {
+    match (x as f64).partial_cmp(&b)? {
+        Ordering::Equal if b >= 2f64.powi(63) => Some(Ordering::Less),
+        Ordering::Equal => Some(x.cmp(&(b as i64))),
+        order => Some(order),
+    }
+}
+
 /// Does `row` satisfy `p`?
 fn holds(p: &Predicate, row: &[Value], index: &impl Fn(&str) -> usize) -> bool {
     let cmp = |v: &Value, op: CmpOp, lit: &Value| {
         let ord = match (v, lit) {
             (Value::Str(a), Value::Str(b)) => a.partial_cmp(b),
             (Value::Int(a), Value::Int(b)) => a.partial_cmp(b),
+            (Value::Int(a), Value::Float(b)) => int_float_cmp(*a, *b),
             _ => v.as_float().unwrap().partial_cmp(&lit.as_float().unwrap()),
         };
         match op {

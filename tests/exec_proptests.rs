@@ -6,12 +6,14 @@
 //! bit-identical tables or both fail with the same error. The same
 //! queries run over random partitions of a table (`run_query_parts`)
 //! must match the whole table the same way, and every query must agree
-//! with the independent oracle (`tests/common/oracle.rs`). A further
-//! property pins cracked-range answers to full-scan equivalence on
-//! random crack sequences. `kernel_bits_are_pinned` fixes the digest of
-//! every result bit over a grid of aggregates, keys, row counts and
-//! partitions, and `order_limit_is_a_prefix_of_the_full_sort` holds the
-//! top-k `ORDER BY … LIMIT` to the full stable sort.
+//! with the independent oracle (`tests/common/oracle.rs`), as must the
+//! predicate kernel's selections, bool masks and id lists
+//! (`oracle::selection`). A further property pins cracked-range answers
+//! to full-scan equivalence on random crack sequences.
+//! `kernel_bits_are_pinned` fixes the digest of every result bit over a
+//! grid of aggregates, keys, row counts and partitions, and
+//! `order_limit_is_a_prefix_of_the_full_sort` holds the top-k
+//! `ORDER BY … LIMIT` to the oracle's full stable sort.
 
 use std::sync::OnceLock;
 
@@ -20,8 +22,8 @@ use proptest::prelude::*;
 use exploration::cracking::CrackerColumn;
 use exploration::exec::{evaluate_selection, run_query, run_query_parts, ExecPolicy, QueryCtx};
 use exploration::storage::{
-    mask_to_sel, sort_table, AggFunc, CmpOp, Column, DataType, Predicate, Query, Schema, SortOrder,
-    Table, MORSEL_ROWS,
+    AggFunc, CmpOp, Column, DataType, Predicate, Query, Schema, SortOrder, Table, Value,
+    MORSEL_ROWS,
 };
 use exploration::{FailPoints, Schedule};
 
@@ -32,6 +34,13 @@ use common::{oracle, sales, tables_bitwise_equal};
 fn big_table() -> &'static Table {
     static TABLE: OnceLock<Table> = OnceLock::new();
     TABLE.get_or_init(|| sales(MORSEL_ROWS + 2048))
+}
+
+/// [`big_table`]'s rows as the oracle reads them (read once; cases
+/// only read them).
+fn big_rows() -> &'static [Vec<Value>] {
+    static ROWS: OnceLock<Vec<Vec<Value>>> = OnceLock::new();
+    ROWS.get_or_init(|| oracle::rows(big_table()))
 }
 
 /// A predicate leaf: valid comparisons, plus occasional unknown columns
@@ -443,6 +452,198 @@ fn kernel_bits_are_pinned() {
     assert_eq!(h, PINNED, "kernel digest moved: {h:#018x}");
 }
 
+/// The ids of `ids` (ascending) inside `window`.
+fn in_window(ids: Vec<u32>, window: &std::ops::Range<usize>) -> Vec<u32> {
+    let inside = |&i: &u32| window.contains(&(i as usize));
+    ids.into_iter().filter(inside).collect()
+}
+
+/// The table rows a window mask starting at row `start` sets.
+fn mask_ids(mask: &[bool], start: usize) -> Vec<u32> {
+    let hits = mask.iter().enumerate().filter(|(_, &hit)| hit);
+    hits.map(|(i, _)| (start + i) as u32).collect()
+}
+
+/// A table wider than one bitmap word: Int `a`, Float `b` cycling
+/// through NaN, ±∞ and ±0 between ordinary values, and Utf8 `c`.
+fn tricky_table(n: usize) -> Table {
+    let floats: Vec<f64> = (0..n)
+        .map(|i| match i % 7 {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => -0.0,
+            4 => 0.0,
+            _ => (i as f64 - 100.0) / 3.0,
+        })
+        .collect();
+    Table::new(
+        Schema::of(&[
+            ("a", DataType::Int64),
+            ("b", DataType::Float64),
+            ("c", DataType::Utf8),
+        ]),
+        vec![
+            Column::from((0..n as i64).map(|i| (i * 37) % 19 - 9).collect::<Vec<_>>()),
+            Column::from(floats),
+            Column::from((0..n).map(|i| format!("s{}", i % 11)).collect::<Vec<_>>()),
+        ],
+    )
+    .unwrap()
+}
+
+/// The bitmap kernel's selection and its bool-mask view agree with the
+/// oracle on every window, including windows that start or end inside
+/// a bitmap word, for floats including NaN, infinities and signed zero.
+#[test]
+fn vectorized_range_agrees_with_the_oracle() {
+    let n = 200;
+    let t = tricky_table(n);
+    let preds = vec![
+        Predicate::True,
+        Predicate::cmp("b", CmpOp::Eq, f64::NAN),
+        Predicate::cmp("b", CmpOp::Ne, f64::NAN),
+        Predicate::cmp("b", CmpOp::Ge, 0.0),
+        Predicate::cmp("b", CmpOp::Lt, f64::INFINITY),
+        Predicate::eq("b", -0.0f64),
+        Predicate::range("b", -5.0, 5.0),
+        Predicate::range("a", -3i64, 4i64),
+        Predicate::cmp("a", CmpOp::Le, 0i64),
+        Predicate::eq("c", "s3"),
+        Predicate::range("c", "s1", "s4"),
+        Predicate::cmp("a", CmpOp::Gt, -2i64)
+            .and(Predicate::cmp("b", CmpOp::Lt, 10.0))
+            .or(Predicate::eq("c", "s7").not()),
+        Predicate::And(Vec::new()),
+        Predicate::Or(Vec::new()),
+    ];
+    for p in &preds {
+        let all = oracle::selection(&t, p).unwrap();
+        for window in [
+            0..n,
+            0..0,
+            0..1,
+            0..63,
+            0..64,
+            0..65,
+            63..129,
+            128..n,
+            199..n,
+        ] {
+            let want = in_window(all.clone(), &window);
+            let got = p.evaluate_range(&t, window.clone()).unwrap();
+            assert_eq!(got, want, "pred {p} window {window:?}");
+            let mask = p.evaluate_mask_range(&t, window.clone()).unwrap();
+            assert_eq!(mask.len(), window.len(), "pred {p} window {window:?}");
+            assert_eq!(
+                mask_ids(&mask, window.start),
+                want,
+                "mask of {p} on {window:?}"
+            );
+        }
+    }
+    // Invalid predicates and windows are errors on both views.
+    for p in [Predicate::eq("missing", 1i64), Predicate::eq("a", "nope")] {
+        assert!(oracle::selection(&t, &p).is_none(), "{p}");
+        assert!(p.evaluate_range(&t, 0..n).is_err(), "{p}");
+        assert!(p.evaluate_mask_range(&t, 0..n).is_err(), "{p}");
+    }
+    assert!(Predicate::True.evaluate_range(&t, 100..(n + 1)).is_err());
+    assert!(Predicate::True
+        .evaluate_mask_range(&t, 100..(n + 1))
+        .is_err());
+}
+
+/// `evaluate_at` keeps, in input order and with repeats, exactly the ids
+/// the oracle selects.
+#[test]
+fn evaluate_at_keeps_the_qualifying_ids() {
+    let n = 150usize;
+    let t = Table::new(
+        Schema::of(&[
+            ("a", DataType::Int64),
+            ("b", DataType::Float64),
+            ("c", DataType::Utf8),
+        ]),
+        vec![
+            Column::from((0..n as i64).map(|i| (i * 37) % 19 - 9).collect::<Vec<_>>()),
+            Column::from(
+                (0..n)
+                    .map(|i| if i % 7 == 0 { f64::NAN } else { i as f64 / 3.0 })
+                    .collect::<Vec<_>>(),
+            ),
+            Column::from((0..n).map(|i| format!("s{}", i % 11)).collect::<Vec<_>>()),
+        ],
+    )
+    .unwrap();
+    let preds = [
+        Predicate::True,
+        Predicate::range("b", 5.0, 30.0),
+        Predicate::range("a", -3i64, 4i64).and(Predicate::eq("c", "s3").not()),
+        Predicate::cmp("a", CmpOp::Le, 0i64).or(Predicate::range("c", "s1", "s4")),
+    ];
+    let id_sets: [Vec<u32>; 4] = [
+        Vec::new(),
+        (0..n as u32).collect(),
+        (0..n as u32).step_by(3).collect(),
+        vec![149, 2, 2, 64, 63],
+    ];
+    for p in &preds {
+        let hits = oracle::selection(&t, p).unwrap();
+        for ids in &id_sets {
+            let expected: Vec<u32> = ids.iter().copied().filter(|i| hits.contains(i)).collect();
+            assert_eq!(p.evaluate_at(&t, ids).unwrap(), expected, "pred {p}");
+        }
+    }
+    // Ids are checked against the table before any row is read, and
+    // errors match the window path's.
+    assert!(matches!(
+        Predicate::True.evaluate_at(&t, &[0, n as u32]),
+        Err(exploration::storage::StorageError::RowOutOfBounds { .. })
+    ));
+    assert!(Predicate::eq("missing", 1i64)
+        .evaluate_at(&t, &[0])
+        .is_err());
+    assert!(Predicate::eq("a", "nope").evaluate_at(&t, &[0]).is_err());
+}
+
+/// A Float literal against an Int64 column compares as the `i64` it
+/// names, exactly, also where `f64` cannot tell neighbouring values
+/// apart; one that names no `i64` (`2^63`, `f64::MAX`) is invalid.
+#[test]
+fn int_column_float_literals_agree_with_the_oracle() {
+    let big = 1i64 << 53;
+    let t = Table::new(
+        Schema::of(&[("i", DataType::Int64)]),
+        vec![Column::from(vec![
+            big,
+            big + 1,
+            big + 2,
+            i64::MAX,
+            0,
+            i64::MIN,
+        ])],
+    )
+    .unwrap();
+    let two_63 = 2f64.powi(63);
+    for lit in [big as f64, -two_63, two_63 - 1024.0, two_63, f64::MAX, 0.5] {
+        for op in [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ] {
+            let p = Predicate::cmp("i", op, lit);
+            let got = p.evaluate(&t).ok();
+            assert_eq!(got, oracle::selection(&t, &p), "{p}");
+        }
+    }
+    let p = Predicate::cmp("i", CmpOp::Le, big as f64);
+    assert_eq!(p.evaluate(&t).unwrap(), vec![0, 4, 5]);
+}
+
 fn brute_range_ids(base: &[i64], lo: i64, hi: i64) -> Vec<u32> {
     base.iter()
         .enumerate()
@@ -485,18 +686,23 @@ proptest! {
     }
 
     /// Random predicate trees produce the same selection vector under
-    /// both policies — and match the scalar mask reference evaluator.
+    /// both policies — and the oracle's selection, or an error exactly
+    /// where the oracle finds the predicate invalid.
     #[test]
     fn random_selections_agree_across_policies(pred in pred_tree()) {
         let t = big_table();
         let serial = evaluate_selection(t, &pred, &QueryCtx::none());
         let parallel = evaluate_selection(t, &pred, &QueryCtx::new(ExecPolicy::Parallel { workers: 4 }));
+        let want = oracle::selection_in(t, big_rows(), &pred);
         match (serial, parallel) {
             (Ok(a), Ok(b)) => {
                 prop_assert_eq!(&a, &b);
-                prop_assert_eq!(a, mask_to_sel(&pred.evaluate_mask(t).unwrap()));
+                prop_assert_eq!(Some(a), want, "oracle diverged on {}", pred);
             }
-            (Err(a), Err(b)) => prop_assert_eq!(a, b),
+            (Err(a), Err(b)) => {
+                prop_assert_eq!(a, b);
+                prop_assert!(want.is_none(), "engine errs, oracle valid on {}", pred);
+            }
             (a, b) => prop_assert!(
                 false,
                 "one policy errored: serial ok = {}, parallel ok = {}",
@@ -611,9 +817,11 @@ proptest! {
         }
     }
 
-    /// The vectorized bitmap predicate path agrees with the scalar mask
-    /// reference on random data including NaN, infinities, signed zero,
-    /// and extreme magnitudes — same selections, same errors.
+    /// The vectorized bitmap predicate path — its selection and its
+    /// bool-mask view, on a window — agrees with the oracle on random
+    /// data including NaN, infinities, signed zero, and extreme
+    /// magnitudes: the oracle's selection inside the window, or an error
+    /// exactly where the oracle finds the predicate invalid.
     #[test]
     fn vectorized_predicates_agree_with_scalar_reference(
         floats in prop::collection::vec(tricky_float(), 1..300),
@@ -638,30 +846,28 @@ proptest! {
             2 => n / 2..n,
             _ => n / 3..(2 * n / 3).max(n / 3),
         };
+        let want = oracle::selection(&t, &pred).map(|ids| in_window(ids, &range));
         let vectorized = pred.evaluate_range(&t, range.clone());
-        let scalar = pred.evaluate_mask_range(&t, range.clone()).map(|mask| {
-            mask.iter()
-                .enumerate()
-                .filter(|(_, &hit)| hit)
-                .map(|(i, _)| (range.start + i) as u32)
-                .collect::<Vec<u32>>()
-        });
-        match (vectorized, scalar) {
-            (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "diverged on {:?}", pred),
-            (Err(a), Err(b)) => prop_assert_eq!(a, b),
-            (a, b) => prop_assert!(
-                false,
-                "one path errored: vectorized ok = {}, scalar ok = {}",
-                a.is_ok(),
-                b.is_ok()
-            ),
+        let masked = pred.evaluate_mask_range(&t, range.clone()).map(|m| mask_ids(&m, range.start));
+        for got in [vectorized, masked] {
+            match (got, &want) {
+                (Ok(a), Some(b)) => prop_assert_eq!(&a, b, "diverged on {:?}", pred),
+                (Err(_), None) => {}
+                (a, b) => prop_assert!(
+                    false,
+                    "engine ok = {}, oracle valid = {} on {:?}",
+                    a.is_ok(),
+                    b.is_some(),
+                    pred
+                ),
+            }
         }
     }
 
-    /// `ORDER BY … LIMIT k` is the first `k` rows of the full stable
-    /// sort (`sort_table`), for Int, Float and Utf8 keys drawn from a few
-    /// values each (heavy ties, both NaNs, both zeros), ASC and DESC,
-    /// k ∈ {0, 1, n−1, n, n+1}, and without a limit.
+    /// `ORDER BY … LIMIT k` is the first `k` rows of the oracle's full
+    /// stable sort, bit for bit, for Int, Float and Utf8 keys drawn from
+    /// a few values each (heavy ties, both NaNs, both zeros), ASC and
+    /// DESC, k ∈ {0, 1, n−1, n, n+1}, and without a limit.
     #[test]
     fn order_limit_is_a_prefix_of_the_full_sort(
         cells in prop::collection::vec((0usize..4, 0usize..7, 0usize..4), 0..2000),
@@ -686,8 +892,8 @@ proptest! {
         .unwrap();
         for col in ["i", "f", "s"] {
             for order in [SortOrder::Asc, SortOrder::Desc] {
-                let sorted = sort_table(&t, col, order).unwrap();
                 let q = Query::new().order(col, order);
+                let sorted = oracle::run(&t, &q).unwrap();
                 let all = q.apply_order_limit(t.clone()).unwrap();
                 prop_assert!(tables_bitwise_equal(&all, &sorted), "{col} {order:?}");
                 for k in [0, 1, n.saturating_sub(1), n, n + 1] {
